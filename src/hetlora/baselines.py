@@ -1,22 +1,33 @@
-"""Protocol runners: the heterogeneous-rank engine and the comparison
-strategies (homogeneous-rank, full fine-tuning, reconstruct-then-refactor).
+"""Protocol runners: one round loop for the heterogeneous-rank engine and
+the comparison strategies (homogeneous-rank, full fine-tuning,
+reconstruct-then-refactor).
 
-All strategies consume the same task, seeds, selection schedule, and local
-SGD machinery, so their metric curves are comparable round by round. Each
-runner returns a :class:`RunResult` stream; divergence aborts the run with
+Every strategy follows the same protocol on the same task, seeds,
+selection schedule and local SGD machinery, so their metric curves are
+comparable round by round: the server selects clients and hands each a
+model, each client trains it locally, and the server aggregates the
+results. A strategy supplies only what differs: the model it hands out,
+its local step, its aggregation and its eval. Divergence ends the run with
 the partial stream flagged incomplete.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from .client import ClientState, LocalTrainConfig, TrainingError, local_train
+from .client import (
+    ClientState,
+    LocalTrainConfig,
+    TrainingError,
+    dense_local_train,
+    local_train,
+)
 from .config import ExperimentConfig
-from .linalg import Matrix, seeded_rng
+from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd, truncate
 from .records import RoundRecord, RunResult
 from .server import (
@@ -27,7 +38,7 @@ from .server import (
     distribute,
     select_clients,
 )
-from .tasks import SyntheticTask, dense_grad, dense_loss, generate_task, loss
+from .tasks import SyntheticTask, dense_loss, generate_task, loss
 
 
 def lora_params(rank: int, d: int, l: int) -> int:
@@ -70,207 +81,161 @@ def _make_clients(task: SyntheticTask, ranks, run_seed: int) -> list[ClientState
     ]
 
 
-def _local_cfg(cfg: ExperimentConfig, reg_weight: float, decay: float,
-               ) -> LocalTrainConfig:
-    return LocalTrainConfig(
-        local_iters=cfg.local_iters,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        reg_weight=reg_weight,
-        decay=decay,
-    )
+class _Strategy:
+    """What a strategy supplies to the round loop: hand_out(k) gives client
+    k its model, local_step trains it, aggregate folds a round's
+    (client, trained model) updates into the server's model, and evaluate
+    gives the eval loss of that model. Clients train adapters with
+    local_train unless a strategy says otherwise."""
+
+    def __init__(self, tag: str, task: SyntheticTask, clients: list[ClientState],
+                 lcfg: LocalTrainConfig):
+        self.tag = tag
+        self.task = task
+        self.clients = clients
+        self.lcfg = lcfg
+
+    def local_step(self, k: int, model: LoraPair, t: int) -> LoraPair:
+        return local_train(self.clients[k], model, self.task.base.w0, self.lcfg,
+                           round_index=t)[0]
 
 
-def run_hetlora(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                *, reg_weight: float | None = None, decay: float | None = None,
-                aggregation: str | None = None, ranks=None,
-                strategy_tag: str = "hetlora") -> RunResult:
-    """The heterogeneous-rank engine. The homogeneous baseline is this with
-    r_min == r_max, no regularizer, decay 1, and simple averaging."""
-    spec = task.spec
-    reg_weight = cfg.reg_weight if reg_weight is None else reg_weight
-    decay = cfg.decay if decay is None else decay
-    aggregation = cfg.aggregation if aggregation is None else aggregation
-    if ranks is None:
-        ranks = assign_ranks(
-            spec.num_clients, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed
-        ).ranks
-    clients = _make_clients(task, ranks, run_seed)
-    lcfg = _local_cfg(cfg, reg_weight, decay)
-    w0 = task.base.w0
+class _FactorServer(_Strategy):
+    """hetlora and homlora: the server keeps the global factor pair, hands
+    out its truncations and averages the returned factors."""
 
-    global_pair = _initial_pair(task, max(ranks), cfg.init_std, run_seed)
-    server = ServerState(
-        global_pair=global_pair,
-        round_index=0,
-        aggregation=aggregation,
-        client_ranks={c.id: c.current_rank for c in clients},
-    )
-    run = RunResult(
-        seed=run_seed,
-        strategy=strategy_tag,
-        initial_eval_loss=loss(global_pair, w0, task.eval_set),
-    )
-    cumulative = 0
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        selected = select_clients(spec.num_clients, cfg.clients_per_round, t, run_seed)
-        updates = []
-        sizes = []
-        down = up = 0
-        try:
-            for k in selected:
-                received = distribute(server, clients[k].current_rank)
-                down += lora_params(received.rank, spec.d, spec.l)
-                trained, _ = local_train(clients[k], received, w0, lcfg, round_index=t)
-                up += lora_params(trained.rank, spec.d, spec.l)
-                updates.append((k, trained))
-                sizes.append(clients[k].dataset.size)
-        except TrainingError as exc:
-            run.completed = False
-            run.failure = str(exc)
-            break
-        server = aggregate(server, updates, sizes=sizes if cfg.size_weighted else None)
-        cumulative += down + up
-        run.records.append(
-            RoundRecord(
-                round_index=t,
-                eval_loss=loss(server.global_pair, w0, task.eval_set),
-                client_ranks=tuple(c.current_rank for c in clients),
-                down_params=down,
-                up_params=up,
-                cumulative_params=cumulative,
-                wall_clock=time.perf_counter() - start,
-            )
+    def __init__(self, tag: str, cfg: ExperimentConfig, task: SyntheticTask,
+                 run_seed: int, ranks, lcfg: LocalTrainConfig, aggregation: str):
+        super().__init__(tag, task, _make_clients(task, ranks, run_seed), lcfg)
+        self.server = ServerState(
+            global_pair=_initial_pair(task, max(ranks), cfg.init_std, run_seed),
+            round_index=0,
+            aggregation=aggregation,
+            client_ranks={c.id: c.current_rank for c in self.clients},
         )
-    return run
+
+    def hand_out(self, k: int) -> LoraPair:
+        return distribute(self.server, self.clients[k].current_rank)
+
+    def aggregate(self, updates: list[tuple[int, LoraPair]]) -> None:
+        self.server = aggregate(self.server, updates)
+
+    def evaluate(self) -> float:
+        return loss(self.server.global_pair, self.task.base.w0, self.task.eval_set)
 
 
-def run_homlora(rank: int, cfg: ExperimentConfig, task: SyntheticTask,
-                run_seed: int) -> RunResult:
-    """Homogeneous-rank baseline: every client trains the same rank, plain
-    averaging, no pruning."""
-    return run_hetlora(
-        cfg,
-        task,
-        run_seed,
-        reg_weight=0.0,
-        decay=1.0,
-        aggregation=SIMPLE,
-        ranks=(rank,) * task.spec.num_clients,
-        strategy_tag=f"homlora_r{rank}",
-    )
+class _DenseServer(_Strategy):
+    """The server keeps a dense d x l update and replaces it each round by
+    the plain mean of the clients' dense updates."""
+
+    def __init__(self, tag: str, task: SyntheticTask, clients: list[ClientState],
+                 lcfg: LocalTrainConfig):
+        super().__init__(tag, task, clients, lcfg)
+        self.dense = np.zeros((task.spec.d, task.spec.l))
+
+    def _set_mean(self, updates: list[np.ndarray]) -> None:
+        acc = np.zeros_like(self.dense)
+        for u in updates:
+            acc += u / len(updates)
+        self.dense = acc
+
+    def evaluate(self) -> float:
+        return dense_loss(Matrix._wrap(self.dense), self.task.base.w0,
+                          self.task.eval_set)
 
 
-def run_full_ft(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int) -> RunResult:
+class _FullFT(_DenseServer):
     """FedAvg on a dense additive update with the base weight frozen.
 
-    Communication is d*l per direction per client."""
-    spec = task.spec
-    w0 = task.base.w0
-    dense_cost = spec.d * spec.l
-    delta = np.zeros((spec.d, spec.l))
-    run = RunResult(
-        seed=run_seed,
-        strategy="full_ft",
-        initial_eval_loss=dense_loss(Matrix._wrap(delta), w0, task.eval_set),
-    )
-    cumulative = 0
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        selected = select_clients(spec.num_clients, cfg.clients_per_round, t, run_seed)
-        m = len(selected)
-        acc = np.zeros_like(delta)
-        diverged = None
-        for k in selected:
-            local = delta.copy()
-            rng = seeded_rng(_client_seed(run_seed, k)).child("round", t)
-            data = task.clients[k]
-            for step in range(cfg.local_iters):
-                idx = rng.batch_indices(data.size, cfg.batch_size)
-                x = data.inputs.array[idx]
-                y = data.targets.array[idx]
-                resid = x @ (w0.array + local).T - y
-                local -= cfg.learning_rate * (resid.T @ x / len(idx))
-                if not np.isfinite(local).all():
-                    diverged = f"client {k} diverged at local step {step}"
-                    break
-            if diverged:
-                break
-            acc += local / m
-        if diverged:
-            run.completed = False
-            run.failure = diverged
-            break
-        delta = acc
-        cumulative += 2 * m * dense_cost
-        run.records.append(
-            RoundRecord(
-                round_index=t,
-                eval_loss=dense_loss(Matrix._wrap(delta), w0, task.eval_set),
-                client_ranks=tuple(0 for _ in range(spec.num_clients)),
-                down_params=m * dense_cost,
-                up_params=m * dense_cost,
-                cumulative_params=cumulative,
-                wall_clock=time.perf_counter() - start,
-            )
-        )
-    return run
+    Clients receive and return the whole update, d*l parameters each way.
+    """
+
+    def hand_out(self, k: int) -> np.ndarray:
+        return self.dense
+
+    def local_step(self, k: int, model: np.ndarray, t: int) -> np.ndarray:
+        return dense_local_train(self.clients[k], model, self.task.base.w0,
+                                 self.lcfg, round_index=t)
+
+    def aggregate(self, updates: list[tuple[int, np.ndarray]]) -> None:
+        self._set_mean([u for _, u in updates])
 
 
-def run_recon_svd(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int) -> RunResult:
-    """Reconstruct-first baseline: the server keeps a dense global update,
-    averages reconstructed client products uniformly, and redistributes
-    per-client factors by truncated SVD.
+class _ReconSvd(_DenseServer):
+    """Reconstruct-first baseline: the server averages reconstructed client
+    products uniformly and hands out slices of a truncated SVD of the dense
+    update.
 
-    The first round distributes truncations of the standard factored init
-    (refactoring the zero matrix would hand every client an all-zero pair,
-    which SGD can never leave). No self-pruning: ranks stay at their
+    Once per round the dense update is refactored at the largest client
+    rank; a truncation of that pair is exactly the refactoring at a smaller
+    rank. The first round hands out truncations of the standard factored
+    init (refactoring the zero matrix would hand every client an all-zero
+    pair, which SGD can never leave). No self-pruning: ranks stay at their
     initial assignment.
     """
-    spec = task.spec
-    w0 = task.base.w0
-    ranks = assign_ranks(
-        spec.num_clients, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed
-    ).ranks
-    clients = _make_clients(task, ranks, run_seed)
-    lcfg = _local_cfg(cfg, 0.0, 1.0)
-    init_pair = _initial_pair(task, max(ranks), cfg.init_std, run_seed)
-    dense = np.zeros((spec.d, spec.l))
-    run = RunResult(
-        seed=run_seed,
-        strategy="recon_svd",
-        initial_eval_loss=dense_loss(Matrix._wrap(dense), w0, task.eval_set),
-    )
+
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
+                 ranks, lcfg: LocalTrainConfig):
+        super().__init__("recon_svd", task, _make_clients(task, ranks, run_seed), lcfg)
+        self.rank = max(ranks)
+        self.pair = _initial_pair(task, self.rank, cfg.init_std, run_seed)
+
+    def hand_out(self, k: int) -> LoraPair:
+        if self.pair is None:
+            self.pair = refactor_svd(Matrix._wrap(self.dense), self.rank)
+        return truncate(self.pair, self.clients[k].current_rank)
+
+    def aggregate(self, updates: list[tuple[int, LoraPair]]) -> None:
+        self._set_mean([reconstruct(p).array for _, p in updates])
+        self.pair = None
+
+
+def _params(model, task: SyntheticTask) -> int:
+    """Parameters one model carries one way: r(d+l) for an adapter pair,
+    d*l for a dense update."""
+    if isinstance(model, LoraPair):
+        return lora_params(model.rank, task.spec.d, task.spec.l)
+    return model.size
+
+
+def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
+                strategy: _Strategy) -> RunResult:
+    """The round loop every strategy shares.
+
+    A client's local divergence, a non-finite value met by the server, or
+    a non-finite eval loss ends the run as incomplete; the round it
+    happened in is not recorded.
+    """
+    run = RunResult(seed=run_seed, strategy=strategy.tag,
+                    initial_eval_loss=strategy.evaluate())
     cumulative = 0
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
-        selected = select_clients(spec.num_clients, cfg.clients_per_round, t, run_seed)
-        m = len(selected)
-        acc = np.zeros_like(dense)
+        selected = select_clients(task.spec.num_clients, cfg.clients_per_round, t,
+                                  run_seed)
+        updates = []
         down = up = 0
         try:
             for k in selected:
-                r_k = clients[k].current_rank
-                if t == 1:
-                    received = truncate(init_pair, r_k)
-                else:
-                    received = refactor_svd(Matrix._wrap(dense), r_k, cfg.svd_split)
-                down += lora_params(r_k, spec.d, spec.l)
-                trained, _ = local_train(clients[k], received, w0, lcfg, round_index=t)
-                up += lora_params(trained.rank, spec.d, spec.l)
-                acc += reconstruct(trained).array / m
-        except TrainingError as exc:
+                received = strategy.hand_out(k)
+                down += _params(received, task)
+                trained = strategy.local_step(k, received, t)
+                up += _params(trained, task)
+                updates.append((k, trained))
+            strategy.aggregate(updates)
+            eval_loss = strategy.evaluate()
+            if not math.isfinite(eval_loss):
+                raise NumericError(f"eval loss is {eval_loss}")
+        except (TrainingError, NumericError) as exc:
             run.completed = False
-            run.failure = str(exc)
+            run.failure = f"round {t}: {exc}"
             break
-        dense = acc
         cumulative += down + up
         run.records.append(
             RoundRecord(
                 round_index=t,
-                eval_loss=dense_loss(Matrix._wrap(dense), w0, task.eval_set),
-                client_ranks=tuple(c.current_rank for c in clients),
+                eval_loss=eval_loss,
+                client_ranks=tuple(c.current_rank for c in strategy.clients),
                 down_params=down,
                 up_params=up,
                 cumulative_params=cumulative,
@@ -282,16 +247,30 @@ def run_recon_svd(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int) -> 
 
 def run_strategy(cfg: ExperimentConfig, run_seed: int,
                  task: SyntheticTask | None = None) -> RunResult:
-    """Dispatch on cfg.strategy; the task is regenerated with the run seed
-    unless supplied."""
+    """Run cfg.strategy on one seed; the task is regenerated with the run
+    seed unless supplied."""
     if task is None:
         task = generate_task(replace(cfg.task, seed=run_seed))
+    n = task.spec.num_clients
+    plain = LocalTrainConfig(local_iters=cfg.local_iters, batch_size=cfg.batch_size,
+                             learning_rate=cfg.learning_rate)
+    if cfg.strategy in ("hetlora", "recon_svd"):
+        ranks = assign_ranks(n, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed).ranks
     if cfg.strategy == "hetlora":
-        return run_hetlora(cfg, task, run_seed)
-    if cfg.strategy == "homlora":
-        return run_homlora(cfg.homlora_rank, cfg, task, run_seed)
-    if cfg.strategy == "full_ft":
-        return run_full_ft(cfg, task, run_seed)
-    if cfg.strategy == "recon_svd":
-        return run_recon_svd(cfg, task, run_seed)
-    raise ValueError(f"unknown strategy {cfg.strategy!r}")
+        lcfg = replace(plain, reg_weight=cfg.reg_weight, decay=cfg.decay)
+        strategy = _FactorServer("hetlora", cfg, task, run_seed, ranks, lcfg,
+                                 cfg.aggregation)
+    elif cfg.strategy == "homlora":
+        # hetlora with every rank fixed, no regulariser, no pruning and
+        # plain averaging
+        strategy = _FactorServer(f"homlora_r{cfg.homlora_rank}", cfg, task, run_seed,
+                                 (cfg.homlora_rank,) * n, plain, SIMPLE)
+    elif cfg.strategy == "full_ft":
+        # dense clients have no adapter rank and record 0
+        strategy = _FullFT("full_ft", task, _make_clients(task, (0,) * n, run_seed),
+                           plain)
+    elif cfg.strategy == "recon_svd":
+        strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
+    else:
+        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    return _run_rounds(cfg, task, run_seed, strategy)

@@ -21,11 +21,9 @@ import statistics
 import sys
 from pathlib import Path
 
-from .baselines import run_homlora, run_strategy
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import run_experiment, select_learning_rate, summarize, write_outputs
 from .records import RunResult, read_jsonl, rounds_to_target
-from .tasks import generate_task
 
 GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
 
@@ -110,6 +108,7 @@ def cmd_sweep(args) -> int:
         return 2
 
     rows = []
+    completed = True
     for label, vcfg in variants:
         if args.lr_grid:
             lr, _ = select_learning_rate(vcfg)
@@ -118,6 +117,7 @@ def cmd_sweep(args) -> int:
         write_outputs(runs, out / label, label=label)
         _print_summary(label, runs)
         s = summarize(runs)
+        completed = completed and s["completed"]
         rows.append(
             [
                 label, s["strategy"], vcfg.learning_rate,
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
         )
         w.writerows(rows)
     print(f"sweep summary: {summary}")
-    return 0
+    return 0 if completed else 1
 
 
 def _target_for(runs: list[RunResult], args) -> float:

@@ -1,4 +1,5 @@
-"""Client-side local training with rank self-pruning.
+"""Client-side local training with rank self-pruning, and the dense local
+step of full fine-tuning.
 
 A client runs a few mini-batch SGD steps on its data loss plus a
 regularizer on the tail rank block (the last ranks beyond
@@ -30,7 +31,7 @@ class TrainingError(RuntimeError):
 @dataclass
 class ClientState:
     id: int
-    current_rank: int  # persists across rounds, never increases
+    current_rank: int  # persists across rounds, never increases; 0 for dense
     dataset: ClientDataset
     seed: int
 
@@ -96,25 +97,34 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
         ga[keep:, :] += reg_weight * (nb / na) * at
 
 
+def _batches(state: ClientState, cfg: LocalTrainConfig, round_index: int):
+    """The client's mini-batches (inputs, targets) of one round, one per
+    local step.
+
+    They are drawn from a stream derived from (client seed, round), so a
+    local result is independent of scheduling order and thread count.
+    """
+    rng = seeded_rng(state.seed).child("round", round_index)
+    x_all = state.dataset.inputs.array
+    y_all = state.dataset.targets.array
+    for _ in range(cfg.local_iters):
+        idx = rng.batch_indices(state.dataset.size, cfg.batch_size)
+        yield x_all[idx], y_all[idx]
+
+
 def local_train(state: ClientState, received: LoraPair, w0: Matrix,
                 cfg: LocalTrainConfig, round_index: int = 0,
                 ) -> tuple[LoraPair, int]:
     """Run local SGD, decide on pruning, and persist the new rank.
 
-    Batches are drawn from a stream derived from (client seed, round), so
-    the result is independent of scheduling order and thread count. With
-    reg_weight 0 and decay 1 this is a plain FedAvg local step: the tail is
-    empty and the strict-decrease pruning test can never fire.
+    With reg_weight 0 and decay 1 this is a plain FedAvg local step: the
+    tail is empty and the strict-decrease pruning test can never fire.
     """
     if received.rank != state.current_rank:
         raise ValueError(
             f"client {state.id} holds rank {state.current_rank} but received "
             f"rank {received.rank}"
         )
-    rng = seeded_rng(state.seed).child("round", round_index)
-    x_all = state.dataset.inputs.array
-    y_all = state.dataset.targets.array
-    n = state.dataset.size
     r = received.rank
     keep = kept_rank(r, cfg.decay)
     has_tail = keep < r
@@ -123,12 +133,9 @@ def local_train(state: ClientState, received: LoraPair, w0: Matrix,
     b = received.b.array.copy()
     a = received.a.array.copy()
     w0a = w0.array
-    for step in range(cfg.local_iters):
-        idx = rng.batch_indices(n, cfg.batch_size)
-        x = x_all[idx]
-        y = y_all[idx]
+    for step, (x, y) in enumerate(_batches(state, cfg, round_index)):
         resid = x @ (w0a + b @ a).T - y
-        g_dense = resid.T @ x / len(idx)
+        g_dense = resid.T @ x / len(x)
         gb = g_dense @ a.T
         ga = b.T @ g_dense
         if cfg.reg_weight > 0 and has_tail:
@@ -145,3 +152,20 @@ def local_train(state: ClientState, received: LoraPair, w0: Matrix,
         new_rank = keep
     state.current_rank = new_rank
     return trained, new_rank
+
+
+def dense_local_train(state: ClientState, delta: np.ndarray, w0: Matrix,
+                      cfg: LocalTrainConfig, round_index: int) -> np.ndarray:
+    """Local SGD on a dense d x l additive update (full fine-tuning).
+
+    Same batches as local_train; the loss is the plain MSE of w0 + delta,
+    with no regulariser and no rank. Returns a new array.
+    """
+    local = delta.copy()
+    w0a = w0.array
+    for step, (x, y) in enumerate(_batches(state, cfg, round_index)):
+        resid = x @ (w0a + local).T - y
+        local -= cfg.learning_rate * (resid.T @ x / len(x))
+        if not np.isfinite(local).all():
+            raise TrainingError(f"client {state.id} diverged", step)
+    return local

@@ -9,10 +9,12 @@ name and line number.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .server import AGGREGATION_STRATEGIES
 from .tasks import SyntheticTaskSpec
 
 STRATEGY_TAGS = ("hetlora", "homlora", "full_ft", "recon_svd")
@@ -43,8 +45,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     threads: int = 1
     init_std: float = 0.1  # std of the right factor at round 0 (left starts 0)
-    size_weighted: bool = False  # experimental: fold dataset sizes into weights
-    svd_split: str = "balanced"  # singular-value split for refactoring
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -67,14 +67,24 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "yes", "1"):
-        return True
-    if s.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+        if not 0 < self.decay <= 1:
+            raise ConfigError(f"decay {self.decay} must be in (0, 1]")
+        if not (math.isfinite(self.reg_weight) and self.reg_weight >= 0):
+            raise ConfigError(f"reg_weight {self.reg_weight} must be finite and >= 0")
+        if self.aggregation not in AGGREGATION_STRATEGIES:
+            raise ConfigError(
+                f"unknown aggregation {self.aggregation!r}; expected one of "
+                f"{', '.join(AGGREGATION_STRATEGIES)}"
+            )
+        for name in ("batch_size", "local_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("learning_rate", "init_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} {value} must be finite and > 0")
+        if not math.isfinite(self.rank_alpha):
+            raise ConfigError(f"rank_alpha {self.rank_alpha} must be finite")
 
 
 def _parse_int_list(s: str):
@@ -109,8 +119,6 @@ _SCHEMA = {
     "seeds": ("cfg", "seeds", _parse_int_list),
     "threads": ("cfg", "threads", int),
     "init_std": ("cfg", "init_std", float),
-    "size_weighted": ("cfg", "size_weighted", _parse_bool),
-    "svd_split": ("cfg", "svd_split", str),
     "out_dir": ("cfg", "out_dir", str),
 }
 

@@ -71,10 +71,6 @@ class Matrix:
             raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
         return cls._wrap(np.zeros((rows, cols)))
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._wrap(np.eye(n))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -87,11 +83,6 @@ class Matrix:
     def array(self) -> np.ndarray:
         """Read-only numpy view of the entries."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self._a.ravel()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -121,20 +112,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     return Matrix._wrap(a.array @ b.array)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return Matrix._wrap(a.array + b.array)
-
-
-def scale(a: Matrix, c: float) -> Matrix:
-    return Matrix._wrap(a.array * float(c))
-
-
-def frobenius_norm(m: Matrix) -> float:
-    return float(np.linalg.norm(m.array))
 
 
 def svd(m: Matrix, k: int) -> SvdResult:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, matmul, svd
+from .linalg import Matrix, NumericError, matmul, svd
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def aggregate_pairs(pairs: list[LoraPair], weights: list[float]) -> LoraPair:
         raise ValueError("weights and pairs must have the same length")
     w = np.asarray(weights, dtype=np.float64)
     if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
+        raise NumericError("aggregation weights must be finite")
     d, l = pairs[0].d, pairs[0].l
     for p in pairs:
         if p.d != d or p.l != l:
@@ -113,25 +113,16 @@ def aggregate_pairs(pairs: list[LoraPair], weights: list[float]) -> LoraPair:
     return LoraPair(b=Matrix._wrap(b_acc), a=Matrix._wrap(a_acc))
 
 
-def refactor_svd(delta: Matrix, r: int, split: str = "balanced") -> LoraPair:
+def refactor_svd(delta: Matrix, r: int) -> LoraPair:
     """Factor the best rank-r approximation of delta into an adapter pair.
 
-    split controls where the singular values go: "balanced" puts sqrt(s)
-    on each factor (keeps the two factor norms equal, which conditions
-    subsequent SGD best), "left" puts s on b, "right" on a.
+    Each factor carries the square roots of the singular values, so the two
+    factor norms are equal, which conditions subsequent SGD best. Rank by
+    rank the result does not depend on r: truncating the refactoring at
+    rank R to r < R gives exactly the refactoring at r.
     """
     res = svd(delta, r)
-    s = np.asarray(res.singular_values)
-    if split == "balanced":
-        root = np.sqrt(s)
-        b = res.u.array * root
-        a = root[:, None] * res.vt.array
-    elif split == "left":
-        b = res.u.array * s
-        a = res.vt.array.copy()
-    elif split == "right":
-        b = res.u.array.copy()
-        a = s[:, None] * res.vt.array
-    else:
-        raise ValueError(f"unknown split {split!r}")
+    root = np.sqrt(np.asarray(res.singular_values))
+    b = res.u.array * root
+    a = root[:, None] * res.vt.array
     return LoraPair(b=Matrix._wrap(b), a=Matrix._wrap(a))

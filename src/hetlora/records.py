@@ -62,7 +62,8 @@ def rounds_to_target(run: RunResult, target: float) -> int | None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # strict JSON: a NaN or infinite value raises instead of being written
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def to_jsonl_lines(run: RunResult) -> list[str]:
@@ -107,6 +108,9 @@ def write_jsonl(runs: list[RunResult], path: Path) -> None:
 
 
 def read_jsonl(path: Path) -> list[RunResult]:
+    """Parse a record stream. Raises ValueError naming path:line for bad
+    JSON, an unknown schema version or record type, and a round record
+    without its header or out of order."""
     runs: list[RunResult] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -117,7 +121,14 @@ def read_jsonl(path: Path) -> list[RunResult]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if obj.get("type") == "header":
+            kind = obj.get("type")
+            if kind == "round" and (not runs or runs[-1].seed != obj["seed"]):
+                raise ValueError(f"{path}:{lineno}: round record without header")
+            if obj.get("v") != SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown schema version {obj.get('v')!r}"
+                )
+            if kind == "header":
                 runs.append(
                     RunResult(
                         seed=obj["seed"],
@@ -127,9 +138,13 @@ def read_jsonl(path: Path) -> list[RunResult]:
                         failure=obj.get("failure"),
                     )
                 )
-            elif obj.get("type") == "round":
-                if not runs or runs[-1].seed != obj["seed"]:
-                    raise ValueError(f"{path}:{lineno}: round record without header")
+            elif kind == "round":
+                expected = len(runs[-1].records) + 1
+                if obj["round"] != expected:
+                    raise ValueError(
+                        f"{path}:{lineno}: round {obj['round']} where round "
+                        f"{expected} was expected"
+                    )
                 runs[-1].records.append(
                     RoundRecord(
                         round_index=obj["round"],

@@ -107,8 +107,7 @@ def aggregation_weights(pairs: list[LoraPair], aggregation: str) -> list[float]:
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
-def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]],
-              sizes: list[int] | None = None) -> ServerState:
+def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> ServerState:
     """Fold a round of client updates into a new server state.
 
     The registry is updated with the submitting clients' (possibly pruned)
@@ -117,23 +116,11 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]],
     every client has pruned below the old global rank the global pair
     shrinks to the new max (the discarded trailing ranks can no longer be
     distributed to anyone).
-
-    sizes, when given, folds client dataset sizes into the weights
-    (experimental; the default protocol uses sparsity scores only).
     """
     if not updates:
         raise ValueError("updates must be non-empty")
     pairs = [p for _, p in updates]
-    weights = aggregation_weights(pairs, state.aggregation)
-    if sizes is not None:
-        if len(sizes) != len(pairs):
-            raise ValueError("sizes must match updates")
-        scaled = [w * s for w, s in zip(weights, sizes)]
-        total = sum(scaled)
-        if total <= 0:
-            raise ValueError("size-weighted normalizer is zero")
-        weights = [w / total for w in scaled]
-    new_pair = aggregate_pairs(pairs, weights)
+    new_pair = aggregate_pairs(pairs, aggregation_weights(pairs, state.aggregation))
 
     registry = dict(state.client_ranks)
     for cid, p in updates:

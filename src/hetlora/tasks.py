@@ -12,7 +12,7 @@ overfitting, heterogeneous complexity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,14 +181,6 @@ def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset) -> float:
         raise ValueError("batch must be non-empty")
     resid = batch.inputs.array @ (w0.array + delta.array).T - batch.targets.array
     return float(0.5 * np.sum(resid * resid) / batch.size)
-
-
-def dense_grad(delta: Matrix, w0: Matrix, batch: ClientDataset) -> Matrix:
-    """Gradient of dense_loss with respect to delta (d x l)."""
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    resid = batch.inputs.array @ (w0.array + delta.array).T - batch.targets.array
-    return Matrix._wrap(resid.T @ batch.inputs.array / batch.size)
 
 
 def loss(p: LoraPair, w0: Matrix, batch: ClientDataset) -> float:

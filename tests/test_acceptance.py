@@ -21,12 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from hetlora.baselines import (
-    lora_param_fraction,
-    run_hetlora,
-    run_homlora,
-    _client_seed,
-)
+from hetlora.baselines import _client_seed, lora_param_fraction, run_strategy
 from hetlora.cli import main
 from hetlora.client import LocalTrainConfig, kept_rank, regularized_loss
 from hetlora.client import _add_reg_grad
@@ -191,7 +186,8 @@ class TestCriterion3HomloraReduction:
         spec = dataclasses.replace(cfg.task, seed=0)
         task = generate_task(spec)
         r = 4
-        engine = run_homlora(r, cfg, task, run_seed=0)
+        engine = run_strategy(
+            dataclasses.replace(cfg, strategy="homlora", homlora_rank=r), 0, task)
 
         # --- independent reference ---
         w0 = task.base.w0
@@ -326,14 +322,14 @@ class TestCriterion6GammaAblation:
 
 class TestCriterion7PruningTracksComplexity:
     def test_low_complexity_clients_end_smaller(self):
-        cfg = default_cfg()
+        # every client starts at rank 8
+        cfg = dataclasses.replace(default_cfg(), r_min=8, r_max=8)
         per_seed = []
         ok = True
         for seed in cfg.seeds:
             spec = dataclasses.replace(cfg.task, seed=seed)
             task = generate_task(spec)
-            run = run_hetlora(cfg, task, seed,
-                              ranks=(8,) * spec.num_clients)
+            run = run_strategy(cfg, seed, task)
             final_ranks = run.records[-1].client_ranks
             low = [r for r, c in zip(final_ranks, task.complexities) if c == 1]
             high = [r for r, c in zip(final_ranks, task.complexities) if c == 8]

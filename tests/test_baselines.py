@@ -1,23 +1,16 @@
 """Tests for the protocol runners and their shared accounting."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hetlora.baselines import (
-    lora_param_fraction,
-    lora_params,
-    run_full_ft,
-    run_hetlora,
-    run_homlora,
-    run_recon_svd,
-    run_strategy,
-)
+from hetlora import lora
+from hetlora.baselines import lora_param_fraction, lora_params, run_strategy
 from hetlora.config import ExperimentConfig
 from hetlora.records import to_jsonl_lines
-from hetlora.server import SIMPLE
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 
 SPEC = SyntheticTaskSpec(d=12, l=8, true_rank=4, num_clients=10,
@@ -31,6 +24,10 @@ def tiny_cfg(**kwargs):
                 reg_weight=0.01, decay=0.99)
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+def homlora(cfg, rank):
+    return dataclasses.replace(cfg, strategy="homlora", homlora_rank=rank)
 
 
 class TestParamAccounting:
@@ -47,7 +44,7 @@ class TestParamAccounting:
     def test_homlora_per_round_comm(self):
         cfg = tiny_cfg()
         task = generate_task(SPEC)
-        run = run_homlora(3, cfg, task, run_seed=0)
+        run = run_strategy(homlora(cfg, 3), 0, task)
         per_dir = cfg.clients_per_round * lora_params(3, SPEC.d, SPEC.l)
         for t, rec in enumerate(run.records, start=1):
             assert rec.down_params == per_dir
@@ -57,7 +54,7 @@ class TestParamAccounting:
     def test_full_ft_per_round_comm(self):
         cfg = tiny_cfg(strategy="full_ft")
         task = generate_task(SPEC)
-        run = run_full_ft(cfg, task, run_seed=0)
+        run = run_strategy(cfg, 0, task)
         dense = SPEC.d * SPEC.l
         for t, rec in enumerate(run.records, start=1):
             assert rec.down_params == cfg.clients_per_round * dense
@@ -67,7 +64,7 @@ class TestParamAccounting:
     def test_hetlora_upload_never_exceeds_download(self):
         cfg = tiny_cfg(rounds=15)
         task = generate_task(SPEC)
-        run = run_hetlora(cfg, task, run_seed=1)
+        run = run_strategy(cfg, 1, task)
         for rec in run.records:
             assert rec.up_params <= rec.down_params
 
@@ -76,26 +73,26 @@ class TestEngineBehavior:
     def test_deterministic_replay(self):
         cfg = tiny_cfg()
         task = generate_task(SPEC)
-        r1 = run_hetlora(cfg, task, run_seed=3)
-        r2 = run_hetlora(cfg, task, run_seed=3)
+        r1 = run_strategy(cfg, 3, task)
+        r2 = run_strategy(cfg, 3, task)
         assert to_jsonl_lines(r1) == to_jsonl_lines(r2)
 
     def test_client_ranks_monotone_non_increasing(self):
         cfg = tiny_cfg(rounds=20, reg_weight=0.1, decay=0.7)
         task = generate_task(SPEC)
-        run = run_hetlora(cfg, task, run_seed=2)
+        run = run_strategy(cfg, 2, task)
         curves = list(zip(*(rec.client_ranks for rec in run.records)))
         for c in curves:
             assert all(a >= b for a, b in zip(c, c[1:]))
 
     def test_initial_loss_identical_across_strategies(self):
         # every strategy starts from a zero effective update
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(rounds=0)
         task = generate_task(SPEC)
-        het = run_hetlora(dataclasses.replace(cfg, rounds=0), task, 0)
-        hom = run_homlora(2, dataclasses.replace(cfg, rounds=0), task, 0)
-        ful = run_full_ft(dataclasses.replace(cfg, rounds=0), task, 0)
-        rec = run_recon_svd(dataclasses.replace(cfg, rounds=0), task, 0)
+        het = run_strategy(cfg, 0, task)
+        hom = run_strategy(homlora(cfg, 2), 0, task)
+        ful = run_strategy(dataclasses.replace(cfg, strategy="full_ft"), 0, task)
+        rec = run_strategy(dataclasses.replace(cfg, strategy="recon_svd"), 0, task)
         assert het.initial_eval_loss == ful.initial_eval_loss
         assert het.initial_eval_loss == rec.initial_eval_loss
         assert het.initial_eval_loss == hom.initial_eval_loss
@@ -103,7 +100,7 @@ class TestEngineBehavior:
     def test_homlora_strategy_tag(self):
         cfg = tiny_cfg(rounds=1)
         task = generate_task(SPEC)
-        assert run_homlora(4, cfg, task, 0).strategy == "homlora_r4"
+        assert run_strategy(homlora(cfg, 4), 0, task).strategy == "homlora_r4"
 
     def test_recon_matches_factored_engine_on_first_round(self):
         # one client, equal ranks, no pruning: after round 1 the dense
@@ -114,15 +111,15 @@ class TestEngineBehavior:
                                seeds=(0,), reg_weight=0.0, decay=1.0,
                                aggregation="simple")
         task = generate_task(spec)
-        het = run_hetlora(cfg, task, run_seed=0)
-        rec = run_recon_svd(cfg, task, run_seed=0)
+        het = run_strategy(cfg, 0, task)
+        rec = run_strategy(dataclasses.replace(cfg, strategy="recon_svd"), 0, task)
         assert abs(het.records[0].eval_loss - rec.records[0].eval_loss) < 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_marks_run_incomplete(self):
         cfg = tiny_cfg(learning_rate=1e8, rounds=5)
         task = generate_task(SPEC)
-        run = run_hetlora(cfg, task, run_seed=0)
+        run = run_strategy(cfg, 0, task)
         assert not run.completed
         assert run.failure is not None and "diverged" in run.failure
         assert len(run.records) < cfg.rounds
@@ -131,7 +128,7 @@ class TestEngineBehavior:
         cfg = tiny_cfg(rounds=1)
         via_dispatch = run_strategy(cfg, run_seed=5)
         direct_task = generate_task(dataclasses.replace(SPEC, seed=5))
-        direct = run_hetlora(cfg, direct_task, run_seed=5)
+        direct = run_strategy(cfg, 5, direct_task)
         assert to_jsonl_lines(via_dispatch) == to_jsonl_lines(direct)
 
     def test_run_strategy_dispatch_tags(self):
@@ -158,7 +155,7 @@ class TestRecovery:
                                r_min=1, r_max=2, rounds=300,
                                clients_per_round=12, learning_rate=0.3,
                                seeds=(1,))
-        run = run_full_ft(cfg, generate_task(spec), run_seed=1)
+        run = run_strategy(cfg, 1, generate_task(spec))
         assert run.completed
         assert run.final_eval_loss < 1e-6
 
@@ -171,6 +168,39 @@ class TestRecovery:
                                rounds=150, clients_per_round=12,
                                learning_rate=0.3, seeds=(2,))
         task = generate_task(spec)
-        r2 = run_homlora(2, cfg, task, run_seed=2)
-        r1 = run_homlora(1, cfg, task, run_seed=2)
+        r2 = run_strategy(homlora(cfg, 2), 2, task)
+        r1 = run_strategy(homlora(cfg, 1), 2, task)
         assert r2.final_eval_loss < r1.final_eval_loss
+
+
+class TestRoundLoop:
+    def test_recon_svd_refactors_once_per_round(self, monkeypatch):
+        # round 1 hands out the factored init; every later round makes one
+        # SVD at the largest rank, however many clients it selects
+        calls = []
+        real_svd = lora.svd
+
+        def counting_svd(m, k):
+            calls.append(k)
+            return real_svd(m, k)
+
+        monkeypatch.setattr(lora, "svd", counting_svd)
+        cfg = tiny_cfg(strategy="recon_svd", rounds=6)
+        run = run_strategy(cfg, 0, generate_task(SPEC))
+        assert run.completed and len(run.records) == cfg.rounds
+        assert calls == [max(run.records[0].client_ranks)] * (cfg.rounds - 1)
+
+    def test_hetlora_never_refactors(self, monkeypatch):
+        monkeypatch.setattr(lora, "svd", None)  # any call would raise
+        assert run_strategy(tiny_cfg(), 0, generate_task(SPEC)).completed
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("strategy", ["hetlora", "homlora", "full_ft", "recon_svd"])
+    def test_divergence_ends_run_before_recording_the_round(self, strategy):
+        cfg = tiny_cfg(strategy=strategy, learning_rate=50.0, rounds=40)
+        run = run_strategy(cfg, 0, generate_task(SPEC))
+        assert not run.completed
+        assert run.failure.startswith(f"round {len(run.records) + 1}: ")
+        assert all(math.isfinite(r.eval_loss) for r in run.records)
+        assert [r.round_index for r in run.records] == list(
+            range(1, len(run.records) + 1))

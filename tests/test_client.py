@@ -9,6 +9,7 @@ from hetlora.client import (
     ClientState,
     LocalTrainConfig,
     TrainingError,
+    dense_local_train,
     kept_rank,
     local_train,
     regularized_loss,
@@ -16,7 +17,7 @@ from hetlora.client import (
 )
 from hetlora.linalg import Matrix, seeded_rng
 from hetlora.lora import LoraPair, reconstruct, truncate
-from hetlora.tasks import SyntheticTaskSpec, generate_task, loss
+from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
 
 SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=4,
                          samples_per_client=24, noise_std=0.05,
@@ -282,3 +283,46 @@ class TestLocalTrain:
             if state.current_rank == 1:
                 break
         assert state.current_rank < 4
+
+
+class TestDenseLocalTrain:
+    def test_full_batch_step_is_dense_gradient_step(self):
+        # one step on the whole dataset is delta - lr * grad, with grad the
+        # gradient of tasks.dense_loss, checked by central differences
+        state = make_state(client_id=2)
+        data = state.dataset
+        w0 = TASK.base.w0
+        lr = 0.05
+        cfg = LocalTrainConfig(local_iters=1, batch_size=data.size, learning_rate=lr)
+        delta = np.random.default_rng(29).standard_normal((SPEC.d, SPEC.l)) * 0.2
+        stepped = dense_local_train(state, delta, w0, cfg, round_index=3)
+        g = (delta - stepped) / lr
+        rng = np.random.default_rng(31)
+        eps = 1e-6
+        for _ in range(5):
+            dd = rng.standard_normal(delta.shape)
+            fd = (dense_loss(Matrix(delta + eps * dd), w0, data)
+                  - dense_loss(Matrix(delta - eps * dd), w0, data)) / (2 * eps)
+            analytic = float(np.sum(g * dd))
+            assert abs(fd - analytic) < 1e-5 * max(1.0, abs(analytic))
+
+    def test_batches_depend_on_client_and_round_only(self):
+        # same (client seed, round): identical bytes; another round: other
+        # batches; the received update is never modified in place
+        state = make_state(client_id=1)
+        cfg = LocalTrainConfig(local_iters=3, batch_size=5, learning_rate=0.1)
+        delta = np.zeros((SPEC.d, SPEC.l))
+        one = dense_local_train(state, delta, TASK.base.w0, cfg, round_index=4)
+        two = dense_local_train(state, delta, TASK.base.w0, cfg, round_index=4)
+        assert np.array_equal(one, two)
+        assert not np.array_equal(
+            one, dense_local_train(state, delta, TASK.base.w0, cfg, round_index=5))
+        assert np.array_equal(delta, np.zeros((SPEC.d, SPEC.l)))  # input untouched
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_raises_training_error(self):
+        state = make_state(client_id=0)
+        cfg = LocalTrainConfig(local_iters=50, learning_rate=1e8)
+        with pytest.raises(TrainingError) as e:
+            dense_local_train(state, np.zeros((SPEC.d, SPEC.l)), TASK.base.w0, cfg, 0)
+        assert "client 0 diverged at local step" in str(e.value)

@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetlora.cli import main
 from hetlora.config import (
@@ -31,7 +33,10 @@ from hetlora.records import (
     write_jsonl,
     write_summary_csv,
 )
+from hetlora.server import AGGREGATION_STRATEGIES
 from hetlora.tasks import SyntheticTaskSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_TEXT = """
 # comment line
@@ -136,6 +141,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             tiny_cfg(threads=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bad_field_values_name_the_field(self, data):
+        name = data.draw(st.sampled_from(sorted(BAD_VALUES)), label="field")
+        value = data.draw(BAD_VALUES[name], label="value")
+        with pytest.raises(ConfigError) as e:
+            tiny_cfg(**{name: value})
+        assert name in str(e.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(decay=st.floats(0.0, 1.0, exclude_min=True),
+           reg_weight=st.floats(0.0, 1e6),
+           aggregation=st.sampled_from(AGGREGATION_STRATEGIES),
+           batch_size=st.integers(1, 64), local_iters=st.integers(1, 64),
+           learning_rate=st.floats(0.0, 1e6, exclude_min=True),
+           init_std=st.floats(0.0, 1e6, exclude_min=True),
+           rank_alpha=st.floats(-1e6, 1e6))
+    def test_good_field_values_accepted(self, **values):
+        assert tiny_cfg(**values).decay == values["decay"]
+
+
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# values each field must refuse before any round runs
+BAD_VALUES = {
+    "decay": st.one_of(st.floats(max_value=0.0),
+                       st.floats(min_value=1.0, exclude_min=True), _NON_FINITE),
+    "reg_weight": st.one_of(st.floats(max_value=0.0, exclude_max=True), _NON_FINITE),
+    "aggregation": st.text().filter(lambda s: s not in AGGREGATION_STRATEGIES),
+    "batch_size": st.integers(max_value=0),
+    "local_iters": st.integers(max_value=0),
+    "learning_rate": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
+    "init_std": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
+    "rank_alpha": _NON_FINITE,
+}
+
 
 def fake_run(seed=0, losses=(0.08, 0.05, 0.02), strategy="hetlora"):
     records = [
@@ -189,6 +229,35 @@ class TestRecords:
         with pytest.raises(ValueError) as e:
             read_jsonl(empty)
         assert "no runs found" in str(e.value)
+
+    def _edited_stream(self, tmp_path, edit):
+        lines = [json.loads(line) for line in to_jsonl_lines(fake_run())]
+        edit(lines)
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        return path
+
+    def test_read_rejects_unknown_version(self, tmp_path):
+        path = self._edited_stream(tmp_path, lambda lines: lines[2].update(v=2))
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert "edited.jsonl:3" in str(e.value) and "version" in str(e.value)
+
+    def test_read_rejects_rounds_out_of_order(self, tmp_path):
+        def swap(lines):
+            lines[1], lines[2] = lines[2], lines[1]
+        with pytest.raises(ValueError) as e:
+            read_jsonl(self._edited_stream(tmp_path, swap))
+        assert "edited.jsonl:2" in str(e.value) and "round 2" in str(e.value)
+
+    def test_read_rejects_missing_round(self, tmp_path):
+        with pytest.raises(ValueError) as e:
+            read_jsonl(self._edited_stream(tmp_path, lambda lines: lines.pop(2)))
+        assert "edited.jsonl:3" in str(e.value) and "round 3" in str(e.value)
+
+    def test_write_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_jsonl([fake_run(losses=(0.05, float("inf")))], tmp_path / "x.jsonl")
 
     def test_rounds_to_target(self):
         run = fake_run(losses=(0.08, 0.05, 0.02))
@@ -256,6 +325,21 @@ class TestHarness:
 
 
 @pytest.fixture
+def lr50_cfg(tmp_path):
+    """The smoke config at a learning rate every strategy diverges at."""
+    text = (ROOT / "configs" / "smoke.cfg").read_text()
+    p = tmp_path / "lr50.cfg"
+    p.write_text(text.replace("learning_rate = 0.3", "learning_rate = 50"))
+    assert "learning_rate = 50" in p.read_text()
+    return p
+
+
+def assert_strict_json(path):
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(TINY_TEXT + f"\nout_dir = {tmp_path / 'results'}\n")
@@ -300,6 +384,36 @@ class TestCli:
 
     def test_missing_config_exit_code(self):
         assert main(["run", "--config", "no_such_config_anywhere"]) == 2
+
+    def test_bad_field_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_TEXT + "decay = 1.5\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "decay" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverged_run_exits_1_with_readable_stream(self, lr50_cfg, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["run", "--config", str(lr50_cfg), "--strategy", "hetlora",
+                   "--out", str(out)])
+        assert rc == 1
+        runs = read_jsonl(out / "records.jsonl")
+        assert [r.completed for r in runs] == [False, False]
+        assert all(r.failure.startswith("round ") for r in runs)
+        assert_strict_json(out / "records.jsonl")
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverged_sweep_exits_1_with_summary(self, lr50_cfg, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(lr50_cfg), "--strategies", "full_ft",
+                   "--out", str(out)])
+        assert rc == 1
+        runs = read_jsonl(out / "full_ft" / "records.jsonl")
+        assert not any(r.completed for r in runs)
+        assert_strict_json(out / "full_ft" / "records.jsonl")
+        rows = list(csv.reader((out / "full_ft" / "records_summary.csv").open()))
+        assert rows[-1][2] == "mean±std"
 
     def test_sweep_strategies_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -9,10 +9,7 @@ from hetlora.linalg import (
     Matrix,
     NumericError,
     ShapeError,
-    add,
-    frobenius_norm,
     matmul,
-    scale,
     seeded_rng,
     svd,
 )
@@ -67,13 +64,10 @@ class TestMatrixConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
-    def test_zeros_and_identity(self):
-        assert frobenius_norm(Matrix.zeros(3, 4)) == 0.0
-        assert np.array_equal(Matrix.identity(3).array, np.eye(3))
-
-    def test_data_is_flat_row_major(self):
-        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert list(m.data) == [1.0, 2.0, 3.0, 4.0]
+    def test_zeros(self):
+        assert np.array_equal(Matrix.zeros(3, 4).array, np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            Matrix.zeros(0, 4)
 
 
 class TestArithmetic:
@@ -93,14 +87,6 @@ class TestArithmetic:
         with pytest.raises(ShapeError):
             matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
 
-    def test_add_and_scale(self):
-        a = Matrix([[1.0, 2.0]])
-        b = Matrix([[10.0, 20.0]])
-        assert np.array_equal(add(a, b).array, [[11.0, 22.0]])
-        assert np.array_equal(scale(a, -2.0).array, [[-2.0, -4.0]])
-        with pytest.raises(ShapeError):
-            add(a, Matrix.zeros(2, 2))
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_matmul_associative(self, seed):
@@ -115,13 +101,14 @@ class TestArithmetic:
 
 class TestFrobeniusAndSvd:
     def test_three_four_five(self):
-        assert frobenius_norm(Matrix([[3.0, 4.0]])) == 5.0
+        # a row vector's only singular value is its Euclidean norm
+        assert abs(svd(Matrix([[3.0, 4.0]]), 1).singular_values[0] - 5.0) < 1e-12
 
     def test_equals_singular_value_norm(self):
         rng = np.random.default_rng(11)
         m = random_matrix(rng, 6, 6)
         s = np.array(svd(m, 6).singular_values)
-        assert abs(frobenius_norm(m) - np.sqrt((s**2).sum())) < 1e-8
+        assert abs(np.linalg.norm(m.array) - np.sqrt((s**2).sum())) < 1e-8
 
     def test_svd_reconstructs(self):
         rng = np.random.default_rng(5)

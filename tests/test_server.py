@@ -211,15 +211,6 @@ class TestAggregate:
         assert np.allclose(simple.global_pair.b.array, 0.5 * live.b.array,
                            atol=1e-12)
 
-    def test_size_weighting(self):
-        state = make_state(rank=2, aggregation=SIMPLE, num_clients=2)
-        p1, p2 = random_pair(9, 2), random_pair(10, 2)
-        new = aggregate(state, [(0, p1), (1, p2)], sizes=[30, 10])
-        b_want = 0.75 * p1.b.array + 0.25 * p2.b.array
-        assert np.allclose(new.global_pair.b.array, b_want, atol=1e-12)
-        with pytest.raises(ValueError):
-            aggregate(state, [(0, p1), (1, p2)], sizes=[30])
-
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError):
             aggregate(make_state(), [])
