@@ -16,12 +16,11 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="default")
     parser.add_argument("--out", default="results/gamma_ablation")
-    parser.add_argument("--threads", type=int, default=3)
     args = parser.parse_args(argv)
 
     rc = main([
         "sweep", "--config", args.config, "--out", args.out,
-        "--threads", str(args.threads), "--gamma-ablation",
+        "--gamma-ablation",
     ])
     if rc != 0:
         return rc

@@ -18,12 +18,11 @@ def run(argv=None) -> int:
     parser.add_argument("--config", default="default")
     parser.add_argument("--out", default="results/rank_sweep")
     parser.add_argument("--ranks", default="1,2,4,8,16")
-    parser.add_argument("--threads", type=int, default=3)
     args = parser.parse_args(argv)
 
     rc = main([
         "sweep", "--config", args.config, "--out", args.out,
-        "--threads", str(args.threads), "--ranks", args.ranks,
+        "--ranks", args.ranks,
     ])
     if rc != 0:
         return rc

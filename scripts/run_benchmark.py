@@ -19,12 +19,11 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="default")
     parser.add_argument("--out", default="results/benchmark")
-    parser.add_argument("--threads", type=int, default=3)
     args = parser.parse_args(argv)
 
     rc = main([
         "sweep", "--config", args.config, "--out", args.out,
-        "--threads", str(args.threads), "--strategies", STRATEGIES,
+        "--strategies", STRATEGIES,
     ])
     if rc != 0:
         return rc

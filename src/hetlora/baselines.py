@@ -198,6 +198,9 @@ def _params(model, task: SyntheticTask) -> int:
     return model.size
 
 
+# overflow on the way to divergence is reported by the failure text, not
+# by numpy warnings on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                 strategy: _Strategy) -> RunResult:
     """The round loop every strategy shares.

@@ -161,7 +161,6 @@ def cmd_report(args) -> int:
         return 2
 
     rows = []
-    comm_to_target: dict[str, float | None] = {}
     for path in paths:
         runs = read_jsonl(path)
         target = _target_for(runs, args)
@@ -176,26 +175,26 @@ def cmd_report(args) -> int:
             else:
                 comms.append(r.records[h - 1].cumulative_params)
         label = path.parent.name if path.parent.name else path.stem
-        name = runs[0].strategy
-        comm_to_target[name] = (
-            statistics.fmean(c for c in comms) if all(c is not None for c in comms)
-            else None
-        )
         rows.append(
             {
                 "label": label,
-                "strategy": name,
+                "strategy": runs[0].strategy,
                 "final_mean": statistics.fmean(finals),
                 "final_std": statistics.stdev(finals) if len(finals) > 1 else 0.0,
                 "rounds_to_target": "/".join(
                     "X" if h is None else str(h) for h in hits
                 ),
-                "comm_to_target": comm_to_target[name],
+                "comm_to_target": (
+                    statistics.fmean(comms) if None not in comms else None
+                ),
                 "target": target,
             }
         )
 
-    full_comm = comm_to_target.get("full_ft")
+    # ratios need a single full_ft baseline; with none or several, print
+    # absolute params
+    full = [row for row in rows if row["strategy"] == "full_ft"]
+    full_comm = full[0]["comm_to_target"] if len(full) == 1 else None
     header = (
         f"{'label':<20}{'strategy':<16}{'final loss':<24}"
         f"{'rounds-to-target':<18}{'comm ratio vs full':<18}"
@@ -246,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", help="comma-separated seed list override")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="parallel seed workers")
+                       help="accepted (>= 1) but ignored: seeds always run in "
+                       "order in one thread")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     common(p_run)

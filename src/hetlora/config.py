@@ -43,7 +43,7 @@ class ExperimentConfig:
     clients_per_round: int = 10
     rounds: int = 200
     seeds: tuple[int, ...] = (0, 1, 2)
-    threads: int = 1
+    threads: int = 1  # validated (>= 1) but ignored: seeds run in one thread
     init_std: float = 0.1  # std of the right factor at round 0 (left starts 0)
     out_dir: str = "results"
 

@@ -3,15 +3,16 @@ selection, and output writing.
 
 A run is fully determined by (config, seed): the seed drives task
 generation, rank assignment, client selection, adapter init, and batch
-sampling. Seeds may execute in parallel threads; results are returned and
-written in seed order, so output bytes do not depend on the thread count.
+sampling. Seeds run one after another in the calling thread, in the
+configured order: at desk scale a run is bound by interpreter overhead, so
+seed threads would only queue on the interpreter lock. The `threads`
+setting is still accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .baselines import run_strategy
@@ -29,9 +30,6 @@ __all__ = [
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     """One RunResult per configured seed, in seed order."""
-    if cfg.threads > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda s: run_strategy(cfg, s), cfg.seeds))
     return [run_strategy(cfg, s) for s in cfg.seeds]
 
 

@@ -9,6 +9,7 @@ one place where non-finite values can be rejected.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -133,11 +134,17 @@ def svd(m: Matrix, k: int) -> SvdResult:
     )
 
 
+@functools.cache
+def _str_key(part: str) -> int:
+    # key strings are a handful of constants ("round", "selection", ...)
+    return int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+
+
 def _key_part(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFFFFFFFFFF
     if isinstance(part, str):
-        return int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+        return _str_key(part)
     raise TypeError(f"rng key parts must be int or str, got {type(part)!r}")
 
 
@@ -153,8 +160,13 @@ class Rng:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self._seed = int(seed)
         self._path = _path
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self._seed, *_path]))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw, so a stream that only derives children
+        # never builds a generator of its own
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self._seed, *self._path]))
         )
 
     def child(self, *key) -> "Rng":

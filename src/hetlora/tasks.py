@@ -12,6 +12,7 @@ overfitting, heterogeneous complexity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,12 @@ class SyntheticTaskSpec:
             raise ValueError("true_rank must be in [1, min(d, l)]")
         if self.num_clients < 1:
             raise ValueError("need at least one client")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
         if self.eval_samples < 1:
             raise ValueError("eval_samples must be positive")
-        if self.target_norm <= 0:
-            raise ValueError("target_norm must be positive")
+        if not (math.isfinite(self.target_norm) and self.target_norm > 0):
+            raise ValueError(f"target_norm {self.target_norm} must be finite and > 0")
         if not 0 < self.target_spectrum_decay <= 1:
             raise ValueError("target_spectrum_decay must be in (0, 1]")
 

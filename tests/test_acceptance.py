@@ -53,8 +53,8 @@ def report(n: int, ok: bool, detail: str) -> None:
 @functools.cache
 def default_cfg():
     cfg = load_config("default")
-    # seeds run in parallel threads; byte-level thread independence is
-    # criterion 9's subject
+    # threads=3 is accepted but seeds still run in order in one thread;
+    # byte identity across threads settings is criterion 9's subject
     return dataclasses.replace(cfg, threads=3)
 
 

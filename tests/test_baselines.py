@@ -115,7 +115,6 @@ class TestEngineBehavior:
         rec = run_strategy(dataclasses.replace(cfg, strategy="recon_svd"), 0, task)
         assert abs(het.records[0].eval_loss - rec.records[0].eval_loss) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_marks_run_incomplete(self):
         cfg = tiny_cfg(learning_rate=1e8, rounds=5)
         task = generate_task(SPEC)
@@ -194,7 +193,6 @@ class TestRoundLoop:
         monkeypatch.setattr(lora, "svd", None)  # any call would raise
         assert run_strategy(tiny_cfg(), 0, generate_task(SPEC)).completed
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("strategy", ["hetlora", "homlora", "full_ft", "recon_svd"])
     def test_divergence_ends_run_before_recording_the_round(self, strategy):
         cfg = tiny_cfg(strategy=strategy, learning_rate=50.0, rounds=40)

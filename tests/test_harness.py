@@ -4,12 +4,15 @@ import bisect
 import csv
 import dataclasses
 import json
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetlora import harness
 from hetlora.cli import main
 from hetlora.config import (
     ConfigError,
@@ -147,8 +150,11 @@ class TestConfigParsing:
         name = data.draw(st.sampled_from(sorted(BAD_VALUES)), label="field")
         value = data.draw(BAD_VALUES[name], label="value")
         with pytest.raises(ConfigError) as e:
-            tiny_cfg(**{name: value})
-        assert name in str(e.value)
+            if name.startswith("task."):
+                parse_config_text(TINY_TEXT + f"{name} = {value!r}\n")
+            else:
+                tiny_cfg(**{name: value})
+        assert name.removeprefix("task.") in str(e.value)
 
     @settings(max_examples=30, deadline=None)
     @given(decay=st.floats(0.0, 1.0, exclude_min=True),
@@ -174,14 +180,17 @@ BAD_VALUES = {
     "learning_rate": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "init_std": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "rank_alpha": _NON_FINITE,
+    "task.target_norm": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
+    "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                                _NON_FINITE),
 }
 
 
-def fake_run(seed=0, losses=(0.08, 0.05, 0.02), strategy="hetlora"):
+def fake_run(seed=0, losses=(0.08, 0.05, 0.02), strategy="hetlora", down=100):
     records = [
         RoundRecord(round_index=t, eval_loss=v, client_ranks=(2, 3),
-                    down_params=100, up_params=90,
-                    cumulative_params=190 * t, wall_clock=0.01)
+                    down_params=down, up_params=90,
+                    cumulative_params=(down + 90) * t, wall_clock=0.01)
         for t, v in enumerate(losses, start=1)
     ]
     return RunResult(seed=seed, strategy=strategy, initial_eval_loss=0.1,
@@ -286,6 +295,19 @@ class TestRecords:
 
 
 class TestHarness:
+    def test_seeds_run_in_callers_thread_in_seed_order(self, monkeypatch):
+        calls = []
+
+        def record_call(cfg, seed):
+            calls.append((seed, threading.get_ident()))
+            return fake_run(seed)
+
+        monkeypatch.setattr(harness, "run_strategy", record_call)
+        runs = run_experiment(tiny_cfg(seeds=(2, 0, 1), threads=3))
+        me = threading.get_ident()
+        assert calls == [(2, me), (0, me), (1, me)]
+        assert [r.seed for r in runs] == [2, 0, 1]
+
     def test_seed_order_preserved_across_threads(self):
         cfg = tiny_cfg(seeds=(0, 1, 2), rounds=3)
         serial = run_experiment(dataclasses.replace(cfg, threads=1))
@@ -301,7 +323,6 @@ class TestHarness:
         assert abs(s["final_eval_loss_mean"] - 0.03) < 1e-12
         assert s["completed"]
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_select_learning_rate_skips_divergent(self):
         cfg = tiny_cfg(seeds=(0,), rounds=3)
         best, results = select_learning_rate(cfg, grid=(0.2, 1e8))
@@ -311,11 +332,19 @@ class TestHarness:
         direct = run_experiment(dataclasses.replace(cfg, learning_rate=0.2))
         assert results[0.2] == direct[0].final_eval_loss
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_select_learning_rate_all_divergent(self):
         cfg = tiny_cfg(seeds=(0,), rounds=3)
         with pytest.raises(RuntimeError):
             select_learning_rate(cfg, grid=(1e8, 1e9))
+
+    @pytest.mark.parametrize("strategy", ["full_ft", "hetlora"])
+    def test_divergence_warns_nothing(self, lr50_cfg, strategy):
+        cfg = dataclasses.replace(load_config(str(lr50_cfg)), strategy=strategy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = run_experiment(cfg)
+        assert not any(r.completed for r in runs)
+        assert all(r.failure.startswith("round ") for r in runs)
 
     def test_write_outputs_paths(self, tmp_path):
         jsonl, csv_path = write_outputs([fake_run()], tmp_path, name="exp")
@@ -392,7 +421,6 @@ class TestCli:
         assert "decay" in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverged_run_exits_1_with_readable_stream(self, lr50_cfg, tmp_path):
         out = tmp_path / "run"
         rc = main(["run", "--config", str(lr50_cfg), "--strategy", "hetlora",
@@ -403,7 +431,6 @@ class TestCli:
         assert all(r.failure.startswith("round ") for r in runs)
         assert_strict_json(out / "records.jsonl")
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverged_sweep_exits_1_with_summary(self, lr50_cfg, tmp_path):
         out = tmp_path / "sweep"
         rc = main(["sweep", "--config", str(lr50_cfg), "--strategies", "full_ft",
@@ -414,6 +441,15 @@ class TestCli:
         assert_strict_json(out / "full_ft" / "records.jsonl")
         rows = list(csv.reader((out / "full_ft" / "records_summary.csv").open()))
         assert rows[-1][2] == "mean±std"
+
+    @pytest.mark.parametrize("key,value", [("target_norm", "inf"),
+                                           ("noise_std", "nan")])
+    def test_non_finite_task_value_exit_code(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_TEXT + f"task.{key} = {value}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_sweep_strategies_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -461,6 +497,23 @@ class TestCli:
         rows = list(csv.reader(report_csv.open()))
         assert rows[0][0] == "label"
         assert len(rows) == 2
+
+    def test_report_two_full_ft_streams_print_absolute_comm(self, tmp_path, capsys):
+        # with two full_ft baselines no ratio is well defined; the table must
+        # not silently divide by whichever stream was read last
+        for label, strategy, down in (("ft_a", "full_ft", 100),
+                                      ("ft_b", "full_ft", 290),
+                                      ("het", "hetlora", 100)):
+            write_jsonl([fake_run(strategy=strategy, down=down)],
+                        tmp_path / label / "records.jsonl")
+        report_csv = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path), "--csv", str(report_csv)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:-1]
+        assert [line.split()[0] for line in table] == ["ft_a", "ft_b", "het"]
+        assert all(line.rstrip().endswith(" params") for line in table)
+        rows = list(csv.reader(report_csv.open()))[1:]
+        # target 0.05 is met at round 2: 2 * (down + 90) params
+        assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
 
     def test_report_missing_path(self, capsys):
         assert main(["report", "/nonexistent/path.jsonl"]) == 2
