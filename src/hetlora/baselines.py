@@ -5,10 +5,12 @@ reconstruct-then-refactor).
 Every strategy follows the same protocol on the same task, seeds,
 selection schedule and local SGD machinery, so their metric curves are
 comparable round by round: the server selects clients and hands each a
-model, each client trains it locally, and the server aggregates the
-results. A strategy supplies only what differs: the model it hands out,
-its local step, its aggregation and its eval. Divergence ends the run with
-the partial stream flagged incomplete.
+model, the selected clients train their models locally as one cohort (one
+local step call per round), and the server aggregates the results. A
+strategy supplies only what differs: the model it hands out, its local
+step, its aggregation and its eval. Divergence ends the run with the
+partial stream flagged incomplete, naming the first client in selection
+order that diverged.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def _make_clients(task: SyntheticTask, ranks, run_seed: int) -> list[ClientState
 
 class _Strategy:
     """What a strategy supplies to the round loop: hand_out(k) gives client
-    k its model, local_step trains it, aggregate folds a round's
-    (client, trained model) updates into the server's model, and evaluate
-    gives the eval loss of that model. Clients train adapters with
-    local_train unless a strategy says otherwise."""
+    k its model, local_step trains the round's cohort on the models handed
+    out, aggregate folds a round's (client, trained model) updates into the
+    server's model, and evaluate gives the eval loss of that model. Clients
+    train adapters with local_train unless a strategy says otherwise."""
 
     def __init__(self, tag: str, task: SyntheticTask, clients: list[ClientState],
                  lcfg: LocalTrainConfig):
@@ -95,9 +97,10 @@ class _Strategy:
         self.clients = clients
         self.lcfg = lcfg
 
-    def local_step(self, k: int, model: LoraPair, t: int) -> LoraPair:
-        return local_train(self.clients[k], model, self.task.base.w0, self.lcfg,
-                           round_index=t)[0]
+    def local_step(self, selected: list[int], models: list[LoraPair],
+                   t: int) -> list[LoraPair]:
+        return local_train([self.clients[k] for k in selected], models,
+                           self.task.base.w0, self.lcfg, round_index=t)
 
 
 class _FactorServer(_Strategy):
@@ -153,9 +156,10 @@ class _FullFT(_DenseServer):
     def hand_out(self, k: int) -> np.ndarray:
         return self.dense
 
-    def local_step(self, k: int, model: np.ndarray, t: int) -> np.ndarray:
-        return dense_local_train(self.clients[k], model, self.task.base.w0,
-                                 self.lcfg, round_index=t)
+    def local_step(self, selected: list[int], models: list[np.ndarray],
+                   t: int) -> list[np.ndarray]:
+        return dense_local_train([self.clients[k] for k in selected], models,
+                                 self.task.base.w0, self.lcfg, round_index=t)
 
     def aggregate(self, updates: list[tuple[int, np.ndarray]]) -> None:
         self._set_mean([u for _, u in updates])
@@ -216,16 +220,10 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
         start = time.perf_counter()
         selected = select_clients(task.spec.num_clients, cfg.clients_per_round, t,
                                   run_seed)
-        updates = []
-        down = up = 0
         try:
-            for k in selected:
-                received = strategy.hand_out(k)
-                down += _params(received, task)
-                trained = strategy.local_step(k, received, t)
-                up += _params(trained, task)
-                updates.append((k, trained))
-            strategy.aggregate(updates)
+            received = [strategy.hand_out(k) for k in selected]
+            trained = strategy.local_step(selected, received, t)
+            strategy.aggregate(list(zip(selected, trained)))
             eval_loss = strategy.evaluate()
             if not math.isfinite(eval_loss):
                 raise NumericError(f"eval loss is {eval_loss}")
@@ -233,6 +231,8 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
             run.completed = False
             run.failure = f"round {t}: {exc}"
             break
+        down = sum(_params(model, task) for model in received)
+        up = sum(_params(model, task) for model in trained)
         cumulative += down + up
         run.records.append(
             RoundRecord(

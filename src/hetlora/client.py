@@ -6,6 +6,13 @@ regularizer on the tail rank block (the last ranks beyond
 max(1, floor(decay * r))), then prunes those tail ranks if the regularizer
 drove their norm strictly below the value it had in the module received
 from the server. Pruned ranks persist across rounds and never grow back.
+
+The clients selected in a round are trained together, as one cohort in
+stacked arrays: every step is one batched matmul per operation for the
+whole cohort. Adapters are zero-padded to the cohort's largest rank, and
+the padding stays exactly zero under SGD. Each client still draws its own
+batches from its own stream, so its result does not depend on its place
+in the cohort.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Matrix, seeded_rng
-from .lora import LoraPair, truncate
+from .lora import LoraPair
 from .tasks import ClientDataset
 
 
@@ -73,99 +80,213 @@ def tail_block_norm(p: LoraPair, decay: float) -> float:
     return nb * na
 
 
-def regularized_loss(p: LoraPair, w0: Matrix, batch: ClientDataset,
-                     cfg: LocalTrainConfig) -> float:
-    from .tasks import loss  # local import to avoid cycle in module docs
+class _Tails:
+    """Each client's tail ranks [kept_rank(r_k), r_k) in a cohort's stacked
+    factors, b (m x d x width) and a (m x width x l)."""
 
-    return loss(p, w0, batch) + cfg.reg_weight * tail_block_norm(p, cfg.decay)
+    def __init__(self, ranks, decay: float, d: int, width: int):
+        ranks = np.asarray(ranks)
+        m = len(ranks)
+        self.keep = np.array([kept_rank(int(r), decay) for r in ranks])
+        self.present = self.keep < ranks
+        span = np.arange(width)
+        self.mask = ((span >= self.keep[:, None])
+                     & (span < ranks[:, None])).astype(np.float64)
+        # each tail's ranks, padded up to the widest tail; `live` zeroes the
+        # padding
+        j = np.arange(max(1, int((ranks - self.keep).max())))
+        cols = np.minimum(self.keep[:, None] + j, width - 1)
+        live = (j < (ranks - self.keep)[:, None]).astype(np.float64)
+        # flat indices of the tail entries of b and a, client by client,
+        # row by row (the order np.linalg.norm reads a tail block in)
+        b_rows = np.arange(m)[:, None, None] * d + np.arange(d)[:, None]
+        self._b_at = (b_rows * width + cols[:, None, :]).reshape(m, -1)
+        self._b_live = np.broadcast_to(live[:, None, :], (m, d, len(j))).reshape(m, -1)
+        self._a_at = np.arange(m)[:, None] * width + cols
+        self._a_live = live[:, :, None]
+
+    def norms(self, b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frobenius norms of each client's tail columns of b and tail rows
+        of a, 0 for a client without a tail.
+
+        A tail is read in the order np.linalg.norm reads it and reduced by
+        the same dot product, so when every tail in the cohort is equally
+        wide the norms have tail_block_norm's bits.
+        """
+        bt = np.take(b, self._b_at)
+        bt *= self._b_live
+        at = np.take(a.reshape(-1, a.shape[2]), self._a_at, axis=0)
+        at *= self._a_live
+        m = len(bt)
+        return _norms(bt.reshape(m, 1, -1)), _norms(at.reshape(m, 1, -1))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # a stack of row-times-column products is one dot product per row
+    return np.sqrt((v @ v.transpose(0, 2, 1)).ravel())
 
 
 def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
-                  keep: int, reg_weight: float) -> None:
-    """In-place gradient of reg_weight * ||b_tail|| * ||a_tail||.
+                  tails: _Tails, reg_weight: float) -> None:
+    """In-place gradient of reg_weight * ||b_tail|| * ||a_tail|| for every
+    client of a stacked cohort.
 
     Subgradient 0 is used for a factor whose tail norm is 0 (the product of
     norms is non-differentiable there), which keeps fully-shrunk tails stable.
     """
-    bt = b[:, keep:]
-    at = a[keep:, :]
-    nb = np.linalg.norm(bt)
-    na = np.linalg.norm(at)
-    if nb > 0:
-        gb[:, keep:] += reg_weight * (na / nb) * bt
-    if na > 0:
-        ga[keep:, :] += reg_weight * (nb / na) * at
+    nb, na = tails.norms(b, a)
+    # dividing by inf instead of a zero norm gives that subgradient 0
+    cb = reg_weight * (na / np.where(nb > 0, nb, np.inf))
+    ca = reg_weight * (nb / np.where(na > 0, na, np.inf))
+    gb += b * (cb[:, None] * tails.mask)[:, None, :]
+    ga += a * (ca[:, None] * tails.mask)[:, :, None]
 
 
-def _batches(state: ClientState, cfg: LocalTrainConfig, round_index: int):
-    """The client's mini-batches (inputs, targets) of one round, one per
-    local step.
+def _cohort_batches(states: list[ClientState], cfg: LocalTrainConfig,
+                    round_index: int):
+    """A cohort's mini-batches of one round: inputs (iters x m x n x l),
+    targets (iters x m x n x d), and the batch lengths.
 
-    They are drawn from a stream derived from (client seed, round), so a
-    local result is independent of scheduling order and thread count.
+    Each client's batches are drawn from a stream derived from (client
+    seed, round), so a local result is independent of scheduling order and
+    of the cohort. All rows are gathered with one index from the sample
+    pool the clients' datasets view into. A client with fewer samples than
+    the cohort's batch length has its batches padded with zero rows, which
+    add nothing to its gradient.
     """
-    rng = seeded_rng(state.seed).child("round", round_index)
-    x_all = state.dataset.inputs.array
-    y_all = state.dataset.targets.array
-    for _ in range(cfg.local_iters):
-        idx = rng.batch_indices(state.dataset.size, cfg.batch_size)
-        yield x_all[idx], y_all[idx]
+    first = states[0].dataset
+    pool = first.pool if first.pool is not None else first
+    lengths = [min(cfg.batch_size, s.dataset.size) for s in states]
+    n = max(lengths)
+    idx = np.zeros((len(states), cfg.local_iters, n), dtype=np.intp)
+    for j, s in enumerate(states):
+        data = s.dataset
+        if (data.pool if data.pool is not None else data) is not pool:
+            raise ValueError("a cohort's datasets must view into one sample pool")
+        rng = seeded_rng(s.seed).child("round", round_index)
+        idx[j, :, : lengths[j]] = [rng.batch_indices(data.size, cfg.batch_size)
+                                   for _ in range(cfg.local_iters)]
+        idx[j] += data.start
+    idx = idx.transpose(1, 0, 2)
+    xs = pool.inputs.array[idx]
+    ys = pool.targets.array[idx]
+    if min(lengths) == n:
+        return xs, ys, n
+    for j, k in enumerate(lengths):
+        xs[:, j, k:] = 0.0
+        ys[:, j, k:] = 0.0
+    return xs, ys, np.array(lengths, dtype=np.float64)[:, None, None]
 
 
-def local_train(state: ClientState, received: LoraPair, w0: Matrix,
-                cfg: LocalTrainConfig, round_index: int = 0,
-                ) -> tuple[LoraPair, int]:
-    """Run local SGD, decide on pruning, and persist the new rank.
+def _mark_diverged(first_bad: np.ndarray, step: int, *stacks: np.ndarray) -> None:
+    """Record `step` for each client whose stacked values just went
+    non-finite."""
+    if all(np.isfinite(s).all() for s in stacks):
+        return
+    ok = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
+    first_bad[~ok & (first_bad < 0)] = step
 
-    With reg_weight 0 and decay 1 this is a plain FedAvg local step: the
-    tail is empty and the strict-decrease pruning test can never fire.
+
+def _raise_first_divergence(states: list[ClientState], first_bad: np.ndarray):
+    """Name the first client, in cohort order, that diverged, with its first
+    non-finite step: the client a one-at-a-time loop would have stopped at."""
+    bad = np.flatnonzero(first_bad >= 0)
+    if bad.size:
+        j = bad[0]
+        raise TrainingError(f"client {states[j].id} diverged", int(first_bad[j]))
+
+
+def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
+                cfg: LocalTrainConfig, round_index: int = 0) -> list[LoraPair]:
+    """Run local SGD for a cohort, decide on pruning, and persist each
+    client's new rank.
+
+    states[k] trains received[k]. Returns the trained pairs in cohort
+    order, each truncated to its client's new rank. With reg_weight 0 and
+    decay 1 this is a plain FedAvg local step: the tail is empty and the
+    strict-decrease pruning test can never fire.
     """
-    if received.rank != state.current_rank:
-        raise ValueError(
-            f"client {state.id} holds rank {state.current_rank} but received "
-            f"rank {received.rank}"
-        )
-    r = received.rank
-    keep = kept_rank(r, cfg.decay)
-    has_tail = keep < r
-    received_tail = tail_block_norm(received, cfg.decay)
+    if len(states) != len(received):
+        raise ValueError(f"{len(states)} clients but {len(received)} models")
+    for s, p in zip(states, received):
+        if p.rank != s.current_rank:
+            raise ValueError(
+                f"client {s.id} holds rank {s.current_rank} but received "
+                f"rank {p.rank}"
+            )
+    ranks = [p.rank for p in received]
+    width = max(ranks)
+    b = np.zeros((len(received), received[0].d, width))
+    a = np.zeros((len(received), width, received[0].l))
+    for j, p in enumerate(received):
+        b[j, :, : p.rank] = p.b.array
+        a[j, : p.rank] = p.a.array
+    tails = _Tails(ranks, cfg.decay, received[0].d, width)
+    has_tail = tails.present.any()
+    if has_tail:
+        received_tail = np.multiply(*tails.norms(b, a))
+    regularize = cfg.reg_weight > 0 and has_tail
 
-    b = received.b.array.copy()
-    a = received.a.array.copy()
+    xs, ys, n = _cohort_batches(states, cfg, round_index)
     w0a = w0.array
-    for step, (x, y) in enumerate(_batches(state, cfg, round_index)):
-        resid = x @ (w0a + b @ a).T - y
-        g_dense = resid.T @ x / len(x)
-        gb = g_dense @ a.T
-        ga = b.T @ g_dense
-        if cfg.reg_weight > 0 and has_tail:
-            _add_reg_grad(gb, ga, b, a, keep, cfg.reg_weight)
-        b -= cfg.learning_rate * gb
-        a -= cfg.learning_rate * ga
-        if not (np.isfinite(b).all() and np.isfinite(a).all()):
-            raise TrainingError(f"client {state.id} diverged", step)
+    first_bad = np.full(len(states), -1)
+    for step in range(cfg.local_iters):
+        # resid = x (w0 + b a)' - y and g_dense = resid' x / n, computed in
+        # place
+        x = xs[step]
+        w = b @ a
+        w += w0a
+        resid = x @ w.transpose(0, 2, 1)
+        resid -= ys[step]
+        g_dense = resid.transpose(0, 2, 1) @ x
+        g_dense /= n
+        gb = g_dense @ a.transpose(0, 2, 1)
+        ga = b.transpose(0, 2, 1) @ g_dense
+        if regularize:
+            _add_reg_grad(gb, ga, b, a, tails, cfg.reg_weight)
+        gb *= cfg.learning_rate
+        b -= gb
+        ga *= cfg.learning_rate
+        a -= ga
+        _mark_diverged(first_bad, step, b, a)
+    _raise_first_divergence(states, first_bad)
 
-    trained = LoraPair(b=Matrix._wrap(b), a=Matrix._wrap(a))
-    new_rank = r
-    if has_tail and tail_block_norm(trained, cfg.decay) < received_tail:
-        trained = truncate(trained, keep)
-        new_rank = keep
-    state.current_rank = new_rank
-    return trained, new_rank
+    new_ranks = ranks
+    if has_tail:
+        shrunk = tails.present & (np.multiply(*tails.norms(b, a)) < received_tail)
+        new_ranks = np.where(shrunk, tails.keep, ranks).tolist()
+    trained = []
+    for j, (s, r) in enumerate(zip(states, new_ranks)):
+        s.current_rank = r
+        trained.append(LoraPair(b=Matrix._wrap(b[j, :, :r]), a=Matrix._wrap(a[j, :r])))
+    return trained
 
 
-def dense_local_train(state: ClientState, delta: np.ndarray, w0: Matrix,
-                      cfg: LocalTrainConfig, round_index: int) -> np.ndarray:
-    """Local SGD on a dense d x l additive update (full fine-tuning).
+def dense_local_train(states: list[ClientState], deltas: list[np.ndarray],
+                      w0: Matrix, cfg: LocalTrainConfig, round_index: int,
+                      ) -> list[np.ndarray]:
+    """Local SGD of a cohort on dense d x l additive updates (full
+    fine-tuning): states[k] trains deltas[k].
 
     Same batches as local_train; the loss is the plain MSE of w0 + delta,
-    with no regulariser and no rank. Returns a new array.
+    with no regulariser and no rank. Returns new arrays in cohort order.
     """
-    local = delta.copy()
+    if len(states) != len(deltas):
+        raise ValueError(f"{len(states)} clients but {len(deltas)} models")
+    local = np.array(deltas, dtype=np.float64)
+    xs, ys, n = _cohort_batches(states, cfg, round_index)
     w0a = w0.array
-    for step, (x, y) in enumerate(_batches(state, cfg, round_index)):
-        resid = x @ (w0a + local).T - y
-        local -= cfg.learning_rate * (resid.T @ x / len(x))
-        if not np.isfinite(local).all():
-            raise TrainingError(f"client {state.id} diverged", step)
-    return local
+    first_bad = np.full(len(states), -1)
+    for step in range(cfg.local_iters):
+        # local -= lr * (x (w0 + local)' - y)' x / n, computed in place
+        x = xs[step]
+        w = w0a + local
+        resid = x @ w.transpose(0, 2, 1)
+        resid -= ys[step]
+        g_dense = resid.transpose(0, 2, 1) @ x
+        g_dense /= n
+        g_dense *= cfg.learning_rate
+        local -= g_dense
+        _mark_diverged(first_bad, step, local)
+    _raise_first_divergence(states, first_bad)
+    return list(local)

@@ -13,7 +13,7 @@ overfitting, heterogeneous complexity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +67,19 @@ class SyntheticTaskSpec:
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """Samples as rows: inputs is n x l, targets is n x d."""
+    """Samples as rows: inputs is n x l, targets is n x d.
+
+    generate_task keeps every client's samples in one pool, a dataset of
+    all their rows in client order. A client's inputs and targets are views
+    of the pool's rows [start, start + n), so a cohort's mini-batches are
+    gathered from the pool with one index. A dataset without a pool is its
+    own.
+    """
 
     inputs: Matrix
     targets: Matrix
+    pool: ClientDataset | None = field(default=None, compare=False, repr=False)
+    start: int = 0
 
     def __post_init__(self):
         if self.inputs.rows != self.targets.rows:
@@ -79,12 +88,6 @@ class ClientDataset:
     @property
     def size(self) -> int:
         return self.inputs.rows
-
-    def subset(self, idx) -> "ClientDataset":
-        return ClientDataset(
-            inputs=Matrix._wrap(self.inputs.array[idx].copy()),
-            targets=Matrix._wrap(self.targets.array[idx].copy()),
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,9 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     counts = spec.sample_counts()
     w_full = w0.array + delta
 
-    clients = []
+    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    pool_x = np.empty((starts[-1], spec.l))
+    pool_y = np.empty((starts[-1], spec.d))
     for k in range(spec.num_clients):
         crng = root.child("client", k)
         rho = complexities[k]
@@ -157,9 +162,14 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
         y = x @ w_full.T
         if spec.noise_std > 0:
             y = y + crng.normal_array((counts[k], spec.d), std=spec.noise_std)
-        clients.append(
-            ClientDataset(inputs=Matrix._wrap(x), targets=Matrix._wrap(y))
-        )
+        pool_x[starts[k]:starts[k + 1]] = x
+        pool_y[starts[k]:starts[k + 1]] = y
+    pool = ClientDataset(inputs=Matrix._wrap(pool_x), targets=Matrix._wrap(pool_y))
+    clients = [
+        ClientDataset(inputs=Matrix._wrap(pool_x[start:end]),
+                      targets=Matrix._wrap(pool_y[start:end]), pool=pool, start=start)
+        for start, end in zip(starts, starts[1:])
+    ]
 
     er = root.child("eval")
     ex = er.normal_array((spec.eval_samples, spec.l))
@@ -176,36 +186,25 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     )
 
 
+def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
+    """0.5 * mean over rows of ||w x_i - y_i||^2, with one n x d temporary."""
+    resid = x @ w.T
+    resid -= y
+    resid *= resid
+    return float(0.5 * np.sum(resid) / x.shape[0])
+
+
 def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset) -> float:
     """Mean over the batch of 0.5 * ||(w0 + delta) x - y||^2."""
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    resid = batch.inputs.array @ (w0.array + delta.array).T - batch.targets.array
-    return float(0.5 * np.sum(resid * resid) / batch.size)
+    return _mean_half_squared(batch.inputs.array, w0.array + delta.array,
+                              batch.targets.array)
 
 
 def loss(p: LoraPair, w0: Matrix, batch: ClientDataset) -> float:
     """Mean squared-error loss of the adapted model w0 + b @ a on the batch."""
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    w = w0.array + p.b.array @ p.a.array
-    resid = batch.inputs.array @ w.T - batch.targets.array
-    return float(0.5 * np.sum(resid * resid) / batch.size)
-
-
-def grad(p: LoraPair, w0: Matrix, batch: ClientDataset) -> tuple[Matrix, Matrix]:
-    """Gradients of `loss` with respect to the two factors.
-
-    With mean residual matrix R (n x d rows of (w0 + ba) x - y):
-    g_b = R' X A' / n and g_a = B' R' X / n.
-    """
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    x = batch.inputs.array
-    w = w0.array + p.b.array @ p.a.array
-    resid = x @ w.T - batch.targets.array
-    g_dense = resid.T @ x / batch.size  # d x l
-    return (
-        Matrix._wrap(g_dense @ p.a.array.T),
-        Matrix._wrap(p.b.array.T @ g_dense),
-    )
+    return _mean_half_squared(batch.inputs.array, w0.array + p.b.array @ p.a.array,
+                              batch.targets.array)

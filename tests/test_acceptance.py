@@ -23,8 +23,7 @@ import pytest
 
 from hetlora.baselines import _client_seed, lora_param_fraction, run_strategy
 from hetlora.cli import main
-from hetlora.client import LocalTrainConfig, kept_rank, regularized_loss
-from hetlora.client import _add_reg_grad
+from hetlora.client import LocalTrainConfig
 from hetlora.config import LEARNING_RATE_GRID, load_config
 from hetlora.harness import run_experiment, select_learning_rate
 from hetlora.linalg import Matrix, seeded_rng, svd
@@ -42,7 +41,8 @@ from hetlora.records import (
     to_jsonl_lines,
     write_jsonl,
 )
-from hetlora.tasks import generate_task, grad, loss
+from hetlora.tasks import generate_task, loss
+from oracles import grad, regularized_loss, stacked_reg_grad
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -143,6 +143,9 @@ class TestCriterion2Gradients:
         rng = np.random.default_rng(7)
         eps = 1e-6
         worst = 0.0
+        # each state is trained in a cohort with a wider pair, so its
+        # regularizer gradient comes from zero-padded stacked factors
+        wider = random_pair(np.random.default_rng(8), spec.d, spec.l, 8, scale=0.4)
         for state_idx in range(10):
             rank = int(rng.integers(2, 7))
             p = random_pair(rng, spec.d, spec.l, rank, scale=0.4)
@@ -151,12 +154,10 @@ class TestCriterion2Gradients:
                 decay=float(rng.uniform(0.4, 0.9)),
             )
             batch = task.clients[state_idx]
-            keep = kept_rank(rank, cfg.decay)
-            gb, ga = grad(p, task.base.w0, batch)
-            gb_arr, ga_arr = gb.array.copy(), ga.array.copy()
-            if keep < rank:
-                _add_reg_grad(gb_arr, ga_arr, p.b.array, p.a.array, keep,
-                              cfg.reg_weight)
+            gb, ga = stacked_reg_grad([p, wider], cfg.decay, cfg.reg_weight,
+                                      base=[grad(p, task.base.w0, batch),
+                                            grad(wider, task.base.w0, batch)])
+            gb_arr, ga_arr = gb[0, :, :rank], ga[0, :rank]
             for _ in range(20):
                 db = rng.standard_normal(p.b.array.shape)
                 da = rng.standard_normal(p.a.array.shape)

@@ -9,15 +9,16 @@ from hetlora.client import (
     ClientState,
     LocalTrainConfig,
     TrainingError,
+    _Tails,
     dense_local_train,
     kept_rank,
     local_train,
-    regularized_loss,
     tail_block_norm,
 )
 from hetlora.linalg import Matrix, seeded_rng
-from hetlora.lora import LoraPair, reconstruct, truncate
+from hetlora.lora import LoraPair, truncate
 from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
+from oracles import grad, regularized_loss, stack, stacked_reg_grad
 
 SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=4,
                          samples_per_client=24, noise_std=0.05,
@@ -36,6 +37,17 @@ def random_pair(seed, rank=4, scale=0.2):
         b=Matrix(rng.standard_normal((SPEC.d, rank)) * scale),
         a=Matrix(rng.standard_normal((rank, SPEC.l)) * scale),
     )
+
+
+def train_one(state, received, cfg, round_index=0):
+    """local_train on a cohort of one: the trained pair and the new rank."""
+    [out] = local_train([state], [received], TASK.base.w0, cfg, round_index)
+    return out, state.current_rank
+
+
+def dense_one(state, delta, cfg, round_index=0):
+    [out] = dense_local_train([state], [delta], TASK.base.w0, cfg, round_index)
+    return out
 
 
 class TestKeptRankAndTailNorm:
@@ -81,25 +93,23 @@ class TestRegularizedObjective:
         p = random_pair(3)
         c = TASK.clients[0]
         assert regularized_loss(p, TASK.base.w0, c, cfg) == loss(p, TASK.base.w0, c)
+        gb, ga = stacked_reg_grad([p, random_pair(4, rank=2)], cfg.decay, 0.0)
+        assert not gb.any() and not ga.any()
 
     def test_full_gradient_finite_difference(self):
-        # the training step's gradient (data + regularizer) against central
-        # differences of the regularized objective
-        from hetlora.client import _add_reg_grad
-        from hetlora.tasks import grad
-
+        # the training step's gradient (data + stacked regularizer) against
+        # central differences of the regularized objective, for a cohort of
+        # six pairs of mixed rank
         cfg = LocalTrainConfig(reg_weight=0.05, decay=0.5)
         c = TASK.clients[1]
         w0 = TASK.base.w0
         rng = np.random.default_rng(41)
         eps = 1e-6
-        for trial in range(6):
-            p = random_pair(500 + trial)
-            keep = kept_rank(p.rank, cfg.decay)
-            gb, ga = grad(p, w0, c)
-            gb_arr, ga_arr = gb.array.copy(), ga.array.copy()
-            _add_reg_grad(gb_arr, ga_arr, p.b.array, p.a.array, keep,
-                          cfg.reg_weight)
+        pairs = [random_pair(500 + trial, rank=2 + trial % 3) for trial in range(6)]
+        gb, ga = stacked_reg_grad(pairs, cfg.decay, cfg.reg_weight,
+                                  base=[grad(p, w0, c) for p in pairs])
+        for j, p in enumerate(pairs):
+            assert not gb[j, :, p.rank:].any() and not ga[j, p.rank:].any()
             db = rng.standard_normal(p.b.array.shape)
             da = rng.standard_normal(p.a.array.shape)
             plus = LoraPair(Matrix(p.b.array + eps * db),
@@ -108,43 +118,54 @@ class TestRegularizedObjective:
                              Matrix(p.a.array - eps * da))
             fd = (regularized_loss(plus, w0, c, cfg)
                   - regularized_loss(minus, w0, c, cfg)) / (2 * eps)
-            analytic = float(np.sum(gb_arr * db) + np.sum(ga_arr * da))
+            analytic = float(np.sum(gb[j, :, : p.rank] * db)
+                             + np.sum(ga[j, : p.rank] * da))
             assert abs(fd - analytic) < 1e-5 * max(1.0, abs(analytic))
 
     def test_zero_tail_uses_zero_subgradient(self):
-        from hetlora.client import _add_reg_grad
-
+        # client 0's tail is exactly zero; client 1's is not, and only its
+        # tail moves
         b = np.hstack([np.ones((4, 1)), np.zeros((4, 1))])
         a = np.vstack([np.ones((1, 3)), np.zeros((1, 3))])
-        gb = np.zeros_like(b)
-        ga = np.zeros_like(a)
-        _add_reg_grad(gb, ga, b, a, 1, 0.5)
-        assert np.all(gb == 0) and np.all(ga == 0)
+        zero_tail = LoraPair(Matrix(b), Matrix(a))
+        live_tail = LoraPair(Matrix(np.ones((4, 2))), Matrix(np.ones((2, 3))))
+        gb, ga = stacked_reg_grad([zero_tail, live_tail], 0.5, 0.5)
+        assert np.all(gb[0] == 0) and np.all(ga[0] == 0)
+        assert np.all(gb[1, :, 0] == 0) and np.all(gb[1, :, 1] > 0)
+        assert np.all(ga[1, 0] == 0) and np.all(ga[1, 1] > 0)
+
+    def test_stacked_tail_norms_match_tail_block_norm(self):
+        # equally wide tails give tail_block_norm's bits; a cohort mixing
+        # tail widths (decay 0.5 on ranks 1..6) agrees to rounding
+        for decay, ranks in ((0.99, (1, 2, 5, 3, 1, 4)), (0.5, (1, 2, 5, 3, 6, 4))):
+            pairs = [random_pair(60 + k, rank=r) for k, r in enumerate(ranks)]
+            b, a = stack(pairs)
+            nb, na = _Tails(ranks, decay, SPEC.d, b.shape[2]).norms(b, a)
+            want = [tail_block_norm(p, decay) for p in pairs]
+            if decay == 0.99:
+                assert (nb * na).tolist() == want
+            else:
+                assert nb * na == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestLocalTrain:
     def test_rank_mismatch_rejected(self):
         state = make_state(rank=3)
         with pytest.raises(ValueError):
-            local_train(state, random_pair(0, rank=4), TASK.base.w0,
-                        LocalTrainConfig())
+            train_one(state, random_pair(0, rank=4), LocalTrainConfig())
 
     def test_deterministic(self):
         cfg = LocalTrainConfig(learning_rate=0.1, reg_weight=0.01, decay=0.5)
-        out1, r1 = local_train(make_state(), random_pair(1), TASK.base.w0,
-                               cfg, round_index=3)
-        out2, r2 = local_train(make_state(), random_pair(1), TASK.base.w0,
-                               cfg, round_index=3)
+        out1, r1 = train_one(make_state(), random_pair(1), cfg, round_index=3)
+        out2, r2 = train_one(make_state(), random_pair(1), cfg, round_index=3)
         assert r1 == r2
         assert np.array_equal(out1.b.array, out2.b.array)
         assert np.array_equal(out1.a.array, out2.a.array)
 
     def test_round_index_changes_batches(self):
         cfg = LocalTrainConfig(learning_rate=0.1)
-        out1, _ = local_train(make_state(), random_pair(1), TASK.base.w0,
-                              cfg, round_index=0)
-        out2, _ = local_train(make_state(), random_pair(1), TASK.base.w0,
-                              cfg, round_index=1)
+        out1, _ = train_one(make_state(), random_pair(1), cfg, round_index=0)
+        out2, _ = train_one(make_state(), random_pair(1), cfg, round_index=1)
         assert not np.array_equal(out1.b.array, out2.b.array)
 
     def test_matches_hand_rolled_sgd_without_pruning(self):
@@ -153,8 +174,7 @@ class TestLocalTrain:
                                reg_weight=0.0, decay=1.0)
         state = make_state(client_id=2)
         received = random_pair(11)
-        out, new_rank = local_train(state, received, TASK.base.w0, cfg,
-                                    round_index=5)
+        out, new_rank = train_one(state, received, cfg, round_index=5)
         assert new_rank == received.rank
 
         rng = seeded_rng(state.seed).child("round", 5)
@@ -179,15 +199,15 @@ class TestLocalTrain:
         state = make_state(client_id=3)
         received = random_pair(2, scale=0.05)
         before = loss(received, TASK.base.w0, TASK.clients[3])
-        out, _ = local_train(state, received, TASK.base.w0, cfg)
+        out, _ = train_one(state, received, cfg)
         after = loss(out, TASK.base.w0, TASK.clients[3])
         assert after < before
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_training_error(self):
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e6)
         with pytest.raises(TrainingError) as exc_info:
-            local_train(make_state(), random_pair(1), TASK.base.w0, cfg)
+            train_one(make_state(), random_pair(1), cfg)
         assert exc_info.value.step >= 0
 
     def test_prunes_when_regularizer_shrinks_tail(self):
@@ -197,7 +217,7 @@ class TestLocalTrain:
                                reg_weight=1.0, decay=0.5)
         state = make_state(client_id=0, rank=4)
         received = random_pair(7, rank=4, scale=0.1)
-        out, new_rank = local_train(state, received, TASK.base.w0, cfg)
+        out, new_rank = train_one(state, received, cfg)
         assert new_rank == kept_rank(4, 0.5) == 2
         assert state.current_rank == 2
         assert out.rank == 2
@@ -211,7 +231,7 @@ class TestLocalTrain:
         a = np.vstack([base.a.array[:2, :], np.zeros((2, SPEC.l))])
         received = LoraPair(Matrix(b), Matrix(a))
         state = make_state(client_id=1, rank=4)
-        out, new_rank = local_train(state, received, TASK.base.w0, cfg)
+        out, new_rank = train_one(state, received, cfg)
         assert new_rank == 4
         assert state.current_rank == 4
 
@@ -219,7 +239,7 @@ class TestLocalTrain:
         cfg = LocalTrainConfig(local_iters=5, learning_rate=0.1,
                                reg_weight=1.0, decay=1.0)
         state = make_state(rank=4)
-        _, new_rank = local_train(state, random_pair(9), TASK.base.w0, cfg)
+        _, new_rank = train_one(state, random_pair(9), cfg)
         assert new_rank == 4
 
     def test_pruned_output_is_truncation_of_trained_pair(self):
@@ -227,8 +247,7 @@ class TestLocalTrain:
                                      learning_rate=0.05, reg_weight=1.0,
                                      decay=0.5)
         received = random_pair(7, rank=4, scale=0.1)
-        out, new_rank = local_train(make_state(), received, TASK.base.w0,
-                                    cfg_prune)
+        out, new_rank = train_one(make_state(), received, cfg_prune)
         assert new_rank == 2
         # re-run identically but inspect the full trained pair via the same
         # arithmetic with truncation undone: the pruned result must be the
@@ -239,8 +258,6 @@ class TestLocalTrain:
         b = received.b.array.copy()
         a = received.a.array.copy()
         data = TASK.clients[0]
-        from hetlora.client import _add_reg_grad
-
         for _ in range(cfg_prune.local_iters):
             idx = rng.batch_indices(data.size, cfg_prune.batch_size)
             x = data.inputs.array[idx]
@@ -249,7 +266,9 @@ class TestLocalTrain:
             g_dense = resid.T @ x / len(idx)
             gb = g_dense @ a.T
             ga = b.T @ g_dense
-            _add_reg_grad(gb, ga, b, a, 2, cfg_prune.reg_weight)
+            nb, na = np.linalg.norm(b[:, 2:]), np.linalg.norm(a[2:, :])
+            gb[:, 2:] += cfg_prune.reg_weight * (na / nb) * b[:, 2:]
+            ga[2:, :] += cfg_prune.reg_weight * (nb / na) * a[2:, :]
             b = b - cfg_prune.learning_rate * gb
             a = a - cfg_prune.learning_rate * ga
         assert np.array_equal(out.b.array, b[:, :2])
@@ -264,8 +283,8 @@ class TestLocalTrain:
         received = random_pair(21, rank=4, scale=0.1)
         seen = [state.current_rank]
         for t in range(12):
-            out, new_rank = local_train(state, truncate(received, state.current_rank),
-                                        TASK.base.w0, cfg, round_index=t)
+            out, new_rank = train_one(state, truncate(received, state.current_rank),
+                                      cfg, round_index=t)
             seen.append(new_rank)
         assert all(a >= b for a, b in zip(seen, seen[1:]))
 
@@ -278,8 +297,8 @@ class TestLocalTrain:
         state = make_state(client_id=0, rank=4)  # complexity 1 client
         pair = random_pair(33, rank=4, scale=0.1)
         for t in range(60):
-            pair, _ = local_train(state, truncate(pair, state.current_rank),
-                                  TASK.base.w0, cfg, round_index=t)
+            pair, _ = train_one(state, truncate(pair, state.current_rank), cfg,
+                                round_index=t)
             if state.current_rank == 1:
                 break
         assert state.current_rank < 4
@@ -295,7 +314,7 @@ class TestDenseLocalTrain:
         lr = 0.05
         cfg = LocalTrainConfig(local_iters=1, batch_size=data.size, learning_rate=lr)
         delta = np.random.default_rng(29).standard_normal((SPEC.d, SPEC.l)) * 0.2
-        stepped = dense_local_train(state, delta, w0, cfg, round_index=3)
+        stepped = dense_one(state, delta, cfg, round_index=3)
         g = (delta - stepped) / lr
         rng = np.random.default_rng(31)
         eps = 1e-6
@@ -312,17 +331,135 @@ class TestDenseLocalTrain:
         state = make_state(client_id=1)
         cfg = LocalTrainConfig(local_iters=3, batch_size=5, learning_rate=0.1)
         delta = np.zeros((SPEC.d, SPEC.l))
-        one = dense_local_train(state, delta, TASK.base.w0, cfg, round_index=4)
-        two = dense_local_train(state, delta, TASK.base.w0, cfg, round_index=4)
+        one = dense_one(state, delta, cfg, round_index=4)
+        two = dense_one(state, delta, cfg, round_index=4)
         assert np.array_equal(one, two)
-        assert not np.array_equal(
-            one, dense_local_train(state, delta, TASK.base.w0, cfg, round_index=5))
+        assert not np.array_equal(one, dense_one(state, delta, cfg, round_index=5))
         assert np.array_equal(delta, np.zeros((SPEC.d, SPEC.l)))  # input untouched
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_training_error(self):
         state = make_state(client_id=0)
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e8)
         with pytest.raises(TrainingError) as e:
-            dense_local_train(state, np.zeros((SPEC.d, SPEC.l)), TASK.base.w0, cfg, 0)
+            dense_one(state, np.zeros((SPEC.d, SPEC.l)), cfg)
         assert "client 0 diverged at local step" in str(e.value)
+
+
+class TestCohort:
+    """A round's cohort is trained in one stack; each client's result must
+    be what it gets trained on its own."""
+
+    CFG = LocalTrainConfig(local_iters=8, batch_size=8, learning_rate=0.2,
+                           reg_weight=0.3, decay=0.7)
+    RANKS = (1, 4, 2, 3)
+
+    def cohort(self, order):
+        states = [make_state(client_id=k, rank=self.RANKS[k]) for k in order]
+        pairs = [random_pair(70 + k, rank=self.RANKS[k], scale=0.1) for k in order]
+        return states, pairs
+
+    def test_permuting_a_cohort_is_bit_identical(self):
+        by_order = []
+        for order in ((0, 1, 2, 3), (2, 0, 3, 1)):
+            states, pairs = self.cohort(order)
+            out = local_train(states, pairs, TASK.base.w0, self.CFG, round_index=2)
+            by_order.append({s.id: (s.current_rank, p) for s, p in zip(states, out)})
+        assert any(rank < self.RANKS[k] for k, (rank, _) in by_order[0].items())
+        for k, (rank, p) in by_order[0].items():
+            rank2, p2 = by_order[1][k]
+            assert rank == rank2 == p.rank
+            assert np.array_equal(p.b.array, p2.b.array)
+            assert np.array_equal(p.a.array, p2.a.array)
+
+    def test_permuting_a_dense_cohort_is_bit_identical(self):
+        cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.1)
+        deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(4)]
+        states = [make_state(client_id=k) for k in range(4)]
+        out = dense_local_train(states, deltas, TASK.base.w0, cfg, 1)
+        back = dense_local_train(states[::-1], deltas[::-1], TASK.base.w0, cfg, 1)
+        for k in range(4):
+            assert np.array_equal(out[k], back[3 - k])
+
+    def test_mixed_rank_cohort_matches_cohorts_of_one(self):
+        states, pairs = self.cohort((0, 1, 2, 3))
+        out = local_train(states, pairs, TASK.base.w0, self.CFG, round_index=2)
+        for k in range(4):
+            alone_states, alone_pairs = self.cohort((k,))
+            [alone] = local_train(alone_states, alone_pairs, TASK.base.w0, self.CFG,
+                                  round_index=2)
+            assert states[k].current_rank == alone_states[0].current_rank == alone.rank
+            for got, want in ((out[k].b.array, alone.b.array),
+                              (out[k].a.array, alone.a.array)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_short_client_batches_are_padded_without_effect(self):
+        # client 0 holds 3 samples, fewer than a batch: its batches are the
+        # whole set, padded to the cohort's batch length with zero rows
+        spec = dataclasses.replace(SPEC, samples_per_client=(3, 24, 24, 24))
+        task = generate_task(spec)
+        cfg = LocalTrainConfig(local_iters=3, batch_size=8, learning_rate=0.1)
+        states = [ClientState(id=k, current_rank=2, dataset=task.clients[k], seed=k)
+                  for k in range(4)]
+        pairs = [random_pair(80 + k, rank=2) for k in range(4)]
+        out = local_train(states, pairs, task.base.w0, cfg)
+        deltas = [np.full((SPEC.d, SPEC.l), 0.01)] * 4
+        dense = dense_local_train(states, deltas, task.base.w0, cfg, 0)
+        for k in range(4):
+            [alone] = local_train([states[k]], [pairs[k]], task.base.w0, cfg)
+            [alone_dense] = dense_local_train([states[k]], [deltas[k]], task.base.w0,
+                                              cfg, 0)
+            for got, want in ((out[k].b.array, alone.b.array),
+                              (out[k].a.array, alone.a.array), (dense[k], alone_dense)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_datasets_outside_one_pool_rejected(self):
+        other = generate_task(dataclasses.replace(SPEC, seed=8))
+        states = [make_state(client_id=0, rank=2),
+                  ClientState(id=9, current_rank=2, dataset=other.clients[1], seed=9)]
+        with pytest.raises(ValueError, match="one sample pool"):
+            local_train(states, [random_pair(1, rank=2)] * 2, TASK.base.w0,
+                        LocalTrainConfig())
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_first_diverging_client_in_cohort_order_is_named(self):
+        # the 2nd client diverges at a later step than the 4th; a
+        # one-at-a-time loop stops at the 2nd, and so must the cohort
+        cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.5)
+        scales = (0.1, 3.0, 0.1, 1e60)
+
+        def cohort():
+            states = [make_state(client_id=k, rank=3) for k in range(4)]
+            return states, [random_pair(1, rank=3, scale=x) for x in scales]
+
+        states, pairs = cohort()
+        steps = {}
+        for s, p in zip(states, pairs):
+            try:
+                train_one(s, p, cfg)
+            except TrainingError as exc:
+                steps[s.id] = exc.step
+        assert sorted(steps) == [1, 3] and steps[3] < steps[1]
+
+        states, pairs = cohort()
+        with pytest.raises(TrainingError) as exc_info:
+            local_train(states, pairs, TASK.base.w0, cfg)
+        assert exc_info.value.step == steps[1]
+        assert str(exc_info.value) == f"client 1 diverged at local step {steps[1]}"
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_first_diverging_dense_client_in_cohort_order_is_named(self):
+        cfg = LocalTrainConfig(local_iters=30, learning_rate=1e8)
+        scales = (0.0, 1e100, 0.0, 1e200)
+        states = [make_state(client_id=k) for k in range(4)]
+        deltas = [np.full((SPEC.d, SPEC.l), x) for x in scales]
+        steps = {}
+        for s, delta in zip(states, deltas):
+            if delta.any():
+                with pytest.raises(TrainingError) as exc_info:
+                    dense_one(s, delta, cfg)
+                steps[s.id] = exc_info.value.step
+        assert steps[3] < steps[1]
+        with pytest.raises(TrainingError) as exc_info:
+            dense_local_train(states, deltas, TASK.base.w0, cfg, 0)
+        assert str(exc_info.value) == f"client 1 diverged at local step {steps[1]}"

@@ -12,9 +12,9 @@ from hetlora.tasks import (
     SyntheticTaskSpec,
     dense_loss,
     generate_task,
-    grad,
     loss,
 )
+from oracles import grad
 
 SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=6,
                          samples_per_client=12, noise_std=0.05, seed=3)
@@ -70,6 +70,22 @@ class TestGeneration:
         for c1, c2 in zip(t1.clients, t2.clients):
             assert np.array_equal(c1.inputs.array, c2.inputs.array)
             assert np.array_equal(c1.targets.array, c2.targets.array)
+
+    def test_clients_view_one_pool(self):
+        # every client's rows are a read-only view of the pooled arrays, in
+        # client order, so the task holds one copy of the client data
+        t = generate_task(dataclasses.replace(SPEC,
+                                              samples_per_client=(1, 2, 3, 4, 5, 6)))
+        pool = t.clients[0].pool
+        assert pool.size == 21 and pool.pool is None
+        row = 0
+        for c in t.clients:
+            assert c.pool is pool and c.start == row
+            for part, pooled in ((c.inputs.array, pool.inputs.array),
+                                 (c.targets.array, pool.targets.array)):
+                assert part.base is pooled and not part.flags.writeable
+                assert np.array_equal(part, pooled[row:row + c.size])
+            row += c.size
 
     def test_seed_changes_everything(self):
         t1 = generate_task(SPEC)
@@ -168,19 +184,13 @@ class TestLossGrad:
             minus = LoraPair(Matrix(self.pair.b.array - eps * db),
                              Matrix(self.pair.a.array - eps * da))
             fd = (loss(plus, w0, c) - loss(minus, w0, c)) / (2 * eps)
-            analytic = float(np.sum(gb.array * db) + np.sum(ga.array * da))
+            analytic = float(np.sum(gb * db) + np.sum(ga * da))
             assert abs(fd - analytic) < 1e-5 * max(1.0, abs(analytic))
 
     def test_empty_batch_rejected(self):
-        # empty batches are rejected somewhere on the way in: either the
-        # dataset refuses zero rows or the loss refuses the batch
-        c = self.task.clients[0]
-        with pytest.raises(Exception):
-            empty = c.subset(np.array([], dtype=int))
+        empty = ClientDataset(inputs=Matrix._wrap(np.zeros((0, SPEC.l))),
+                              targets=Matrix._wrap(np.zeros((0, SPEC.d))))
+        with pytest.raises(ValueError, match="non-empty"):
             loss(self.pair, self.task.base.w0, empty)
-
-    def test_dataset_subset(self):
-        c = self.task.clients[0]
-        sub = c.subset(np.array([0, 2]))
-        assert sub.size == 2
-        assert np.array_equal(sub.inputs.array, c.inputs.array[[0, 2]])
+        with pytest.raises(ValueError, match="non-empty"):
+            dense_loss(Matrix(np.zeros((SPEC.d, SPEC.l))), self.task.base.w0, empty)
