@@ -21,7 +21,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _parse_int_list, load_config
 from .harness import run_experiment, select_learning_rate, summarize, write_outputs
 from .records import RunResult, read_jsonl, rounds_to_target
 
@@ -32,14 +32,19 @@ def _default_out() -> str | None:
     return os.environ.get("HETLORA_OUT_DIR")
 
 
-def _parse_seeds(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers given to `flag`."""
+    try:
+        return _parse_int_list(text)
+    except ValueError:
+        raise ConfigError(
+            f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
-        updates["seeds"] = _parse_seeds(args.seed)
+        updates["seeds"] = _int_list("--seed", args.seed)
     if args.out is not None:
         updates["out_dir"] = args.out
     if getattr(args, "strategy", None) is not None:
@@ -76,8 +81,13 @@ def _strategy_variant(cfg: ExperimentConfig, tag: str) -> tuple[str, ExperimentC
         name, _, arg = tag.partition(":")
         if name != "homlora":
             raise ConfigError(f"only homlora takes a rank argument, got {tag!r}")
+        try:
+            rank = int(arg)
+        except ValueError:
+            raise ConfigError(
+                f"--strategies: homlora takes an integer rank, got {tag!r}") from None
         return f"homlora_r{arg}", dataclasses.replace(
-            cfg, strategy="homlora", homlora_rank=int(arg)
+            cfg, strategy="homlora", homlora_rank=rank
         )
     return tag, dataclasses.replace(cfg, strategy=tag)
 
@@ -92,7 +102,7 @@ def cmd_sweep(args) -> int:
                 (f"gamma_{g:g}", dataclasses.replace(cfg, strategy="hetlora", decay=g))
             )
     if args.ranks:
-        for r in _parse_seeds(args.ranks):
+        for r in _int_list("--ranks", args.ranks):
             variants.append(
                 (
                     f"homlora_r{r}",

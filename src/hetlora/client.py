@@ -13,6 +13,11 @@ whole cohort. Adapters are zero-padded to the cohort's largest rank, and
 the padding stays exactly zero under SGD. Each client still draws its own
 batches from its own stream, so its result does not depend on its place
 in the cohort.
+
+A step works on the factors alone: the base residuals x w0' - y of all
+the round's batch rows are computed once, and each step's gradients go
+through n x r and n x d products, never through w0 + b a or another d x l
+matrix. Finiteness is checked once, after the last step.
 """
 
 from __future__ import annotations
@@ -29,10 +34,6 @@ from .tasks import ClientDataset
 
 class TrainingError(RuntimeError):
     """Local training diverged (non-finite values)."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} at local step {step}")
-        self.step = step
 
 
 @dataclass
@@ -127,14 +128,15 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
-                  tails: _Tails, reg_weight: float) -> None:
+                  tails: _Tails, norms: tuple[np.ndarray, np.ndarray],
+                  reg_weight: float) -> None:
     """In-place gradient of reg_weight * ||b_tail|| * ||a_tail|| for every
-    client of a stacked cohort.
+    client of a stacked cohort, given the tail norms tails.norms(b, a).
 
     Subgradient 0 is used for a factor whose tail norm is 0 (the product of
     norms is non-differentiable there), which keeps fully-shrunk tails stable.
     """
-    nb, na = tails.norms(b, a)
+    nb, na = norms
     # dividing by inf instead of a zero norm gives that subgradient 0
     cb = reg_weight * (na / np.where(nb > 0, nb, np.inf))
     ca = reg_weight * (nb / np.where(na > 0, na, np.inf))
@@ -142,17 +144,19 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
     ga += a * (ca[:, None] * tails.mask)[:, :, None]
 
 
-def _cohort_batches(states: list[ClientState], cfg: LocalTrainConfig,
+def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig,
                     round_index: int):
-    """A cohort's mini-batches of one round: inputs (iters x m x n x l),
-    targets (iters x m x n x d), and the batch lengths.
+    """A cohort's mini-batches of one round: inputs (iters x m x n x l), the
+    base residuals x w0' - y of their rows (iters x m x n x d), and the batch
+    lengths.
 
     Each client's batches are drawn from a stream derived from (client
     seed, round), so a local result is independent of scheduling order and
     of the cohort. All rows are gathered with one index from the sample
-    pool the clients' datasets view into. A client with fewer samples than
-    the cohort's batch length has its batches padded with zero rows, which
-    add nothing to its gradient.
+    pool the clients' datasets view into, and their base residuals come
+    from one matmul. A client with fewer samples than the cohort's batch
+    length has its batches padded with zero rows, whose base residuals are
+    zero too, so they add nothing to its gradient.
     """
     first = states[0].dataset
     pool = first.pool if first.pool is not None else first
@@ -170,30 +174,31 @@ def _cohort_batches(states: list[ClientState], cfg: LocalTrainConfig,
     idx = idx.transpose(1, 0, 2)
     xs = pool.inputs.array[idx]
     ys = pool.targets.array[idx]
-    if min(lengths) == n:
-        return xs, ys, n
-    for j, k in enumerate(lengths):
-        xs[:, j, k:] = 0.0
-        ys[:, j, k:] = 0.0
-    return xs, ys, np.array(lengths, dtype=np.float64)[:, None, None]
+    if min(lengths) < n:
+        for j, k in enumerate(lengths):
+            xs[:, j, k:] = 0.0
+            ys[:, j, k:] = 0.0
+        n = np.array(lengths, dtype=np.float64)[:, None, None]
+    # a stacked matmul takes each batch's product on its own, so a client's
+    # residuals do not depend on its place in the cohort
+    r0 = xs @ w0.array.T
+    r0 -= ys
+    return xs, r0, n
 
 
-def _mark_diverged(first_bad: np.ndarray, step: int, *stacks: np.ndarray) -> None:
-    """Record `step` for each client whose stacked values just went
-    non-finite."""
+def _raise_first_divergence(states: list[ClientState], *stacks: np.ndarray) -> None:
+    """Name the first client, in cohort order, whose trained values are not
+    all finite: the client a one-at-a-time loop would have stopped at.
+
+    An SGD update only subtracts from a value, so a value that went
+    non-finite at any step is still non-finite after the last one, and no
+    operation mixes clients: one check per local round sees every client
+    that diverged.
+    """
     if all(np.isfinite(s).all() for s in stacks):
         return
     ok = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
-    first_bad[~ok & (first_bad < 0)] = step
-
-
-def _raise_first_divergence(states: list[ClientState], first_bad: np.ndarray):
-    """Name the first client, in cohort order, that diverged, with its first
-    non-finite step: the client a one-at-a-time loop would have stopped at."""
-    bad = np.flatnonzero(first_bad >= 0)
-    if bad.size:
-        j = bad[0]
-        raise TrainingError(f"client {states[j].id} diverged", int(first_bad[j]))
+    raise TrainingError(f"client {states[np.flatnonzero(~ok)[0]].id} diverged")
 
 
 def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
@@ -205,6 +210,12 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
     order, each truncated to its client's new rank. With reg_weight 0 and
     decay 1 this is a plain FedAvg local step: the tail is empty and the
     strict-decrease pruning test can never fire.
+
+    A step takes the data-loss gradient in low-rank form. With a batch x
+    (n x l), its base residuals r0 = x w0' - y, xa = x a' (n x r) and
+    resid = (r0 + xa b') / n, the gradients are g_b = resid' xa and
+    g_a = (resid b)' x: the gradients of the dense form, without forming
+    w0 + b a or any other d x l matrix.
     """
     if len(states) != len(received):
         raise ValueError(f"{len(states)} clients but {len(received)} models")
@@ -224,32 +235,29 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
     tails = _Tails(ranks, cfg.decay, received[0].d, width)
     has_tail = tails.present.any()
     if has_tail:
-        received_tail = np.multiply(*tails.norms(b, a))
+        norms = tails.norms(b, a)
+        received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, ys, n = _cohort_batches(states, cfg, round_index)
-    w0a = w0.array
-    first_bad = np.full(len(states), -1)
+    xs, r0, n = _cohort_batches(states, w0, cfg, round_index)
     for step in range(cfg.local_iters):
-        # resid = x (w0 + b a)' - y and g_dense = resid' x / n, computed in
-        # place
         x = xs[step]
-        w = b @ a
-        w += w0a
-        resid = x @ w.transpose(0, 2, 1)
-        resid -= ys[step]
-        g_dense = resid.transpose(0, 2, 1) @ x
-        g_dense /= n
-        gb = g_dense @ a.transpose(0, 2, 1)
-        ga = b.transpose(0, 2, 1) @ g_dense
+        xa = x @ a.transpose(0, 2, 1)
+        resid = xa @ b.transpose(0, 2, 1)
+        resid += r0[step]
+        resid /= n
+        gb = resid.transpose(0, 2, 1) @ xa
+        ga = (resid @ b).transpose(0, 2, 1) @ x
         if regularize:
-            _add_reg_grad(gb, ga, b, a, tails, cfg.reg_weight)
+            # step 0 regularizes the received factors, whose norms are known
+            if step:
+                norms = tails.norms(b, a)
+            _add_reg_grad(gb, ga, b, a, tails, norms, cfg.reg_weight)
         gb *= cfg.learning_rate
         b -= gb
         ga *= cfg.learning_rate
         a -= ga
-        _mark_diverged(first_bad, step, b, a)
-    _raise_first_divergence(states, first_bad)
+    _raise_first_divergence(states, b, a)
 
     new_ranks = ranks
     if has_tail:
@@ -274,19 +282,15 @@ def dense_local_train(states: list[ClientState], deltas: list[np.ndarray],
     if len(states) != len(deltas):
         raise ValueError(f"{len(states)} clients but {len(deltas)} models")
     local = np.array(deltas, dtype=np.float64)
-    xs, ys, n = _cohort_batches(states, cfg, round_index)
-    w0a = w0.array
-    first_bad = np.full(len(states), -1)
+    xs, r0, n = _cohort_batches(states, w0, cfg, round_index)
     for step in range(cfg.local_iters):
-        # local -= lr * (x (w0 + local)' - y)' x / n, computed in place
+        # local -= lr * (r0 + x local')' x / n, computed in place
         x = xs[step]
-        w = w0a + local
-        resid = x @ w.transpose(0, 2, 1)
-        resid -= ys[step]
+        resid = x @ local.transpose(0, 2, 1)
+        resid += r0[step]
         g_dense = resid.transpose(0, 2, 1) @ x
         g_dense /= n
         g_dense *= cfg.learning_rate
         local -= g_dense
-        _mark_diverged(first_bad, step, local)
-    _raise_first_divergence(states, first_bad)
+    _raise_first_divergence(states, local)
     return list(local)

@@ -8,7 +8,6 @@ name and line number.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -178,9 +177,3 @@ def load_config(name_or_path: str) -> ExperimentConfig:
         return parse_config_text(bundled.read_text(), source=f"builtin:{name_or_path}")
     raise ConfigError(f"config not found: {name_or_path!r}")
 
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    task_updates = {k[5:]: v for k, v in kwargs.items() if k.startswith("task_")}
-    cfg_updates = {k: v for k, v in kwargs.items() if not k.startswith("task_")}
-    task = dataclasses.replace(cfg.task, **task_updates) if task_updates else cfg.task
-    return dataclasses.replace(cfg, task=task, **cfg_updates)

@@ -47,6 +47,9 @@ class SyntheticTaskSpec:
             raise ValueError("true_rank must be in [1, min(d, l)]")
         if self.num_clients < 1:
             raise ValueError("need at least one client")
+        counts = self.samples_per_client
+        if any(c < 1 for c in (counts if isinstance(counts, tuple) else (counts,))):
+            raise ValueError(f"samples_per_client {counts} must be >= 1")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
         if self.eval_samples < 1:

@@ -10,16 +10,32 @@ from hetlora.client import _add_reg_grad, _Tails, tail_block_norm
 from hetlora.tasks import loss
 
 
-def grad(p, w0, batch):
-    """Gradients of tasks.loss with respect to the two factors, as arrays.
+def dense_grads(b, a, w0, x, y):
+    """Gradients of the batch loss 0.5 * mean ||(w0 + b a) x_i - y_i||^2
+    with respect to b and a, through the dense d x l gradient.
 
-    With mean residual matrix R (n x d rows of (w0 + ba) x - y):
-    g_b = R' X A' / n and g_a = B' R' X / n.
+    With the residual matrix R (n x d rows of (w0 + ba) x - y):
+    g_dense = R' X / n, g_b = g_dense A' and g_a = B' g_dense.
     """
-    x = batch.inputs.array
-    resid = x @ (w0.array + p.b.array @ p.a.array).T - batch.targets.array
-    g_dense = resid.T @ x / batch.size  # d x l
-    return g_dense @ p.a.array.T, p.b.array.T @ g_dense
+    resid = x @ (w0 + b @ a).T - y
+    g_dense = resid.T @ x / len(x)
+    return g_dense @ a.T, b.T @ g_dense
+
+
+def lowrank_grads(b, a, w0, x, y):
+    """The same gradients in low-rank form, as local training takes them:
+    with xa = x a' and resid = (x w0' - y + xa b') / n,
+    g_b = resid' xa and g_a = (resid b)' x.
+    """
+    xa = x @ a.T
+    resid = (x @ w0.T - y + xa @ b.T) / len(x)
+    return resid.T @ xa, (resid @ b).T @ x
+
+
+def grad(p, w0, batch):
+    """Gradients of tasks.loss with respect to the two factors, as arrays."""
+    return dense_grads(p.b.array, p.a.array, w0.array, batch.inputs.array,
+                       batch.targets.array)
 
 
 def regularized_loss(p, w0, batch, cfg) -> float:
@@ -50,5 +66,5 @@ def stacked_reg_grad(pairs, decay, reg_weight, base=None):
         gb[j, :, : p.rank] = pb
         ga[j, : p.rank] = pa
     tails = _Tails([p.rank for p in pairs], decay, b.shape[1], b.shape[2])
-    _add_reg_grad(gb, ga, b, a, tails, reg_weight)
+    _add_reg_grad(gb, ga, b, a, tails, tails.norms(b, a), reg_weight)
     return gb, ga

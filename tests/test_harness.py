@@ -19,7 +19,6 @@ from hetlora.config import (
     ExperimentConfig,
     load_config,
     parse_config_text,
-    with_overrides,
 )
 from hetlora.harness import (
     run_experiment,
@@ -127,11 +126,6 @@ class TestConfigParsing:
         p.write_text(TINY_TEXT)
         assert load_config(str(p)).task.d == 12
 
-    def test_with_overrides_routes_task_prefix(self):
-        cfg = with_overrides(tiny_cfg(), task_noise_std=0.5, rounds=9)
-        assert cfg.task.noise_std == 0.5
-        assert cfg.rounds == 9
-
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             tiny_cfg(strategy="magic")
@@ -183,6 +177,7 @@ BAD_VALUES = {
     "task.target_norm": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                                 _NON_FINITE),
+    "task.samples_per_client": st.integers(max_value=0),
 }
 
 
@@ -450,6 +445,20 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--seed", "0,a"], "--seed"),
+        (["run", "--seed", ""], "--seed"),
+        (["sweep", "--ranks", "2,x"], "--ranks"),
+        (["sweep", "--strategies", "homlora:x"], "--strategies"),
+    ])
+    def test_malformed_list_flag_exit_code(self, cfg_file, tmp_path, capsys, argv,
+                                           flag):
+        out = tmp_path / "out"
+        argv = argv[:1] + ["--config", str(cfg_file), "--out", str(out)] + argv[1:]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_strategies_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "sweep"

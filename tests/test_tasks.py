@@ -49,6 +49,9 @@ class TestSpecValidation:
         bad = dataclasses.replace(SPEC, samples_per_client=(1, 2))
         with pytest.raises(ValueError):
             bad.sample_counts()
+        for counts in (0, -3, (1, 2, 0, 4, 5, 6)):
+            with pytest.raises(ValueError, match="samples_per_client"):
+                dataclasses.replace(SPEC, samples_per_client=counts)
 
     def test_complexity_forms(self):
         explicit = dataclasses.replace(SPEC, client_complexity=(1, 2, 3, 4, 1, 2))
