@@ -172,7 +172,11 @@ def cmd_report(args) -> int:
 
     rows = []
     for path in paths:
-        runs = read_jsonl(path)
+        try:
+            runs = read_jsonl(path)
+        except ValueError as exc:
+            print(f"report: {exc}", file=sys.stderr)
+            return 2
         target = _target_for(runs, args)
         hits = [rounds_to_target(r, target) for r in runs]
         finals = [r.final_eval_loss for r in runs]

@@ -12,7 +12,13 @@ stacked arrays: every step is one batched matmul per operation for the
 whole cohort. Adapters are zero-padded to the cohort's largest rank, and
 the padding stays exactly zero under SGD. Each client still draws its own
 batches from its own stream, so its result does not depend on its place
-in the cohort.
+in the cohort. A client's batches of a round are drawn with one call on
+its (client seed, round) stream and turned into index sets for the whole
+cohort at once; the indices, and the stream, are bit for bit those of one
+Generator.choice(n, batch_size, replace=False) per step (see
+linalg.batches_from_draws). The regulariser's gradient is added at the
+tail entries alone, and a cohort in which no client can have a tail
+(decay 1, or every rank 1) keeps no tail bookkeeping.
 
 A step works on the factors alone: the base residuals x w0' - y of all
 the round's batch rows are computed once, and each step's gradients go
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, seeded_rng
+from .linalg import Matrix, batches_from_draws, seeded_rng
 from .lora import LoraPair
 from .tasks import ClientDataset
 
@@ -90,14 +96,15 @@ class _Tails:
         m = len(ranks)
         self.keep = np.array([kept_rank(int(r), decay) for r in ranks])
         self.present = self.keep < ranks
-        span = np.arange(width)
-        self.mask = ((span >= self.keep[:, None])
-                     & (span < ranks[:, None])).astype(np.float64)
         # each tail's ranks, padded up to the widest tail; `live` zeroes the
         # padding
         j = np.arange(max(1, int((ranks - self.keep).max())))
         cols = np.minimum(self.keep[:, None] + j, width - 1)
-        live = (j < (ranks - self.keep)[:, None]).astype(np.float64)
+        live = j < (ranks - self.keep)[:, None]
+        # (client, rank) of every tail rank, client by client
+        self.client, at = live.nonzero()
+        self.rank = cols[self.client, at]
+        live = live.astype(np.float64)
         # flat indices of the tail entries of b and a, client by client,
         # row by row (the order np.linalg.norm reads a tail block in)
         b_rows = np.arange(m)[:, None, None] * d + np.arange(d)[:, None]
@@ -140,8 +147,43 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
     # dividing by inf instead of a zero norm gives that subgradient 0
     cb = reg_weight * (na / np.where(nb > 0, nb, np.inf))
     ca = reg_weight * (nb / np.where(na > 0, na, np.inf))
-    gb += b * (cb[:, None] * tails.mask)[:, None, :]
-    ga += a * (ca[:, None] * tails.mask)[:, :, None]
+    # only the tail entries change; the stacks are indexed in three
+    # dimensions because a flat view of a non-contiguous stack is a copy
+    j, k = tails.client, tails.rank
+    gb[j, :, k] += b[j, :, k] * cb[j, None]
+    ga[j, k, :] += a[j, k, :] * ca[j, None]
+
+
+def _cohort_indices(states: list[ClientState], cfg: LocalTrainConfig,
+                    round_index: int) -> np.ndarray:
+    """The rows of each client's mini-batches of one round in its own
+    dataset, m x iters x n for the cohort's longest batch n; a shorter
+    batch is padded with row 0.
+
+    Each client's batches come from a stream derived from (client seed,
+    round), so a local result is independent of scheduling order and of
+    the cohort. They are the batches of local_iters successive
+    Rng.batch_indices calls on that stream, bit for bit, but drawn in one
+    Rng.batch_draws call per client, and the draws of all clients with the
+    same number of samples become index sets in one batches_from_draws
+    pass. A client with no more samples than batch_size uses all of them,
+    in order, in every step, and draws nothing.
+    """
+    n = min(cfg.batch_size, max(s.dataset.size for s in states))
+    idx = np.zeros((len(states), cfg.local_iters, n), dtype=np.intp)
+    by_size: dict[int, list[int]] = {}
+    for j, s in enumerate(states):
+        by_size.setdefault(s.dataset.size, []).append(j)
+    for size, js in by_size.items():
+        if size <= cfg.batch_size:
+            idx[js, :, :size] = np.arange(size)
+            continue
+        draws = np.concatenate([
+            seeded_rng(states[j].seed).child("round", round_index)
+            .batch_draws(size, cfg.batch_size, cfg.local_iters) for j in js])
+        idx[js] = batches_from_draws(draws, size, cfg.batch_size).reshape(
+            len(js), cfg.local_iters, n)
+    return idx
 
 
 def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig,
@@ -150,30 +192,24 @@ def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig
     base residuals x w0' - y of their rows (iters x m x n x d), and the batch
     lengths.
 
-    Each client's batches are drawn from a stream derived from (client
-    seed, round), so a local result is independent of scheduling order and
-    of the cohort. All rows are gathered with one index from the sample
-    pool the clients' datasets view into, and their base residuals come
-    from one matmul. A client with fewer samples than the cohort's batch
-    length has its batches padded with zero rows, whose base residuals are
-    zero too, so they add nothing to its gradient.
+    The batches are those of _cohort_indices. All rows are gathered with one
+    index from the sample pool the clients' datasets view into, and their
+    base residuals come from one matmul. A client with fewer samples than
+    the cohort's batch length has its batches padded with zero rows, whose
+    base residuals are zero too, so they add nothing to its gradient.
     """
     first = states[0].dataset
     pool = first.pool if first.pool is not None else first
-    lengths = [min(cfg.batch_size, s.dataset.size) for s in states]
-    n = max(lengths)
-    idx = np.zeros((len(states), cfg.local_iters, n), dtype=np.intp)
-    for j, s in enumerate(states):
-        data = s.dataset
-        if (data.pool if data.pool is not None else data) is not pool:
+    for s in states:
+        if (s.dataset.pool if s.dataset.pool is not None else s.dataset) is not pool:
             raise ValueError("a cohort's datasets must view into one sample pool")
-        rng = seeded_rng(s.seed).child("round", round_index)
-        idx[j, :, : lengths[j]] = [rng.batch_indices(data.size, cfg.batch_size)
-                                   for _ in range(cfg.local_iters)]
-        idx[j] += data.start
+    idx = _cohort_indices(states, cfg, round_index)
+    idx += np.array([s.dataset.start for s in states])[:, None, None]
     idx = idx.transpose(1, 0, 2)
     xs = pool.inputs.array[idx]
     ys = pool.targets.array[idx]
+    lengths = [min(cfg.batch_size, s.dataset.size) for s in states]
+    n = idx.shape[2]
     if min(lengths) < n:
         for j, k in enumerate(lengths):
             xs[:, j, k:] = 0.0
@@ -232,9 +268,10 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
     for j, p in enumerate(received):
         b[j, :, : p.rank] = p.b.array
         a[j, : p.rank] = p.a.array
-    tails = _Tails(ranks, cfg.decay, received[0].d, width)
-    has_tail = tails.present.any()
+    # below rank 2 or at decay 1 no client has a tail to regularize or prune
+    has_tail = cfg.decay < 1 and width > 1
     if has_tail:
+        tails = _Tails(ranks, cfg.decay, received[0].d, width)
         norms = tails.norms(b, a)
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail

@@ -200,11 +200,75 @@ class Rng:
         picked = self._gen.choice(n, size=m, replace=False)
         return sorted(int(i) for i in picked)
 
+    def batch_draws(self, n: int, size: int, count: int) -> np.ndarray:
+        """The raw draws of `count` successive batch_indices(n, size) calls
+        with size < n, one row per batch, in one integers() call.
+        batches_from_draws turns the rows into the batches."""
+        bounds = _choice_bounds(n, size, count)
+        return self._gen.integers(0, bounds, endpoint=True).reshape(count, -1)
+
     def batch_indices(self, n: int, size: int) -> np.ndarray:
-        """Mini-batch sample without replacement (whole set if size >= n)."""
+        """Mini-batch sample without replacement (whole set, in order and
+        without a draw, if size >= n).
+
+        The batch and the stream state afterwards are those of
+        Generator.choice(n, size, replace=False): the one-batch case of
+        batch_draws and batches_from_draws.
+        """
         if size >= n:
             return np.arange(n)
-        return self._gen.choice(n, size=size, replace=False)
+        return batches_from_draws(self.batch_draws(n, size, 1), n, size)[0]
+
+
+def _tail_shuffle(n: int, size: int) -> bool:
+    # Generator.choice shuffles the tail of range(n) in place instead of
+    # running Floyd's algorithm when the batch is a large share of a large n
+    return n > 10000 and size > n // 50
+
+
+@functools.cache
+def _choice_bounds(n: int, size: int, count: int) -> np.ndarray:
+    """Inclusive upper bounds of the bounded draws that `count` calls of
+    Generator.choice(n, size, replace=False), size < n, make, in order.
+
+    One call is Floyd's algorithm, one draw in [0, j] for each j in
+    [n - size, n), then a Fisher-Yates pass over the size picks, one draw
+    in [0, i] for i = size - 1 down to 1. For a tail shuffle it is the
+    Fisher-Yates pass over range(n) alone, for i = n - 1 down to n - size.
+    """
+    if _tail_shuffle(n, size):
+        one = np.arange(n - 1, n - size - 1, -1)
+    else:
+        one = np.concatenate([np.arange(n - size, n), np.arange(size - 1, 0, -1)])
+    bounds = np.tile(one, count)
+    bounds.setflags(write=False)
+    return bounds
+
+
+def batches_from_draws(draws: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The batches (rows x size) that Generator.choice(n, size,
+    replace=False) returns for each row of draws from Rng.batch_draws:
+    its Floyd pass and its swap pass, each step taken for all rows at once.
+    """
+    rows = np.arange(len(draws))
+    if _tail_shuffle(n, size):
+        picks = np.tile(np.arange(n), (len(draws), 1))
+        swaps = draws
+    else:
+        # Floyd: the draw for j is kept unless already picked, else j is
+        picks = draws[:, :size].copy()
+        for t in range(1, size):
+            taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+            picks[taken, t] = n - size + t
+        swaps = draws[:, size:]
+    last = picks.shape[1] - 1
+    for t in range(swaps.shape[1]):
+        # swap position last - t with the drawn position at or below it
+        j = swaps[:, t]
+        drawn = picks[rows, j]
+        picks[rows, j] = picks[:, last - t]
+        picks[:, last - t] = drawn
+    return picks[:, picks.shape[1] - size:]
 
 
 def seeded_rng(seed: int) -> Rng:

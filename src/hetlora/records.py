@@ -107,10 +107,20 @@ def write_jsonl(runs: list[RunResult], path: Path) -> None:
                 f.write(line + "\n")
 
 
+# the fields a record must carry, by record type; a header's "completed"
+# and "failure" are optional
+_FIELDS = {
+    "header": ("seed", "strategy", "initial_eval_loss"),
+    "round": ("seed", "round", "eval_loss", "client_ranks", "down_params",
+              "up_params", "cumulative_params"),
+}
+
+
 def read_jsonl(path: Path) -> list[RunResult]:
     """Parse a record stream. Raises ValueError naming path:line for bad
-    JSON, an unknown schema version or record type, and a round record
-    without its header or out of order."""
+    JSON, a line that is not a JSON object, an unknown schema version or
+    record type, a record missing a field, and a round record without its
+    header or out of order."""
     runs: list[RunResult] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -121,12 +131,21 @@ def read_jsonl(path: Path) -> list[RunResult]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             kind = obj.get("type")
-            if kind == "round" and (not runs or runs[-1].seed != obj["seed"]):
+            if kind == "round" and not runs:
                 raise ValueError(f"{path}:{lineno}: round record without header")
             if obj.get("v") != SCHEMA_VERSION:
                 raise ValueError(
                     f"{path}:{lineno}: unknown schema version {obj.get('v')!r}"
+                )
+            if kind not in _FIELDS:
+                raise ValueError(f"{path}:{lineno}: unknown record type")
+            missing = [name for name in _FIELDS[kind] if name not in obj]
+            if missing:
+                raise ValueError(
+                    f"{path}:{lineno}: {kind} record without field {missing[0]!r}"
                 )
             if kind == "header":
                 runs.append(
@@ -138,26 +157,26 @@ def read_jsonl(path: Path) -> list[RunResult]:
                         failure=obj.get("failure"),
                     )
                 )
-            elif kind == "round":
-                expected = len(runs[-1].records) + 1
-                if obj["round"] != expected:
-                    raise ValueError(
-                        f"{path}:{lineno}: round {obj['round']} where round "
-                        f"{expected} was expected"
-                    )
-                runs[-1].records.append(
-                    RoundRecord(
-                        round_index=obj["round"],
-                        eval_loss=obj["eval_loss"],
-                        client_ranks=tuple(obj["client_ranks"]),
-                        down_params=obj["down_params"],
-                        up_params=obj["up_params"],
-                        cumulative_params=obj["cumulative_params"],
-                        wall_clock=0.0,
-                    )
+                continue
+            if runs[-1].seed != obj["seed"]:
+                raise ValueError(f"{path}:{lineno}: round record without header")
+            expected = len(runs[-1].records) + 1
+            if obj["round"] != expected:
+                raise ValueError(
+                    f"{path}:{lineno}: round {obj['round']} where round "
+                    f"{expected} was expected"
                 )
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown record type")
+            runs[-1].records.append(
+                RoundRecord(
+                    round_index=obj["round"],
+                    eval_loss=obj["eval_loss"],
+                    client_ranks=tuple(obj["client_ranks"]),
+                    down_params=obj["down_params"],
+                    up_params=obj["up_params"],
+                    cumulative_params=obj["cumulative_params"],
+                    wall_clock=0.0,
+                )
+            )
     if not runs:
         raise ValueError(f"{path}: no runs found")
     return runs

@@ -1,13 +1,17 @@
 """The benchmark's traced runs wrap simulator functions by name (see
-bench/tracing.py). A refactor that drops or renames one of those names
-fails here, in the unit suite, rather than in a benchmark run."""
+bench/tracing.py), and its plain-FedAvg replay (bench/checks.py) redraws
+selections and mini-batches step by step. A refactor that drops or renames
+a traced name, or that moves a stream away from the replay, fails here, in
+the unit suite, rather than in a benchmark run. The bench modules are
+loaded read-only, from their files."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 from hetlora import baselines, cli, client, config, harness, linalg, lora, server, tasks
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the objects bench/run.py hands the tracer as owners of the traced names
 OWNERS = {"baselines": baselines, "harness": harness, "client": client,
@@ -15,16 +19,27 @@ OWNERS = {"baselines": baselines, "harness": harness, "client": client,
           "cli": cli, "tasks": tasks}
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    traced = load_tracing().TRACED
+    traced = load_bench("tracing").TRACED
     assert traced
     missing = [f"{owner}.{attr}" for owner, attr, _ in traced
                if owner not in OWNERS or not callable(getattr(OWNERS[owner], attr, None))]
     assert missing == []
+
+
+def test_plain_fedavg_replay_matches_homlora_run():
+    checks = load_bench("checks")
+    # the replay covers the first 5 rounds, which do not depend on the rest
+    cfg = dataclasses.replace(config.load_config("default"), strategy="homlora",
+                              homlora_rank=2, rounds=5)
+    task = tasks.generate_task(dataclasses.replace(cfg.task, seed=0))
+    run = baselines.run_strategy(cfg, 0, task)
+    replayed = checks.fedavg_replay(cfg, task, 0, 5, linalg.seeded_rng)
+    assert checks.check_replay(run, replayed) == []

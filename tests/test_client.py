@@ -11,6 +11,8 @@ from hetlora.client import (
     ClientState,
     LocalTrainConfig,
     TrainingError,
+    _cohort_batches,
+    _cohort_indices,
     _Tails,
     dense_local_train,
     kept_rank,
@@ -485,6 +487,35 @@ class TestCohort:
 SHORT_TASK = generate_task(dataclasses.replace(SPEC, num_clients=6,
                                                samples_per_client=(3, 24, 9, 24, 24, 24),
                                                client_complexity=(1, 2, 3, 4, 2, 1)))
+
+
+class TestCohortBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           batch_size=st.integers(1, 9), local_iters=st.integers(1, 4),
+           round_index=st.integers(0, 500), seed=st.integers(0, 2**32))
+    def test_rows_are_successive_batch_indices(self, sizes, batch_size, local_iters,
+                                               round_index, seed):
+        # each client's batches are those of successive Rng.batch_indices
+        # calls on a fresh (client seed, round) stream, whether it has
+        # fewer samples than a batch, as many or more
+        spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=len(sizes),
+                                 samples_per_client=tuple(sizes), noise_std=0.0,
+                                 client_complexity=1, seed=1, eval_samples=2)
+        task = generate_task(spec)
+        states = [ClientState(id=k, current_rank=1, dataset=data, seed=seed + k)
+                  for k, data in enumerate(task.clients)]
+        cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
+        idx = _cohort_indices(states, cfg, round_index)
+        xs, _, _ = _cohort_batches(states, task.base.w0, cfg, round_index)
+        for j, s in enumerate(states):
+            rng = seeded_rng(s.seed).child("round", round_index)
+            for step in range(local_iters):
+                want = rng.batch_indices(s.dataset.size, batch_size)
+                assert np.array_equal(idx[j, step, : len(want)], want)
+                assert np.array_equal(xs[step, j, : len(want)],
+                                      s.dataset.inputs.array[want])
+                assert not xs[step, j, len(want):].any()
 
 
 class TestLowRankStep:

@@ -254,6 +254,25 @@ class TestRecords:
             read_jsonl(self._edited_stream(tmp_path, swap))
         assert "edited.jsonl:2" in str(e.value) and "round 2" in str(e.value)
 
+    def test_read_rejects_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(to_jsonl_lines(fake_run())[0] + "\n[1, 2]\n")
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert "list.jsonl:2" in str(e.value) and "not a JSON object" in str(e.value)
+
+    def test_read_rejects_header_missing_a_field(self, tmp_path):
+        path = self._edited_stream(tmp_path, lambda lines: lines[0].pop("strategy"))
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert "edited.jsonl:1" in str(e.value) and "'strategy'" in str(e.value)
+
+    def test_read_rejects_round_missing_a_field(self, tmp_path):
+        path = self._edited_stream(tmp_path, lambda lines: lines[2].pop("client_ranks"))
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert "edited.jsonl:3" in str(e.value) and "'client_ranks'" in str(e.value)
+
     def test_read_rejects_missing_round(self, tmp_path):
         with pytest.raises(ValueError) as e:
             read_jsonl(self._edited_stream(tmp_path, lambda lines: lines.pop(2)))
@@ -523,6 +542,16 @@ class TestCli:
         rows = list(csv.reader(report_csv.open()))[1:]
         # target 0.05 is met at round 2: 2 * (down + 90) params
         assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
+
+    def test_report_rejected_stream_exit_code(self, tmp_path, capsys):
+        lines = [json.loads(line) for line in to_jsonl_lines(fake_run())]
+        lines[2]["v"] = 99
+        path = tmp_path / "bad" / "records.jsonl"
+        path.parent.mkdir()
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3" in err and "version" in err and "Traceback" not in err
 
     def test_report_missing_path(self, capsys):
         assert main(["report", "/nonexistent/path.jsonl"]) == 2

@@ -9,6 +9,7 @@ from hetlora.linalg import (
     Matrix,
     NumericError,
     ShapeError,
+    batches_from_draws,
     matmul,
     seeded_rng,
     svd,
@@ -212,3 +213,42 @@ class TestRng:
         idx = rng.batch_indices(10, 4)
         assert len(idx) == 4 == len(set(idx.tolist()))
         assert np.array_equal(rng.batch_indices(3, 8), np.arange(3))
+
+
+def choice_generator(seed):
+    """The generator a fresh seeded_rng(seed) draws from."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+
+
+class TestBatchSampler:
+    """Batches are drawn as bounded integers and turned into index sets by
+    batches_from_draws. They must be Generator.choice(n, size,
+    replace=False)'s, bit for bit, and leave the generator in the state
+    choice leaves it in."""
+
+    def assert_matches_choice(self, seed, n, size, count):
+        want_gen = choice_generator(seed)
+        want = [want_gen.choice(n, size, replace=False) for _ in range(count)]
+        one = seeded_rng(seed)
+        assert all(np.array_equal(one.batch_indices(n, size), w) for w in want)
+        assert one._gen.bit_generator.state == want_gen.bit_generator.state
+        many = seeded_rng(seed)
+        got = batches_from_draws(many.batch_draws(n, size, count), n, size)
+        assert np.array_equal(got, np.array(want))
+        assert many._gen.bit_generator.state == want_gen.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**63), n=st.integers(2, 60), count=st.integers(1, 5),
+           data=st.data())
+    def test_floyd_batches_are_generator_choice(self, seed, n, count, data):
+        self.assert_matches_choice(seed, n, data.draw(st.integers(1, n - 1)), count)
+
+    @pytest.mark.parametrize("n,size", [(10001, 200), (10001, 201), (20000, 401)])
+    def test_large_batches_are_generator_choice(self, n, size):
+        # choice shuffles the tail of range(n) from n > 10000 and size > n // 50
+        self.assert_matches_choice(3, n, size, 2)
+
+    def test_whole_set_draws_nothing(self):
+        rng = seeded_rng(4)
+        assert np.array_equal(rng.batch_indices(5, 5), np.arange(5))
+        assert rng._gen.bit_generator.state == choice_generator(4).bit_generator.state
