@@ -2,7 +2,7 @@
 LoRA adapters on synthetic desk-scale tasks."""
 
 from .config import ExperimentConfig, load_config
-from .linalg import Matrix, Rng, SvdResult, seeded_rng
+from .linalg import Matrix, Rng, seeded_rng
 from .lora import LoraPair
 from .records import RoundRecord, RunResult, rounds_to_target
 from .tasks import SyntheticTask, SyntheticTaskSpec, generate_task
@@ -14,7 +14,6 @@ __all__ = [
     "Rng",
     "RoundRecord",
     "RunResult",
-    "SvdResult",
     "SyntheticTask",
     "SyntheticTaskSpec",
     "generate_task",

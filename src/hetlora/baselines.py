@@ -28,7 +28,7 @@ from .client import (
     dense_local_train,
     local_train,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd, truncate
 from .records import RoundRecord, RunResult
@@ -40,17 +40,12 @@ from .server import (
     distribute,
     select_clients,
 )
-from .tasks import SyntheticTask, dense_loss, generate_task, loss
+from .tasks import OVERFLOW_HINT, SyntheticTask, dense_loss, generate_task, loss
 
 
 def lora_params(rank: int, d: int, l: int) -> int:
     """Parameters communicated one way for a rank-r adapter."""
     return rank * (d + l)
-
-
-def lora_param_fraction(rank: int, d: int, l: int) -> float:
-    """Adapter size relative to the dense base weight: r(d+l) / (d*l)."""
-    return lora_params(rank, d, l) / (d * l)
 
 
 def _client_seed(run_seed: int, client_id: int) -> int:
@@ -186,7 +181,7 @@ class _ReconSvd(_DenseServer):
 
     def hand_out(self, k: int) -> LoraPair:
         if self.pair is None:
-            self.pair = refactor_svd(Matrix._wrap(self.dense), self.rank)
+            self.pair = refactor_svd(self.dense, self.rank)
         return truncate(self.pair, self.clients[k].current_rank)
 
     def aggregate(self, updates: list[tuple[int, LoraPair]]) -> None:
@@ -209,12 +204,16 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                 strategy: _Strategy) -> RunResult:
     """The round loop every strategy shares.
 
+    A non-finite initial eval loss is a ConfigError, raised before round 1.
     A client's local divergence, a non-finite value met by the server, or
     a non-finite eval loss ends the run as incomplete; the round it
     happened in is not recorded.
     """
-    run = RunResult(seed=run_seed, strategy=strategy.tag,
-                    initial_eval_loss=strategy.evaluate())
+    initial = strategy.evaluate()
+    if not math.isfinite(initial):
+        raise ConfigError(f"seed {run_seed}: initial eval loss is {initial}; "
+                          f"{OVERFLOW_HINT}")
+    run = RunResult(seed=run_seed, strategy=strategy.tag, initial_eval_loss=initial)
     cumulative = 0
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
@@ -250,15 +249,18 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
 
 def run_strategy(cfg: ExperimentConfig, run_seed: int,
                  task: SyntheticTask | None = None) -> RunResult:
-    """Run cfg.strategy on one seed; the task is regenerated with the run
-    seed unless supplied."""
+    """Run cfg.strategy on one seed, on the task supplied or else on one
+    generated with the run seed (a ConfigError if it cannot be)."""
     if task is None:
-        task = generate_task(replace(cfg.task, seed=run_seed))
+        try:
+            task = generate_task(replace(cfg.task, seed=run_seed))
+        except ValueError as exc:
+            raise ConfigError(f"seed {run_seed}: {exc}") from None
     n = task.spec.num_clients
     plain = LocalTrainConfig(local_iters=cfg.local_iters, batch_size=cfg.batch_size,
                              learning_rate=cfg.learning_rate)
     if cfg.strategy in ("hetlora", "recon_svd"):
-        ranks = assign_ranks(n, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed).ranks
+        ranks = assign_ranks(n, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed)
     if cfg.strategy == "hetlora":
         lcfg = replace(plain, reg_weight=cfg.reg_weight, decay=cfg.decay)
         strategy = _FactorServer("hetlora", cfg, task, run_seed, ranks, lcfg,

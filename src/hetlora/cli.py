@@ -179,31 +179,19 @@ def cmd_report(args) -> int:
             return 2
         target = _target_for(runs, args)
         hits = [rounds_to_target(r, target) for r in runs]
-        finals = [r.final_eval_loss for r in runs]
-        comms = []
-        for r, h in zip(runs, hits):
-            if h is None:
-                comms.append(None)
-            elif h == 0:
-                comms.append(0)
-            else:
-                comms.append(r.records[h - 1].cumulative_params)
-        label = path.parent.name if path.parent.name else path.stem
-        rows.append(
-            {
-                "label": label,
-                "strategy": runs[0].strategy,
-                "final_mean": statistics.fmean(finals),
-                "final_std": statistics.stdev(finals) if len(finals) > 1 else 0.0,
-                "rounds_to_target": "/".join(
-                    "X" if h is None else str(h) for h in hits
-                ),
-                "comm_to_target": (
-                    statistics.fmean(comms) if None not in comms else None
-                ),
-                "target": target,
-            }
-        )
+        # the params a run had spent when it met the target, 0 at round 0
+        comms = [None if h is None else r.records[h - 1].cumulative_params if h else 0
+                 for r, h in zip(runs, hits)]
+        s = summarize(runs)
+        rows.append({
+            "label": path.parent.name if path.parent.name else path.stem,
+            "strategy": s["strategy"],
+            "final_mean": s["final_eval_loss_mean"],
+            "final_std": s["final_eval_loss_std"],
+            "rounds_to_target": "/".join("X" if h is None else str(h) for h in hits),
+            "comm_to_target": statistics.fmean(comms) if None not in comms else None,
+            "target": target,
+        })
 
     # ratios need a single full_ft baseline; with none or several, print
     # absolute params

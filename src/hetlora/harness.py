@@ -17,12 +17,11 @@ from pathlib import Path
 
 from .baselines import run_strategy
 from .config import LEARNING_RATE_GRID, ExperimentConfig
-from .records import RunResult, rounds_to_target, write_jsonl, write_summary_csv
+from .records import RunResult, write_jsonl, write_summary_csv
 
 __all__ = [
     "run_experiment",
     "select_learning_rate",
-    "rounds_to_target",
     "write_outputs",
     "summarize",
 ]

@@ -1,17 +1,15 @@
-"""Dense linear algebra kernels and seeded randomness for the simulator.
+"""Dense matrices, the top-k SVD and seeded randomness for the simulator.
 
-Everything numeric downstream goes through the immutable :class:`Matrix`
-wrapper (float64 numpy storage, finiteness enforced on construction) and
-the :class:`Rng` stream. Keeping this surface small makes determinism and
-bit-stability easy to audit: there is exactly one RNG implementation and
-one place where non-finite values can be rejected.
+Matrices are held in the read-only :class:`Matrix`, and all randomness
+comes from the one :class:`Rng` stream, which keeps determinism and
+bit-stability easy to audit. Finiteness is checked where values enter the
+program or change (see README), not on every Matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,27 +23,18 @@ class NumericError(RuntimeError):
 
 
 class Matrix:
-    """Immutable dense 2-D real matrix (row-major float64).
+    """Read-only dense 2-D real matrix (row-major float64).
 
-    Instances are safe to share across threads; every operation in this
-    module is a pure function returning a new Matrix. Construction fails
-    with :class:`NumericError` if any entry is NaN or infinite.
+    Matrix(data) copies data from outside the program and fails with
+    :class:`ShapeError` unless it is 2-D and non-empty, and with
+    :class:`NumericError` if any entry is NaN or infinite. The simulator
+    holds its own results with Matrix._wrap, which checks nothing.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, data, rows: int | None = None, cols: int | None = None):
+    def __init__(self, data):
         a = np.array(data, dtype=np.float64)
-        if rows is not None or cols is not None:
-            if rows is None or cols is None:
-                raise ShapeError("rows and cols must be given together")
-            if rows <= 0 or cols <= 0:
-                raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
-            if a.ndim != 1 or a.size != rows * cols:
-                raise ShapeError(
-                    f"flat data of length {a.size} does not fill {rows}x{cols}"
-                )
-            a = a.reshape(rows, cols)
         if a.ndim != 2:
             raise ShapeError(f"expected 2-D data, got ndim={a.ndim}")
         if a.shape[0] == 0 or a.shape[1] == 0:
@@ -57,13 +46,10 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Matrix":
-        # internal fast path: trusts shape, still validates finiteness
+        # the simulator's own values: made contiguous and read-only, unchecked
         m = object.__new__(cls)
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if not np.isfinite(a).all():
-            raise NumericError("matrix entries must be finite")
-        a.setflags(write=False)
-        m._a = a
+        m._a = np.ascontiguousarray(a, dtype=np.float64)
+        m._a.setflags(write=False)
         return m
 
     @classmethod
@@ -85,53 +71,21 @@ class Matrix:
         """Read-only numpy view of the entries."""
         return self._a
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(
-            np.array_equal(self._a, other._a)
-        )
 
-    def __hash__(self):
-        return hash((self._a.shape, self._a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Top-k singular triplets: u (d x k), singular_values (len k, non-increasing),
-    vt (k x l)."""
-
-    u: Matrix
-    singular_values: tuple[float, ...]
-    vt: Matrix
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix._wrap(a.array @ b.array)
-
-
-def svd(m: Matrix, k: int) -> SvdResult:
-    """Top-k singular value decomposition of m.
+def svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k singular triplets of m: u (d x k), the singular values (k,
+    non-increasing) and vt (k x l).
 
     The reconstruction u @ diag(s) @ vt is the best rank-k approximation of
     m in Frobenius norm.
     """
-    if not 1 <= k <= min(m.rows, m.cols):
-        raise ShapeError(f"k={k} out of range for {m.rows}x{m.cols}")
+    if not 1 <= k <= min(m.shape):
+        raise ShapeError(f"k={k} out of range for {m.shape[0]}x{m.shape[1]}")
     try:
-        u, s, vt = np.linalg.svd(m.array, full_matrices=False)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare at desk scale
         raise NumericError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(
-        u=Matrix._wrap(u[:, :k]),
-        singular_values=tuple(float(x) for x in s[:k]),
-        vt=Matrix._wrap(vt[:k, :]),
-    )
+    return u[:, :k], s[:k], vt[:k]
 
 
 @functools.cache

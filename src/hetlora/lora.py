@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, NumericError, matmul, svd
+from .linalg import Matrix, NumericError, svd
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,8 @@ def truncate(p: LoraPair, r_new: int) -> LoraPair:
         raise ValueError(f"r_new={r_new} out of range [1, {p.rank}]")
     if r_new == p.rank:
         return p
-    return LoraPair(
-        b=Matrix._wrap(p.b.array[:, :r_new].copy()),
-        a=Matrix._wrap(p.a.array[:r_new, :].copy()),
-    )
+    return LoraPair(b=Matrix._wrap(p.b.array[:, :r_new]),
+                    a=Matrix._wrap(p.a.array[:r_new, :]))
 
 
 def zero_pad(p: LoraPair, r_target: int) -> LoraPair:
@@ -68,7 +66,7 @@ def zero_pad(p: LoraPair, r_target: int) -> LoraPair:
 
 def reconstruct(p: LoraPair) -> Matrix:
     """The dense d x l update b @ a."""
-    return matmul(p.b, p.a)
+    return Matrix._wrap(p.b.array @ p.a.array)
 
 
 def sparsity_score(p: LoraPair) -> float:
@@ -91,7 +89,8 @@ def aggregate_pairs(pairs: list[LoraPair], weights: list[float]) -> LoraPair:
 
     Aggregation happens on the factors, not on reconstructed products; the
     reconstruction of the result therefore contains all cross-client
-    factor products.
+    factor products. Raises NumericError for non-finite weights, and for
+    a weighted sum that overflows.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -110,10 +109,12 @@ def aggregate_pairs(pairs: list[LoraPair], weights: list[float]) -> LoraPair:
     for p, wk in zip(pairs, w):
         b_acc[:, : p.rank] += wk * p.b.array
         a_acc[: p.rank, :] += wk * p.a.array
+    if not (np.isfinite(b_acc).all() and np.isfinite(a_acc).all()):
+        raise NumericError("aggregated factors are not finite")
     return LoraPair(b=Matrix._wrap(b_acc), a=Matrix._wrap(a_acc))
 
 
-def refactor_svd(delta: Matrix, r: int) -> LoraPair:
+def refactor_svd(delta: np.ndarray, r: int) -> LoraPair:
     """Factor the best rank-r approximation of delta into an adapter pair.
 
     Each factor carries the square roots of the singular values, so the two
@@ -121,8 +122,6 @@ def refactor_svd(delta: Matrix, r: int) -> LoraPair:
     rank the result does not depend on r: truncating the refactoring at
     rank R to r < R gives exactly the refactoring at r.
     """
-    res = svd(delta, r)
-    root = np.sqrt(np.asarray(res.singular_values))
-    b = res.u.array * root
-    a = root[:, None] * res.vt.array
-    return LoraPair(b=Matrix._wrap(b), a=Matrix._wrap(a))
+    u, s, vt = svd(delta, r)
+    root = np.sqrt(s)
+    return LoraPair(b=Matrix._wrap(u * root), a=Matrix._wrap(root[:, None] * vt))

@@ -107,20 +107,33 @@ def write_jsonl(runs: list[RunResult], path: Path) -> None:
                 f.write(line + "\n")
 
 
-# the fields a record must carry, by record type; a header's "completed"
-# and "failure" are optional
+# the fields of a record, by record type, with their JSON types; a header's
+# "completed" and "failure" are optional
 _FIELDS = {
-    "header": ("seed", "strategy", "initial_eval_loss"),
-    "round": ("seed", "round", "eval_loss", "client_ranks", "down_params",
-              "up_params", "cumulative_params"),
+    "header": {"seed": int, "strategy": str, "initial_eval_loss": float,
+               "completed": bool, "failure": (str, type(None))},
+    "round": {"seed": int, "round": int, "eval_loss": float, "client_ranks": list,
+              "down_params": int, "up_params": int, "cumulative_params": int},
 }
+_OPTIONAL = ("completed", "failure")
+
+
+def _typed(value, want) -> bool:
+    # a bool is no int, a float may be written as an int, a list holds ints
+    if isinstance(value, bool):
+        return want is bool
+    if want is float:
+        return isinstance(value, (int, float))
+    if want is list:
+        return isinstance(value, list) and all(_typed(v, int) for v in value)
+    return isinstance(value, want)
 
 
 def read_jsonl(path: Path) -> list[RunResult]:
     """Parse a record stream. Raises ValueError naming path:line for bad
     JSON, a line that is not a JSON object, an unknown schema version or
-    record type, a record missing a field, and a round record without its
-    header or out of order."""
+    record type, a record missing a field or with a field of the wrong
+    type, and a round record without its header or out of order."""
     runs: list[RunResult] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -142,11 +155,13 @@ def read_jsonl(path: Path) -> list[RunResult]:
                 )
             if kind not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown record type")
-            missing = [name for name in _FIELDS[kind] if name not in obj]
-            if missing:
-                raise ValueError(
-                    f"{path}:{lineno}: {kind} record without field {missing[0]!r}"
-                )
+            for name, want in _FIELDS[kind].items():
+                if name not in obj and name not in _OPTIONAL:
+                    raise ValueError(
+                        f"{path}:{lineno}: {kind} record without field {name!r}")
+                if name in obj and not _typed(obj[name], want):
+                    raise ValueError(f"{path}:{lineno}: {kind} field {name!r} has "
+                                     f"the wrong type: {obj[name]!r}")
             if kind == "header":
                 runs.append(
                     RunResult(

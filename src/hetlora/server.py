@@ -25,11 +25,6 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RankAssignment:
-    ranks: tuple[int, ...]  # initial per-client ranks, each in [r_min, r_max]
-
-
-@dataclass(frozen=True)
 class ServerState:
     global_pair: LoraPair
     round_index: int
@@ -46,8 +41,8 @@ class ServerState:
 
 
 def assign_ranks(num_clients: int, r_min: int, r_max: int, alpha: float,
-                 seed: int) -> RankAssignment:
-    """Sample per-client ranks i.i.d. from pmf(r) proportional to
+                 seed: int) -> tuple[int, ...]:
+    """Initial per-client ranks, sampled i.i.d. from pmf(r) proportional to
     r^(alpha - 1) on [r_min, r_max] inclusive.
 
     Small alpha skews the distribution toward small ranks; alpha = 1 is
@@ -60,10 +55,9 @@ def assign_ranks(num_clients: int, r_min: int, r_max: int, alpha: float,
     support = np.arange(r_min, r_max + 1)
     weights = support.astype(np.float64) ** (alpha - 1.0)
     rng = seeded_rng(seed).child("rank-assignment")
-    ranks = tuple(
+    return tuple(
         int(support[rng.sample_discrete(weights)]) for _ in range(num_clients)
     )
-    return RankAssignment(ranks=ranks)
 
 
 def select_clients(num_clients: int, num_selected: int, round_index: int,

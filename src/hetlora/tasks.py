@@ -20,6 +20,9 @@ import numpy as np
 from .linalg import Matrix, Rng, seeded_rng
 from .lora import LoraPair
 
+# what to change when a task's values or its initial eval loss overflow
+OVERFLOW_HINT = "lower task.target_norm or task.noise_std"
+
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
@@ -130,6 +133,8 @@ def _resolve_complexities(spec: SyntheticTaskSpec, rng: Rng) -> tuple[int, ...]:
     return ranks
 
 
+# overflow is reported by the finiteness check, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     """Build a reproducible task from the spec's seed.
 
@@ -137,7 +142,7 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     geometric singular spectrum, scaled to target_norm in Frobenius norm,
     so the initial held-out loss is 0.5 * target_norm^2. Eval targets are
     noiseless, so held-out loss measures the squared recovery error of the
-    update directly.
+    update directly. Raises ValueError if a generated value is not finite.
     """
     root = seeded_rng(spec.seed)
     w0 = root.child("base").gaussian(spec.d, spec.l, std=1.0 / np.sqrt(spec.l))
@@ -147,7 +152,6 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     sigma = spec.target_spectrum_decay ** np.arange(spec.true_rank)
     delta = (left * sigma) @ right.T
     delta *= spec.target_norm / np.linalg.norm(delta)
-    target = Matrix._wrap(delta)
 
     complexities = _resolve_complexities(spec, root.child("complexity"))
     counts = spec.sample_counts()
@@ -167,25 +171,26 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
             y = y + crng.normal_array((counts[k], spec.d), std=spec.noise_std)
         pool_x[starts[k]:starts[k + 1]] = x
         pool_y[starts[k]:starts[k + 1]] = y
+
+    er = root.child("eval")
+    ex = er.normal_array((spec.eval_samples, spec.l))
+    ey = ex @ w_full.T
+    if not all(np.isfinite(v).all() for v in (w0.array, delta, pool_x, pool_y, ex, ey)):
+        raise ValueError(f"task values are not finite; {OVERFLOW_HINT}")
+
     pool = ClientDataset(inputs=Matrix._wrap(pool_x), targets=Matrix._wrap(pool_y))
     clients = [
         ClientDataset(inputs=Matrix._wrap(pool_x[start:end]),
                       targets=Matrix._wrap(pool_y[start:end]), pool=pool, start=start)
         for start, end in zip(starts, starts[1:])
     ]
-
-    er = root.child("eval")
-    ex = er.normal_array((spec.eval_samples, spec.l))
-    ey = ex @ w_full.T
-    eval_set = ClientDataset(inputs=Matrix._wrap(ex), targets=Matrix._wrap(ey))
-
     return SyntheticTask(
         spec=spec,
         base=FrozenBaseModel(w0=w0),
-        target_delta=target,
+        target_delta=Matrix._wrap(delta),
         clients=tuple(clients),
         complexities=complexities,
-        eval_set=eval_set,
+        eval_set=ClientDataset(inputs=Matrix._wrap(ex), targets=Matrix._wrap(ey)),
     )
 
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hetlora import lora
-from hetlora.baselines import lora_param_fraction, lora_params, run_strategy
+from hetlora import baselines, lora, server
+from hetlora.baselines import lora_params, run_strategy
 from hetlora.config import ExperimentConfig
-from hetlora.records import to_jsonl_lines
+from hetlora.linalg import Matrix
+from hetlora.lora import LoraPair
+from hetlora.records import read_jsonl, to_jsonl_lines, write_jsonl
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 
 SPEC = SyntheticTaskSpec(d=12, l=8, true_rank=4, num_clients=10,
@@ -36,10 +38,11 @@ class TestParamAccounting:
         assert lora_params(16, 64, 32) == 1536
 
     def test_param_fraction_exact(self):
+        # adapter size relative to the dense base weight: r(d+l) / (d*l)
         for r in (1, 2, 8, 16):
             want = Fraction(r * (64 + 32), 64 * 32)
-            assert lora_param_fraction(r, 64, 32) == float(want)
-        assert lora_param_fraction(1, 64, 32) == 0.046875
+            assert lora_params(r, 64, 32) / (64 * 32) == float(want)
+        assert lora_params(1, 64, 32) / (64 * 32) == 0.046875
 
     def test_homlora_per_round_comm(self):
         cfg = tiny_cfg()
@@ -202,3 +205,21 @@ class TestRoundLoop:
         assert all(math.isfinite(r.eval_loss) for r in run.records)
         assert [r.round_index for r in run.records] == list(
             range(1, len(run.records) + 1))
+
+    def test_overflowing_aggregate_ends_run_with_readable_stream(self, monkeypatch,
+                                                                 tmp_path):
+        # every client returns finite factors of 1e308, and unit weights
+        # make their sum overflow in round 1
+        def huge(states, received, w0, cfg, round_index):
+            return [LoraPair(Matrix(np.full((p.d, p.rank), 1e308)),
+                             Matrix(np.full((p.rank, p.l), 1e308))) for p in received]
+
+        monkeypatch.setattr(baselines, "local_train", huge)
+        monkeypatch.setattr(server, "aggregation_weights",
+                            lambda pairs, aggregation: [1.0] * len(pairs))
+        run = run_strategy(tiny_cfg(), 0, generate_task(SPEC))
+        assert not run.completed and run.records == []
+        assert run.failure == "round 1: aggregated factors are not finite"
+        write_jsonl([run], tmp_path / "r.jsonl")
+        back = read_jsonl(tmp_path / "r.jsonl")
+        assert to_jsonl_lines(back[0]) == to_jsonl_lines(run)

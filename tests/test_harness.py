@@ -4,6 +4,7 @@ import bisect
 import csv
 import dataclasses
 import json
+import re
 import threading
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlora import harness
+from hetlora import baselines, harness
 from hetlora.cli import main
 from hetlora.config import (
     ConfigError,
@@ -273,6 +274,21 @@ class TestRecords:
             read_jsonl(path)
         assert "edited.jsonl:3" in str(e.value) and "'client_ranks'" in str(e.value)
 
+    # a round's "client_ranks": 5 and "eval_loss": "x" are in
+    # TestCli::test_report_rejected_stream_exit_code
+    @pytest.mark.parametrize("line,field,value", [
+        (0, "seed", "0"), (0, "initial_eval_loss", None), (0, "completed", 1),
+        (0, "failure", 3), (1, "client_ranks", [2, 3.5]), (2, "round", True),
+        (2, "up_params", 9.0),
+    ])
+    def test_read_rejects_field_of_wrong_type(self, tmp_path, line, field, value):
+        path = self._edited_stream(tmp_path,
+                                   lambda lines: lines[line].update({field: value}))
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert f"edited.jsonl:{line + 1}" in str(e.value)
+        assert repr(field) in str(e.value)
+
     def test_read_rejects_missing_round(self, tmp_path):
         with pytest.raises(ValueError) as e:
             read_jsonl(self._edited_stream(tmp_path, lambda lines: lines.pop(2)))
@@ -465,6 +481,25 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("key,value", [("target_norm", "1e300"),
+                                           ("noise_std", "1e308")])
+    def test_overflowing_task_exits_2_before_round_1(self, tmp_path, capsys,
+                                                    monkeypatch, key, value):
+        # 1e300 overflows the initial eval loss, 1e308 the clients' targets
+        text = (ROOT / "configs" / "smoke.cfg").read_text()
+        bad = tmp_path / "overflow.cfg"
+        bad.write_text(re.sub(rf"^task\.{key} = .*$", f"task.{key} = {value}", text,
+                              flags=re.M))
+        assert f"task.{key} = {value}\n" in bad.read_text()
+        monkeypatch.setattr(baselines, "select_clients", None)  # round 1 would raise
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "task.target_norm" in err and "task.noise_std" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["run", "--seed", "0,a"], "--seed"),
         (["run", "--seed", ""], "--seed"),
@@ -544,14 +579,17 @@ class TestCli:
         assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
 
     def test_report_rejected_stream_exit_code(self, tmp_path, capsys):
-        lines = [json.loads(line) for line in to_jsonl_lines(fake_run())]
-        lines[2]["v"] = 99
-        path = tmp_path / "bad" / "records.jsonl"
-        path.parent.mkdir()
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-        assert main(["report", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}:3" in err and "version" in err and "Traceback" not in err
+        for n, (edit, why) in enumerate([({"v": 99}, "version"),
+                                         ({"client_ranks": 5}, "'client_ranks'"),
+                                         ({"eval_loss": "x"}, "'eval_loss'")]):
+            lines = [json.loads(line) for line in to_jsonl_lines(fake_run())]
+            lines[2].update(edit)
+            path = tmp_path / f"bad{n}" / "records.jsonl"
+            path.parent.mkdir()
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+            assert main(["report", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:3" in err and why in err and "Traceback" not in err
 
     def test_report_missing_path(self, capsys):
         assert main(["report", "/nonexistent/path.jsonl"]) == 2

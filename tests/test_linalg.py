@@ -10,14 +10,9 @@ from hetlora.linalg import (
     NumericError,
     ShapeError,
     batches_from_draws,
-    matmul,
     seeded_rng,
     svd,
 )
-
-
-def random_matrix(rng, rows, cols, scale_=1.0):
-    return Matrix(rng.standard_normal((rows, cols)) * scale_)
 
 
 class TestMatrixConstruction:
@@ -26,18 +21,11 @@ class TestMatrixConstruction:
         assert (m.rows, m.cols) == (2, 2)
         assert m.array[1, 0] == 3.0
 
-    def test_from_flat_row_major(self):
-        m = Matrix([1, 2, 3, 4, 5, 6], rows=2, cols=3)
-        assert m.array[0, 2] == 3.0
-        assert m.array[1, 0] == 4.0
-
-    def test_flat_requires_both_dims(self):
-        with pytest.raises(ShapeError):
-            Matrix([1, 2, 3], rows=3)
-
-    def test_flat_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            Matrix([1, 2, 3], rows=2, cols=2)
+    def test_copies_its_input(self):
+        data = np.ones((2, 3))
+        m = Matrix(data)
+        data[0, 0] = 5.0
+        assert m.array[0, 0] == 1.0
 
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
@@ -58,12 +46,13 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
-    def test_equality_and_hash(self):
-        a = Matrix([[1.0, 2.0]])
-        b = Matrix([[1.0, 2.0]])
-        c = Matrix([[1.0, 3.0]])
-        assert a == b and hash(a) == hash(b)
-        assert a != c
+    def test_wrap_makes_a_contiguous_read_only_array(self):
+        # the simulator's own values: a column slice is copied, and nothing
+        # is checked
+        m = Matrix._wrap(np.arange(12.0).reshape(3, 4)[:, :2])
+        assert m.array.flags.c_contiguous and not m.array.flags.writeable
+        assert np.array_equal(m.array, [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]])
+        assert Matrix._wrap(np.array([[np.inf]])).rows == 1
 
     def test_zeros(self):
         assert np.array_equal(Matrix.zeros(3, 4).array, np.zeros((3, 4)))
@@ -73,94 +62,80 @@ class TestMatrixConstruction:
 
 class TestArithmetic:
     def test_matmul_against_naive_loop(self):
+        # the product the simulator takes of two holders' entries, kept as
+        # its own result through Matrix._wrap (as lora.reconstruct does)
         rng = np.random.default_rng(7)
-        a = random_matrix(rng, 3, 4)
-        b = random_matrix(rng, 4, 2)
-        got = matmul(a, b).array
+        a = Matrix(rng.standard_normal((3, 4)))
+        b = Matrix(rng.standard_normal((4, 2)))
+        got = Matrix._wrap(a.array @ b.array)
         want = np.zeros((3, 2))
         for i in range(3):
             for j in range(2):
                 for k in range(4):
                     want[i, j] += a.array[i, k] * b.array[k, j]
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_matmul_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_matmul_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_matrix(rng, 3, 4)
-        b = random_matrix(rng, 4, 5)
-        c = random_matrix(rng, 5, 2)
-        left = matmul(matmul(a, b), c).array
-        right = matmul(a, matmul(b, c)).array
-        assert np.max(np.abs(left - right)) < 1e-10
+        assert (got.rows, got.cols) == (3, 2)
+        assert np.allclose(got.array, want, atol=1e-12)
 
 
 class TestFrobeniusAndSvd:
     def test_three_four_five(self):
         # a row vector's only singular value is its Euclidean norm
-        assert abs(svd(Matrix([[3.0, 4.0]]), 1).singular_values[0] - 5.0) < 1e-12
+        assert abs(svd(np.array([[3.0, 4.0]]), 1)[1][0] - 5.0) < 1e-12
 
     def test_equals_singular_value_norm(self):
-        rng = np.random.default_rng(11)
-        m = random_matrix(rng, 6, 6)
-        s = np.array(svd(m, 6).singular_values)
-        assert abs(np.linalg.norm(m.array) - np.sqrt((s**2).sum())) < 1e-8
+        m = np.random.default_rng(11).standard_normal((6, 6))
+        _, s, _ = svd(m, 6)
+        assert abs(np.linalg.norm(m) - np.sqrt((s**2).sum())) < 1e-8
 
     def test_svd_reconstructs(self):
-        rng = np.random.default_rng(5)
-        m = random_matrix(rng, 5, 4)
-        res = svd(m, 4)
-        rebuilt = res.u.array @ np.diag(res.singular_values) @ res.vt.array
-        assert np.allclose(rebuilt, m.array, atol=1e-10)
+        m = np.random.default_rng(5).standard_normal((5, 4))
+        u, s, vt = svd(m, 4)
+        assert (u.shape, s.shape, vt.shape) == ((5, 4), (4,), (4, 4))
+        assert np.allclose(u @ np.diag(s) @ vt, m, atol=1e-10)
 
     def test_singular_values_non_increasing(self):
-        rng = np.random.default_rng(3)
-        s = svd(random_matrix(rng, 6, 5), 5).singular_values
+        _, s, _ = svd(np.random.default_rng(3).standard_normal((6, 5)), 5)
         assert all(s[i] >= s[i + 1] - 1e-12 for i in range(len(s) - 1))
 
     def test_best_rank_k_approximation(self):
         # the truncated SVD beats 100 random rank-k candidates
         rng = np.random.default_rng(21)
-        m = random_matrix(rng, 8, 6)
+        m = rng.standard_normal((8, 6))
         k = 2
-        res = svd(m, k)
-        best = res.u.array * np.array(res.singular_values) @ res.vt.array
-        best_err = np.linalg.norm(m.array - best)
+        u, s, vt = svd(m, k)
+        best_err = np.linalg.norm(m - u * s @ vt)
         for _ in range(100):
             b = rng.standard_normal((8, k))
             a = rng.standard_normal((k, 6))
             # least-squares polish of one factor to make candidates non-trivial
-            a = np.linalg.lstsq(b, m.array, rcond=None)[0]
-            assert best_err <= np.linalg.norm(m.array - b @ a) + 1e-12
+            a = np.linalg.lstsq(b, m, rcond=None)[0]
+            assert best_err <= np.linalg.norm(m - b @ a) + 1e-12
 
     def test_k_out_of_range(self):
         with pytest.raises(ShapeError):
-            svd(Matrix.zeros(3, 3), 4)
+            svd(np.zeros((3, 3)), 4)
         with pytest.raises(ShapeError):
-            svd(Matrix.zeros(3, 3), 0)
+            svd(np.zeros((3, 3)), 0)
+
+
+def same(x: Matrix, y: Matrix) -> bool:
+    return np.array_equal(x.array, y.array)
 
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = seeded_rng(42).gaussian(3, 4)
-        b = seeded_rng(42).gaussian(3, 4)
-        assert a == b
+        assert same(seeded_rng(42).gaussian(3, 4), seeded_rng(42).gaussian(3, 4))
 
     def test_different_seeds_differ(self):
-        assert seeded_rng(1).gaussian(3, 4) != seeded_rng(2).gaussian(3, 4)
+        assert not same(seeded_rng(1).gaussian(3, 4), seeded_rng(2).gaussian(3, 4))
 
     def test_child_streams_are_reproducible_and_distinct(self):
         root = seeded_rng(9)
         x = root.child("client", 3).gaussian(2, 2)
         y = seeded_rng(9).child("client", 3).gaussian(2, 2)
         z = seeded_rng(9).child("client", 4).gaussian(2, 2)
-        assert x == y
-        assert x != z
+        assert same(x, y)
+        assert not same(x, z)
 
     def test_child_key_types(self):
         with pytest.raises(TypeError):
@@ -173,7 +148,7 @@ class TestRng:
         r1.gaussian(4, 4)
         a = r1.child("x").gaussian(2, 2)
         b = seeded_rng(7).child("x").gaussian(2, 2)
-        assert a == b
+        assert same(a, b)
 
     def test_gaussian_std(self):
         m = seeded_rng(0).gaussian(200, 200, std=0.5)

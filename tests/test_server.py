@@ -45,16 +45,16 @@ class TestAssignRanks:
         a1 = assign_ranks(50, 2, 16, 0.1, seed=5)
         a2 = assign_ranks(50, 2, 16, 0.1, seed=5)
         assert a1 == a2
-        assert all(2 <= r <= 16 for r in a1.ranks)
-        assert len(a1.ranks) == 50
+        assert all(2 <= r <= 16 for r in a1)
+        assert len(a1) == 50
 
     def test_small_alpha_skews_low(self):
-        ranks = assign_ranks(2000, 2, 16, 0.1, seed=0).ranks
+        ranks = assign_ranks(2000, 2, 16, 0.1, seed=0)
         uniform_mean = (2 + 16) / 2
         assert float(np.mean(ranks)) < uniform_mean - 1.0
 
     def test_alpha_one_is_uniform(self):
-        ranks = assign_ranks(4000, 1, 4, 1.0, seed=0).ranks
+        ranks = assign_ranks(4000, 1, 4, 1.0, seed=0)
         freqs = np.bincount(ranks, minlength=5)[1:5] / 4000
         assert np.max(np.abs(freqs - 0.25)) < 0.03
 
@@ -64,7 +64,7 @@ class TestAssignRanks:
         support = np.arange(2, 9)
         want = support.astype(float) ** (alpha - 1)
         want /= want.sum()
-        ranks = assign_ranks(8000, 2, 8, alpha, seed=1).ranks
+        ranks = assign_ranks(8000, 2, 8, alpha, seed=1)
         freqs = np.bincount(ranks, minlength=9)[2:9] / 8000
         assert np.max(np.abs(freqs - want)) < 0.03
 
