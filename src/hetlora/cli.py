@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _parse_int_list, load_config
-from .harness import run_experiment, select_learning_rate, summarize, write_outputs
-from .records import RunResult, read_jsonl, rounds_to_target
+from .harness import run_experiment, select_learning_rate, write_outputs
+from .records import RunResult, read_jsonl, rounds_to_target, summarize
 
 GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
 

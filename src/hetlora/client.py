@@ -16,9 +16,10 @@ in the cohort. A client's batches of a round are drawn with one call on
 its (client seed, round) stream and turned into index sets for the whole
 cohort at once; the indices, and the stream, are bit for bit those of one
 Generator.choice(n, batch_size, replace=False) per step (see
-linalg.batches_from_draws). The regulariser's gradient is added at the
-tail entries alone, and a cohort in which no client can have a tail
-(decay 1, or every rank 1) keeps no tail bookkeeping.
+linalg.batches_from_draws). The tails are indexed once, as (client,
+rank) pairs through which the tail norms, the regulariser's gradient and
+the prune test all read the factors. A cohort in which no client can
+have a tail (decay 1, or every rank 1) keeps no tail index.
 
 A step works on the factors alone: the base residuals x w0' - y of all
 the round's batch rows are computed once, and each step's gradients go
@@ -89,49 +90,29 @@ def tail_block_norm(p: LoraPair, decay: float) -> float:
 
 class _Tails:
     """Each client's tail ranks [kept_rank(r_k), r_k) in a cohort's stacked
-    factors, b (m x d x width) and a (m x width x l)."""
+    factors, as one list of (client, rank) pairs, client by client."""
 
-    def __init__(self, ranks, decay: float, d: int, width: int):
-        ranks = np.asarray(ranks)
-        m = len(ranks)
-        self.keep = np.array([kept_rank(int(r), decay) for r in ranks])
-        self.present = self.keep < ranks
-        # each tail's ranks, padded up to the widest tail; `live` zeroes the
-        # padding
-        j = np.arange(max(1, int((ranks - self.keep).max())))
-        cols = np.minimum(self.keep[:, None] + j, width - 1)
-        live = j < (ranks - self.keep)[:, None]
-        # (client, rank) of every tail rank, client by client
-        self.client, at = live.nonzero()
-        self.rank = cols[self.client, at]
-        live = live.astype(np.float64)
-        # flat indices of the tail entries of b and a, client by client,
-        # row by row (the order np.linalg.norm reads a tail block in)
-        b_rows = np.arange(m)[:, None, None] * d + np.arange(d)[:, None]
-        self._b_at = (b_rows * width + cols[:, None, :]).reshape(m, -1)
-        self._b_live = np.broadcast_to(live[:, None, :], (m, d, len(j))).reshape(m, -1)
-        self._a_at = np.arange(m)[:, None] * width + cols
-        self._a_live = live[:, :, None]
+    def __init__(self, ranks, decay: float):
+        self.keep = [kept_rank(r, decay) for r in ranks]
+        self.client = np.repeat(np.arange(len(ranks)), np.subtract(ranks, self.keep))
+        self.rank = np.concatenate([np.arange(k, r) for k, r in zip(self.keep, ranks)])
 
     def norms(self, b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Frobenius norms of each client's tail columns of b and tail rows
         of a, 0 for a client without a tail.
 
-        A tail is read in the order np.linalg.norm reads it and reduced by
-        the same dot product, so when every tail in the cohort is equally
-        wide the norms have tail_block_norm's bits.
+        Each tail rank is reduced by the dot product np.linalg.norm uses,
+        and a client's ranks are summed before the square root: a one-rank
+        tail has tail_block_norm's bits, a wider one agrees to rounding.
         """
-        bt = np.take(b, self._b_at)
-        bt *= self._b_live
-        at = np.take(a.reshape(-1, a.shape[2]), self._a_at, axis=0)
-        at *= self._a_live
-        m = len(bt)
-        return _norms(bt.reshape(m, 1, -1)), _norms(at.reshape(m, 1, -1))
+        j, k = self.client, self.rank
+        return self._norms(b[j, :, k]), self._norms(a[j, k])
 
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    # a stack of row-times-column products is one dot product per row
-    return np.sqrt((v @ v.transpose(0, 2, 1)).ravel())
+    def _norms(self, rows: np.ndarray) -> np.ndarray:
+        # a stack of 1 x n times n x 1 products is one dot product per row
+        v = rows[:, None, :]
+        sq = (v @ v.transpose(0, 2, 1)).ravel()
+        return np.sqrt(np.bincount(self.client, sq, minlength=len(self.keep)))
 
 
 def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
@@ -271,7 +252,7 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
     # below rank 2 or at decay 1 no client has a tail to regularize or prune
     has_tail = cfg.decay < 1 and width > 1
     if has_tail:
-        tails = _Tails(ranks, cfg.decay, received[0].d, width)
+        tails = _Tails(ranks, cfg.decay)
         norms = tails.norms(b, a)
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
@@ -298,7 +279,8 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
 
     new_ranks = ranks
     if has_tail:
-        shrunk = tails.present & (np.multiply(*tails.norms(b, a)) < received_tail)
+        # a client without a tail has norm 0 before and after, and 0 < 0
+        shrunk = np.multiply(*tails.norms(b, a)) < received_tail
         new_ranks = np.where(shrunk, tails.keep, ranks).tolist()
     trained = []
     for j, (s, r) in enumerate(zip(states, new_ranks)):

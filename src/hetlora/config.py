@@ -90,6 +90,12 @@ def _parse_int_list(s: str):
     return tuple(int(x.strip()) for x in s.split(","))
 
 
+def _parse_complexity(s: str):
+    if s == "uniform":
+        return s
+    return _parse_int_list(s) if "," in s else int(s)
+
+
 # key -> (target, field name, parser); target "task" nests into the task spec
 _SCHEMA = {
     "task.d": ("task", "d", int),
@@ -98,7 +104,7 @@ _SCHEMA = {
     "task.num_clients": ("task", "num_clients", int),
     "task.samples_per_client": ("task", "samples_per_client", int),
     "task.noise_std": ("task", "noise_std", float),
-    "task.client_complexity": ("task", "client_complexity", None),  # special
+    "task.client_complexity": ("task", "client_complexity", _parse_complexity),
     "task.eval_samples": ("task", "eval_samples", int),
     "task.target_norm": ("task", "target_norm", float),
     "task.target_spectrum_decay": ("task", "target_spectrum_decay", float),
@@ -122,15 +128,6 @@ _SCHEMA = {
 }
 
 
-def _parse_complexity(s: str):
-    s = s.strip()
-    if s == "uniform":
-        return "uniform"
-    if "," in s:
-        return _parse_int_list(s)
-    return int(s)
-
-
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     task_kwargs: dict = {}
     cfg_kwargs: dict = {}
@@ -147,10 +144,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         target, name, parser = _SCHEMA[key]
         try:
-            if key == "task.client_complexity":
-                parsed = _parse_complexity(value)
-            else:
-                parsed = parser(value)
+            parsed = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
         (task_kwargs if target == "task" else cfg_kwargs)[name] = parsed

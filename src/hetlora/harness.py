@@ -12,36 +12,22 @@ setting is still accepted and validated but changes nothing.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from pathlib import Path
 
 from .baselines import run_strategy
 from .config import LEARNING_RATE_GRID, ExperimentConfig
-from .records import RunResult, write_jsonl, write_summary_csv
+from .records import RunResult, summarize, write_jsonl, write_summary_csv
 
 __all__ = [
     "run_experiment",
     "select_learning_rate",
     "write_outputs",
-    "summarize",
 ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     """One RunResult per configured seed, in seed order."""
     return [run_strategy(cfg, s) for s in cfg.seeds]
-
-
-def summarize(runs: list[RunResult]) -> dict:
-    finals = [r.final_eval_loss for r in runs]
-    return {
-        "strategy": runs[0].strategy,
-        "seeds": [r.seed for r in runs],
-        "initial_eval_loss": [r.initial_eval_loss for r in runs],
-        "final_eval_loss_mean": statistics.fmean(finals),
-        "final_eval_loss_std": statistics.stdev(finals) if len(finals) > 1 else 0.0,
-        "completed": all(r.completed for r in runs),
-    }
 
 
 def select_learning_rate(cfg: ExperimentConfig,
@@ -54,7 +40,7 @@ def select_learning_rate(cfg: ExperimentConfig,
         if not all(r.completed for r in runs):
             results[lr] = float("inf")
             continue
-        results[lr] = statistics.fmean(r.final_eval_loss for r in runs)
+        results[lr] = summarize(runs)["final_eval_loss_mean"]
     best = min(results, key=results.get)
     if results[best] == float("inf"):
         raise RuntimeError("every learning rate in the grid diverged")

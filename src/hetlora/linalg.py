@@ -19,7 +19,8 @@ class ShapeError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numeric routine produced non-finite values or failed to converge."""
+    """A numeric routine met or produced non-finite values, or failed to
+    converge."""
 
 
 class Matrix:
@@ -77,10 +78,13 @@ def svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     non-increasing) and vt (k x l).
 
     The reconstruction u @ diag(s) @ vt is the best rank-k approximation of
-    m in Frobenius norm.
+    m in Frobenius norm. A non-finite m raises NumericError before LAPACK
+    sees it: LAPACK can spin on an inf instead of failing.
     """
     if not 1 <= k <= min(m.shape):
         raise ShapeError(f"k={k} out of range for {m.shape[0]}x{m.shape[1]}")
+    if not np.isfinite(m).all():
+        raise NumericError(f"SVD input ({m.shape[0]}x{m.shape[1]}) is not finite")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare at desk scale

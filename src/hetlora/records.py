@@ -197,10 +197,24 @@ def read_jsonl(path: Path) -> list[RunResult]:
     return runs
 
 
+def summarize(runs: list[RunResult]) -> dict:
+    """Seeds, initial losses and the mean and std of final eval losses
+    across runs: the summary the CLI prints and the CSV's last row."""
+    finals = [r.final_eval_loss for r in runs]
+    return {
+        "strategy": runs[0].strategy,
+        "seeds": [r.seed for r in runs],
+        "initial_eval_loss": [r.initial_eval_loss for r in runs],
+        "final_eval_loss_mean": statistics.fmean(finals),
+        "final_eval_loss_std": statistics.stdev(finals) if len(finals) > 1 else 0.0,
+        "completed": all(r.completed for r in runs),
+    }
+
+
 def write_summary_csv(runs: list[RunResult], path: Path, label: str = "") -> None:
     """Per-seed rows plus a mean/std row across seeds."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    finals = [r.final_eval_loss for r in runs]
+    s = summarize(runs)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(
@@ -219,9 +233,8 @@ def write_summary_csv(runs: list[RunResult], path: Path, label: str = "") -> Non
                     r.completed,
                 ]
             )
-        mean = statistics.fmean(finals)
-        std = statistics.stdev(finals) if len(finals) > 1 else 0.0
         w.writerow(
-            [label, runs[0].strategy, "mean±std", "", "",
-             f"{mean:.10g}±{std:.10g}", "", "", ""]
+            [label, s["strategy"], "mean±std", "", "",
+             f"{s['final_eval_loss_mean']:.10g}±{s['final_eval_loss_std']:.10g}",
+             "", "", ""]
         )

@@ -120,10 +120,9 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> Server
     for cid, p in updates:
         registry[cid] = p.rank
     global_rank = max(registry.values())
+    # the registry holds every update's rank, so the aggregate is never wider
     if new_pair.rank < global_rank:
         new_pair = zero_pad(new_pair, global_rank)
-    elif new_pair.rank > global_rank:
-        new_pair = truncate(new_pair, global_rank)
 
     return replace(
         state,

@@ -61,6 +61,16 @@ class SyntheticTaskSpec:
             raise ValueError(f"target_norm {self.target_norm} must be finite and > 0")
         if not 0 < self.target_spectrum_decay <= 1:
             raise ValueError("target_spectrum_decay must be in (0, 1]")
+        c = self.client_complexity
+        if isinstance(c, str):
+            if c != "uniform":
+                raise ValueError(f"unknown client_complexity {c!r}")
+        elif isinstance(c, tuple) and len(c) != self.num_clients:
+            raise ValueError(f"client_complexity list length {len(c)} must equal "
+                             f"num_clients {self.num_clients}")
+        elif any(not 1 <= r <= self.true_rank
+                 for r in (c if isinstance(c, tuple) else (c,))):
+            raise ValueError(f"client_complexity {c} outside [1, {self.true_rank}]")
 
     def sample_counts(self) -> tuple[int, ...]:
         if isinstance(self.samples_per_client, int):
@@ -115,22 +125,13 @@ class SyntheticTask:
 
 def _resolve_complexities(spec: SyntheticTaskSpec, rng: Rng) -> tuple[int, ...]:
     if isinstance(spec.client_complexity, int):
-        ranks = (spec.client_complexity,) * spec.num_clients
-    elif spec.client_complexity == "uniform":
-        ranks = tuple(
+        return (spec.client_complexity,) * spec.num_clients
+    if spec.client_complexity == "uniform":
+        return tuple(
             1 + rng.sample_discrete([1.0] * spec.true_rank)
             for _ in range(spec.num_clients)
         )
-    elif isinstance(spec.client_complexity, str):
-        raise ValueError(f"unknown client_complexity {spec.client_complexity!r}")
-    else:
-        ranks = tuple(spec.client_complexity)
-        if len(ranks) != spec.num_clients:
-            raise ValueError("client_complexity list length must equal num_clients")
-    for r in ranks:
-        if not 1 <= r <= spec.true_rank:
-            raise ValueError(f"client complexity {r} outside [1, {spec.true_rank}]")
-    return ranks
+    return tuple(spec.client_complexity)
 
 
 # overflow is reported by the finiteness check, not by numpy warnings

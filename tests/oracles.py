@@ -65,6 +65,6 @@ def stacked_reg_grad(pairs, decay, reg_weight, base=None):
     for j, (p, (pb, pa)) in enumerate(zip(pairs, base or [])):
         gb[j, :, : p.rank] = pb
         ga[j, : p.rank] = pa
-    tails = _Tails([p.rank for p in pairs], decay, b.shape[1], b.shape[2])
+    tails = _Tails([p.rank for p in pairs], decay)
     _add_reg_grad(gb, ga, b, a, tails, tails.norms(b, a), reg_weight)
     return gb, ga

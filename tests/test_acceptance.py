@@ -64,17 +64,16 @@ def default_cfg():
     return dataclasses.replace(cfg, threads=3)
 
 
+def runs(strategy: str, **updates):
+    """The default config's runs of a strategy, with some fields changed."""
+    return _run(dataclasses.replace(default_cfg(), strategy=strategy, **updates))
+
+
 @functools.cache
-def runs(strategy: str, homlora_rank: int = 0, decay: float | None = None,
-         learning_rate: float | None = None):
-    updates = {"strategy": strategy}
-    if homlora_rank:
-        updates["homlora_rank"] = homlora_rank
-    if decay is not None:
-        updates["decay"] = decay
-    if learning_rate is not None:
-        updates["learning_rate"] = learning_rate
-    return run_experiment(dataclasses.replace(default_cfg(), **updates))
+def _run(cfg):
+    # cached on the resolved config, so that runs("hetlora") and
+    # runs("hetlora", decay=0.99), the same config, train once
+    return run_experiment(cfg)
 
 
 def finals(rs):

@@ -102,6 +102,10 @@ class TestKeptRankAndTailNorm:
         assert kept_rank(2, 0.99) == 1
         assert kept_rank(1, 0.5) == 1
         assert kept_rank(16, 0.85) == 13
+        # one rank is pruned at a time for every initial rank of the default
+        # config, so the gamma ablation's 0.99 and 0.95 arms run alike
+        for r in range(2, 17):
+            assert kept_rank(r, 0.99) == kept_rank(r, 0.95) == r - 1
 
     def test_no_tail_when_decay_one(self):
         assert tail_block_norm(random_pair(0), 1.0) == 0.0
@@ -180,17 +184,19 @@ class TestRegularizedObjective:
         assert np.all(ga[1, 0] == 0) and np.all(ga[1, 1] > 0)
 
     def test_stacked_tail_norms_match_tail_block_norm(self):
-        # equally wide tails give tail_block_norm's bits; a cohort mixing
-        # tail widths (decay 0.5 on ranks 1..6) agrees to rounding
+        # one-rank tails (every tail at decay 0.99) give tail_block_norm's
+        # bits, whatever the other tails' widths; wider tails (decay 0.5 on
+        # ranks 1..6) agree to rounding
         for decay, ranks in ((0.99, (1, 2, 5, 3, 1, 4)), (0.5, (1, 2, 5, 3, 6, 4))):
             pairs = [random_pair(60 + k, rank=r) for k, r in enumerate(ranks)]
             b, a = stack(pairs)
-            nb, na = _Tails(ranks, decay, SPEC.d, b.shape[2]).norms(b, a)
+            nb, na = _Tails(ranks, decay).norms(b, a)
             want = [tail_block_norm(p, decay) for p in pairs]
             if decay == 0.99:
                 assert (nb * na).tolist() == want
             else:
                 assert nb * na == pytest.approx(want, rel=1e-14, abs=0)
+                assert nb[1] * na[1] == want[1]  # rank 2 keeps 1: a one-rank tail
 
 
 class TestLocalTrain:

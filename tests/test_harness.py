@@ -24,7 +24,6 @@ from hetlora.config import (
 from hetlora.harness import (
     run_experiment,
     select_learning_rate,
-    summarize,
     write_outputs,
 )
 from hetlora.records import (
@@ -32,6 +31,7 @@ from hetlora.records import (
     RunResult,
     read_jsonl,
     rounds_to_target,
+    summarize,
     to_jsonl_lines,
     write_jsonl,
     write_summary_csv,
@@ -445,10 +445,15 @@ class TestCli:
         assert main(["run", "--config", "no_such_config_anywhere"]) == 2
 
     def test_bad_field_value_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_TEXT + "decay = 1.5\n")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
-        assert "decay" in capsys.readouterr().err
+        # each is rejected when the config is parsed, naming the field
+        for line, field in (("decay = 1.5", "decay"),
+                            ("task.client_complexity = 9", "client_complexity"),
+                            ("task.client_complexity = 1,2", "client_complexity")):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(TINY_TEXT + line + "\n")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert field in err and "seed" not in err
         assert not (tmp_path / "records.jsonl").exists()
 
     def test_diverged_run_exits_1_with_readable_stream(self, lr50_cfg, tmp_path):

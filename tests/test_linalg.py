@@ -111,6 +111,15 @@ class TestFrobeniusAndSvd:
             a = np.linalg.lstsq(b, m, rcond=None)[0]
             assert best_err <= np.linalg.norm(m - b @ a) + 1e-12
 
+    def test_rejects_non_finite_input(self):
+        # LAPACK returns inf singular values for this input, or spins on a
+        # smaller one, instead of failing
+        for bad in (np.inf, np.nan):
+            m = np.random.default_rng(4).standard_normal((64, 32))
+            m[7, 3] = bad
+            with pytest.raises(NumericError, match="SVD input"):
+                svd(m, 4)
+
     def test_k_out_of_range(self):
         with pytest.raises(ShapeError):
             svd(np.zeros((3, 3)), 4)
