@@ -85,9 +85,8 @@ class _Strategy:
     server's model, and evaluate gives the eval loss of that model. Clients
     train adapters with local_train unless a strategy says otherwise."""
 
-    def __init__(self, tag: str, task: SyntheticTask, clients: list[ClientState],
+    def __init__(self, task: SyntheticTask, clients: list[ClientState],
                  lcfg: LocalTrainConfig):
-        self.tag = tag
         self.task = task
         self.clients = clients
         self.lcfg = lcfg
@@ -102,9 +101,9 @@ class _FactorServer(_Strategy):
     """hetlora and homlora: the server keeps the global factor pair, hands
     out its truncations and averages the returned factors."""
 
-    def __init__(self, tag: str, cfg: ExperimentConfig, task: SyntheticTask,
-                 run_seed: int, ranks, lcfg: LocalTrainConfig, aggregation: str):
-        super().__init__(tag, task, _make_clients(task, ranks, run_seed), lcfg)
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
+                 ranks, lcfg: LocalTrainConfig, aggregation: str):
+        super().__init__(task, _make_clients(task, ranks, run_seed), lcfg)
         self.server = ServerState(
             global_pair=_initial_pair(task, max(ranks), cfg.init_std, run_seed),
             round_index=0,
@@ -126,9 +125,9 @@ class _DenseServer(_Strategy):
     """The server keeps a dense d x l update and replaces it each round by
     the plain mean of the clients' dense updates."""
 
-    def __init__(self, tag: str, task: SyntheticTask, clients: list[ClientState],
+    def __init__(self, task: SyntheticTask, clients: list[ClientState],
                  lcfg: LocalTrainConfig):
-        super().__init__(tag, task, clients, lcfg)
+        super().__init__(task, clients, lcfg)
         self.dense = np.zeros((task.spec.d, task.spec.l))
 
     def _set_mean(self, updates: list[np.ndarray]) -> None:
@@ -175,7 +174,7 @@ class _ReconSvd(_DenseServer):
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                  ranks, lcfg: LocalTrainConfig):
-        super().__init__("recon_svd", task, _make_clients(task, ranks, run_seed), lcfg)
+        super().__init__(task, _make_clients(task, ranks, run_seed), lcfg)
         self.rank = max(ranks)
         self.pair = _initial_pair(task, self.rank, cfg.init_std, run_seed)
 
@@ -213,7 +212,7 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
     if not math.isfinite(initial):
         raise ConfigError(f"seed {run_seed}: initial eval loss is {initial}; "
                           f"{OVERFLOW_HINT}")
-    run = RunResult(seed=run_seed, strategy=strategy.tag, initial_eval_loss=initial)
+    run = RunResult(seed=run_seed, strategy=cfg.tag, initial_eval_loss=initial)
     cumulative = 0
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
@@ -263,17 +262,15 @@ def run_strategy(cfg: ExperimentConfig, run_seed: int,
         ranks = assign_ranks(n, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed)
     if cfg.strategy == "hetlora":
         lcfg = replace(plain, reg_weight=cfg.reg_weight, decay=cfg.decay)
-        strategy = _FactorServer("hetlora", cfg, task, run_seed, ranks, lcfg,
-                                 cfg.aggregation)
+        strategy = _FactorServer(cfg, task, run_seed, ranks, lcfg, cfg.aggregation)
     elif cfg.strategy == "homlora":
         # hetlora with every rank fixed, no regulariser, no pruning and
         # plain averaging
-        strategy = _FactorServer(f"homlora_r{cfg.homlora_rank}", cfg, task, run_seed,
-                                 (cfg.homlora_rank,) * n, plain, SIMPLE)
+        strategy = _FactorServer(cfg, task, run_seed, (cfg.homlora_rank,) * n, plain,
+                                 SIMPLE)
     elif cfg.strategy == "full_ft":
         # dense clients have no adapter rank and record 0
-        strategy = _FullFT("full_ft", task, _make_clients(task, (0,) * n, run_seed),
-                           plain)
+        strategy = _FullFT(task, _make_clients(task, (0,) * n, run_seed), plain)
     elif cfg.strategy == "recon_svd":
         strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
     else:

@@ -1,11 +1,11 @@
 """Command-line interface: run / sweep / report.
 
 `run` executes one config over its seeds and writes JSONL records plus a
-CSV summary. `sweep` runs a family of variants (decay-factor ablation,
-homogeneous rank sweep, strategy comparison, learning-rate grid) and
-writes a combined summary. `report` aggregates existing JSONL record
-streams into a table, including rounds-to-target with an 'X' for targets
-never achieved.
+CSV summary. `sweep` runs a family of uniquely labelled variants (decay-factor
+ablation, strategy comparison with homogeneous ranks, each optionally at its
+best grid learning rate) and writes a combined summary. `report` aggregates
+existing JSONL record streams into a table, including rounds-to-target with
+an 'X' for targets never achieved.
 
 The default output directory can be set with the HETLORA_OUT_DIR
 environment variable.
@@ -32,19 +32,14 @@ def _default_out() -> str | None:
     return os.environ.get("HETLORA_OUT_DIR")
 
 
-def _int_list(flag: str, text: str) -> tuple[int, ...]:
-    """The comma-separated integers given to `flag`."""
-    try:
-        return _parse_int_list(text)
-    except ValueError:
-        raise ConfigError(
-            f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
 def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
-        updates["seeds"] = _int_list("--seed", args.seed)
+        try:
+            updates["seeds"] = _parse_int_list(args.seed)
+        except ValueError:
+            raise ConfigError("--seed expects comma-separated integers, "
+                              f"got {args.seed!r}") from None
     if args.out is not None:
         updates["out_dir"] = args.out
     if getattr(args, "strategy", None) is not None:
@@ -54,7 +49,9 @@ def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _print_summary(label: str, runs: list[RunResult]) -> None:
+def _print_summary(label: str, runs: list[RunResult], lr: float) -> dict:
+    """Print the runs' summary line, plus one stderr line if a seed diverged,
+    and return the summary."""
     s = summarize(runs)
     status = "" if s["completed"] else "  [INCOMPLETE]"
     print(
@@ -62,6 +59,11 @@ def _print_summary(label: str, runs: list[RunResult]) -> None:
         f"{s['final_eval_loss_mean']:.6g} ± {s['final_eval_loss_std']:.3g} "
         f"over seeds {s['seeds']}{status}"
     )
+    failed = [r for r in runs if not r.completed]
+    if failed:
+        print(f"{label}: seed {failed[0].seed} diverged at learning rate {lr:g}, "
+              f"{failed[0].failure}", file=sys.stderr)
+    return s
 
 
 def cmd_run(args) -> int:
@@ -69,68 +71,64 @@ def cmd_run(args) -> int:
     runs = run_experiment(cfg)
     out = Path(cfg.out_dir)
     jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.strategy)
-    _print_summary(cfg.strategy, runs)
+    _print_summary(cfg.strategy, runs, cfg.learning_rate)
     print(f"records: {jsonl}")
     print(f"summary: {csv_path}")
     return 0 if all(r.completed for r in runs) else 1
 
 
-def _strategy_variant(cfg: ExperimentConfig, tag: str) -> tuple[str, ExperimentConfig]:
-    """Parse a sweep strategy tag such as 'hetlora', 'homlora:5', 'full_ft'."""
-    if ":" in tag:
-        name, _, arg = tag.partition(":")
-        if name != "homlora":
-            raise ConfigError(f"only homlora takes a rank argument, got {tag!r}")
-        try:
-            rank = int(arg)
-        except ValueError:
-            raise ConfigError(
-                f"--strategies: homlora takes an integer rank, got {tag!r}") from None
-        return f"homlora_r{arg}", dataclasses.replace(
-            cfg, strategy="homlora", homlora_rank=rank
-        )
-    return tag, dataclasses.replace(cfg, strategy=tag)
+def _strategy_variant(cfg: ExperimentConfig, tag: str) -> ExperimentConfig:
+    """The config of a sweep strategy tag such as 'hetlora', 'homlora:5', 'full_ft'."""
+    name, colon, rank = tag.partition(":")
+    if not colon:
+        return dataclasses.replace(cfg, strategy=name)
+    if name != "homlora":
+        raise ConfigError(f"--strategies: only homlora takes a rank, got {tag!r}")
+    try:
+        rank = int(rank)
+    except ValueError:
+        raise ConfigError(
+            f"--strategies: homlora takes an integer rank, got {tag!r}") from None
+    return dataclasses.replace(cfg, strategy=name, homlora_rank=rank)
+
+
+def _variants(cfg: ExperimentConfig, args) -> dict[str, ExperimentConfig]:
+    """The sweep's configs by label: gamma_<g> for a decay-ablation arm, the
+    run's strategy tag for a --strategies entry. A label given twice is a
+    ConfigError."""
+    variants = {}
+    if args.gamma_ablation:
+        for g in GAMMA_ABLATION:
+            variants[f"gamma_{g:g}"] = dataclasses.replace(cfg, strategy="hetlora",
+                                                           decay=g)
+    for tag in args.strategies.split(",") if args.strategies else ():
+        vcfg = _strategy_variant(cfg, tag.strip())
+        if vcfg.tag in variants:
+            raise ConfigError(f"--strategies: {vcfg.tag} is given twice")
+        variants[vcfg.tag] = vcfg
+    return variants
 
 
 def cmd_sweep(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
     out = Path(cfg.out_dir)
-    variants: list[tuple[str, ExperimentConfig]] = []
-    if args.gamma_ablation:
-        for g in GAMMA_ABLATION:
-            variants.append(
-                (f"gamma_{g:g}", dataclasses.replace(cfg, strategy="hetlora", decay=g))
-            )
-    if args.ranks:
-        for r in _int_list("--ranks", args.ranks):
-            variants.append(
-                (
-                    f"homlora_r{r}",
-                    dataclasses.replace(cfg, strategy="homlora", homlora_rank=r),
-                )
-            )
-    if args.strategies:
-        for tag in args.strategies.split(","):
-            variants.append(_strategy_variant(cfg, tag.strip()))
+    variants = _variants(cfg, args)
     if not variants:
-        print("sweep: nothing to do (pass --gamma-ablation, --ranks, or --strategies)",
+        print("sweep: nothing to do (pass --gamma-ablation or --strategies)",
               file=sys.stderr)
         return 2
 
     rows = []
-    completed = True
-    for label, vcfg in variants:
+    for label, vcfg in variants.items():
         if args.lr_grid:
-            lr, _ = select_learning_rate(vcfg)
-            vcfg = dataclasses.replace(vcfg, learning_rate=lr)
-        runs = run_experiment(vcfg)
+            lr, runs = select_learning_rate(vcfg)
+        else:
+            lr, runs = vcfg.learning_rate, run_experiment(vcfg)
         write_outputs(runs, out / label, label=label)
-        _print_summary(label, runs)
-        s = summarize(runs)
-        completed = completed and s["completed"]
+        s = _print_summary(label, runs, lr)
         rows.append(
             [
-                label, s["strategy"], vcfg.learning_rate,
+                label, s["strategy"], lr,
                 f"{s['final_eval_loss_mean']:.10g}",
                 f"{s['final_eval_loss_std']:.10g}", s["completed"],
             ]
@@ -145,7 +143,7 @@ def cmd_sweep(args) -> int:
         )
         w.writerows(rows)
     print(f"sweep summary: {summary}")
-    return 0 if completed else 1
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _target_for(runs: list[RunResult], args) -> float:
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-ablation", action="store_true",
                          help="sweep the pruning decay factor over "
                          "{1, 0.99, 0.95, 0.85}")
-    p_sweep.add_argument("--ranks", help="comma-separated homogeneous ranks")
     p_sweep.add_argument("--strategies",
                          help="comma-separated strategy tags "
                          "(e.g. hetlora,homlora:2,homlora:16,full_ft,recon_svd)")

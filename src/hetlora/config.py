@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ConfigError("rounds must be non-negative")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} is listed twice in seeds")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if not 0 < self.decay <= 1:
@@ -84,6 +87,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} {value} must be finite and > 0")
         if not math.isfinite(self.rank_alpha):
             raise ConfigError(f"rank_alpha {self.rank_alpha} must be finite")
+
+    @property
+    def tag(self) -> str:
+        """The strategy tag of this config's runs: the strategy, with its
+        rank for homlora ('homlora_r2')."""
+        if self.strategy == "homlora":
+            return f"homlora_r{self.homlora_rank}"
+        return self.strategy
 
 
 def _parse_int_list(s: str):
@@ -131,6 +142,7 @@ _SCHEMA = {
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     task_kwargs: dict = {}
     cfg_kwargs: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,6 +154,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} given twice, "
+                              f"at lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         target, name, parser = _SCHEMA[key]
         try:
             parsed = parser(value)

@@ -12,6 +12,7 @@ setting is still accepted and validated but changes nothing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .baselines import run_strategy
@@ -30,21 +31,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     return [run_strategy(cfg, s) for s in cfg.seeds]
 
 
-def select_learning_rate(cfg: ExperimentConfig,
-                         grid=LEARNING_RATE_GRID) -> tuple[float, dict]:
-    """Pick the grid learning rate minimizing mean final eval loss for the
-    configured strategy. Diverged settings are skipped."""
-    results = {}
-    for lr in grid:
-        runs = run_experiment(dataclasses.replace(cfg, learning_rate=lr))
-        if not all(r.completed for r in runs):
-            results[lr] = float("inf")
-            continue
-        results[lr] = summarize(runs)["final_eval_loss_mean"]
-    best = min(results, key=results.get)
-    if results[best] == float("inf"):
-        raise RuntimeError("every learning rate in the grid diverged")
-    return best, results
+def select_learning_rate(cfg: ExperimentConfig, grid=LEARNING_RATE_GRID
+                         ) -> tuple[float, list[RunResult]]:
+    """The grid learning rate with the lowest mean final eval loss for the
+    configured strategy, and its runs. A rate at which a seed diverges loses
+    to every rate at which none does; if every rate has a diverged seed, the
+    first rate and its runs are returned."""
+    def score(item: tuple[float, list[RunResult]]) -> float:
+        s = summarize(item[1])
+        return s["final_eval_loss_mean"] if s["completed"] else math.inf
+
+    return min(((lr, run_experiment(dataclasses.replace(cfg, learning_rate=lr)))
+                for lr in grid), key=score)
 
 
 def write_outputs(runs: list[RunResult], out_dir: Path,

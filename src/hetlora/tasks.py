@@ -51,6 +51,9 @@ class SyntheticTaskSpec:
         if self.num_clients < 1:
             raise ValueError("need at least one client")
         counts = self.samples_per_client
+        if isinstance(counts, tuple) and len(counts) != self.num_clients:
+            raise ValueError(f"samples_per_client list length {len(counts)} must "
+                             f"equal num_clients {self.num_clients}")
         if any(c < 1 for c in (counts if isinstance(counts, tuple) else (counts,))):
             raise ValueError(f"samples_per_client {counts} must be >= 1")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -75,10 +78,7 @@ class SyntheticTaskSpec:
     def sample_counts(self) -> tuple[int, ...]:
         if isinstance(self.samples_per_client, int):
             return (self.samples_per_client,) * self.num_clients
-        counts = tuple(self.samples_per_client)
-        if len(counts) != self.num_clients:
-            raise ValueError("samples_per_client list length must equal num_clients")
-        return counts
+        return self.samples_per_client
 
 
 @dataclass(frozen=True)

@@ -285,11 +285,11 @@ class TestCriterion5Superiority:
         hom2 = finals(runs("homlora", homlora_rank=2))
         hom16 = finals(runs("homlora", homlora_rank=16))
         recon = finals(runs("recon_svd"))
-        best_lr, _ = select_learning_rate(
+        _, full_runs = select_learning_rate(
             dataclasses.replace(default_cfg(), strategy="full_ft"),
             grid=LEARNING_RATE_GRID,
         )
-        full = finals(runs("full_ft", learning_rate=best_lr))
+        full = finals(full_runs)
 
         het_wins = sum(
             1 for h, a, b, c in zip(het, hom2, hom16, recon)

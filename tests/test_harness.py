@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import re
+import shlex
 import threading
 import warnings
 from pathlib import Path
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetlora import baselines, harness
-from hetlora.cli import main
+from hetlora.cli import build_parser, main
 from hetlora.config import (
+    LEARNING_RATE_GRID,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -59,6 +61,13 @@ clients_per_round = 4
 learning_rate = 0.2
 seeds = 0, 1
 """
+
+
+def set_key(text: str, key: str, value) -> str:
+    """`text` with the line of `key` set to `value`, appended if absent."""
+    line = f"{key} = {value}"
+    new, n = re.subn(rf"^{re.escape(key)} =.*$", lambda _: line, text, flags=re.M)
+    return new if n else f"{text}{line}\n"
 
 
 def tiny_cfg(**kwargs):
@@ -113,8 +122,23 @@ class TestConfigParsing:
         ).task.client_complexity == (1, 2, 3)
 
     def test_semantic_error_wrapped_as_config_error(self):
-        with pytest.raises(ConfigError):
-            parse_config_text(TINY_TEXT + "r_max = 99")
+        with pytest.raises(ConfigError, match="rank range"):
+            parse_config_text(set_key(TINY_TEXT, "r_max", 99))
+
+    def test_key_given_twice_names_both_lines(self):
+        text = "task.d = 12\n# note\ntask.d = 16\n"
+        with pytest.raises(ConfigError) as e:
+            parse_config_text(text, source="exp.cfg")
+        assert "exp.cfg:3" in str(e.value) and "'task.d'" in str(e.value)
+        assert "lines 1 and 3" in str(e.value)
+
+    @pytest.mark.parametrize("seeds", [(0, 0), (3, 1, 3)])
+    def test_seed_listed_twice(self, seeds):
+        with pytest.raises(ConfigError, match=f"seed {seeds[0]} is listed twice"):
+            tiny_cfg(seeds=seeds)
+        with pytest.raises(ConfigError, match=f"seed {seeds[0]} is listed twice"):
+            parse_config_text(set_key(TINY_TEXT, "seeds",
+                                      ", ".join(map(str, seeds))))
 
     def test_load_config_bundled_and_missing(self):
         cfg = load_config("default")
@@ -146,7 +170,7 @@ class TestConfigParsing:
         value = data.draw(BAD_VALUES[name], label="value")
         with pytest.raises(ConfigError) as e:
             if name.startswith("task."):
-                parse_config_text(TINY_TEXT + f"{name} = {value!r}\n")
+                parse_config_text(set_key(TINY_TEXT, name, repr(value)))
             else:
                 tiny_cfg(**{name: value})
         assert name.removeprefix("task.") in str(e.value)
@@ -354,18 +378,18 @@ class TestHarness:
         assert s["completed"]
 
     def test_select_learning_rate_skips_divergent(self):
-        cfg = tiny_cfg(seeds=(0,), rounds=3)
-        best, results = select_learning_rate(cfg, grid=(0.2, 1e8))
+        cfg = tiny_cfg(seeds=(0, 1), rounds=3)
+        best, runs = select_learning_rate(cfg, grid=(1e8, 0.2, 0.05))
         assert best == 0.2
-        assert results[1e8] == float("inf")
-        # the recorded score for the surviving rate matches a direct run
+        # the winning rate's runs are those of a direct run at that rate
         direct = run_experiment(dataclasses.replace(cfg, learning_rate=0.2))
-        assert results[0.2] == direct[0].final_eval_loss
+        assert [to_jsonl_lines(r) for r in runs] == [to_jsonl_lines(r) for r in direct]
 
     def test_select_learning_rate_all_divergent(self):
         cfg = tiny_cfg(seeds=(0,), rounds=3)
-        with pytest.raises(RuntimeError):
-            select_learning_rate(cfg, grid=(1e8, 1e9))
+        best, runs = select_learning_rate(cfg, grid=(1e8, 1e9))
+        assert best == 1e8
+        assert [r.completed for r in runs] == [False]
 
     @pytest.mark.parametrize("strategy", ["full_ft", "hetlora"])
     def test_divergence_warns_nothing(self, lr50_cfg, strategy):
@@ -481,7 +505,7 @@ class TestCli:
                                            ("noise_std", "nan")])
     def test_non_finite_task_value_exit_code(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_TEXT + f"task.{key} = {value}\n")
+        bad.write_text(set_key(TINY_TEXT, f"task.{key}", value))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
@@ -508,7 +532,7 @@ class TestCli:
     @pytest.mark.parametrize("argv,flag", [
         (["run", "--seed", "0,a"], "--seed"),
         (["run", "--seed", ""], "--seed"),
-        (["sweep", "--ranks", "2,x"], "--ranks"),
+        (["sweep", "--strategies", "hetlora:2"], "--strategies"),
         (["sweep", "--strategies", "homlora:x"], "--strategies"),
     ])
     def test_malformed_list_flag_exit_code(self, cfg_file, tmp_path, capsys, argv,
@@ -522,11 +546,68 @@ class TestCli:
     def test_sweep_strategies_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main(["sweep", "--config", str(cfg_file), "--out", str(out),
-                   "--seed", "0", "--strategies", "hetlora,homlora:2"])
+                   "--seed", "0", "--strategies", "hetlora,homlora:02"])
         assert rc == 0
         rows = list(csv.reader((out / "sweep_summary.csv").open()))
         assert [r[0] for r in rows[1:]] == ["hetlora", "homlora_r2"]
-        assert (out / "homlora_r2" / "records.jsonl").exists()
+        # a variant is labelled by the strategy tag its stream carries
+        for label in ("hetlora", "homlora_r2"):
+            runs = read_jsonl(out / label / "records.jsonl")
+            assert [r.strategy for r in runs] == [label]
+
+    @pytest.mark.parametrize("tags,label", [("hetlora,hetlora", "hetlora"),
+                                            ("homlora:2,homlora:02", "homlora_r2"),
+                                            ("homlora:8,homlora", "homlora_r8")])
+    def test_sweep_label_given_twice_exits_2(self, cfg_file, tmp_path, capsys, tags,
+                                             label):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                   "--strategies", tags])
+        assert rc == 2
+        assert f"{label} is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_has_no_ranks_flag(self, cfg_file, capsys):
+        # homogeneous ranks are --strategies homlora:R tags
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--config", str(cfg_file), "--ranks", "2"])
+        assert e.value.code == 2 and "--ranks" in capsys.readouterr().err
+
+    def test_sweep_lr_grid_writes_the_winning_runs(self, cfg_file, tmp_path,
+                                                   monkeypatch):
+        rates = []
+
+        def counted(cfg, seed, task=None):
+            rates.append(cfg.learning_rate)
+            return baselines.run_strategy(cfg, seed, task)
+
+        monkeypatch.setattr(harness, "run_strategy", counted)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--strategies", "full_ft", "--lr-grid"]) == 0
+        # each grid rate trains once per seed, and the winner is not trained again
+        assert rates == [lr for lr in LEARNING_RATE_GRID for _ in (0, 1)]
+        row, = csv.DictReader((out / "sweep_summary.csv").open())
+        best = dataclasses.replace(load_config(str(cfg_file)), strategy="full_ft",
+                                   learning_rate=float(row["learning_rate"]))
+        write_jsonl(run_experiment(best), tmp_path / "direct.jsonl")
+        assert ((out / "full_ft" / "records.jsonl").read_bytes()
+                == (tmp_path / "direct.jsonl").read_bytes())
+
+    def test_sweep_grid_diverging_everywhere_exits_1(self, tmp_path, capsys):
+        # at this target norm hetlora diverges at every grid rate
+        text = (ROOT / "configs" / "smoke.cfg").read_text()
+        big = tmp_path / "big.cfg"
+        big.write_text(set_key(text, "task.target_norm", "1e150"))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(big), "--seed", "0", "--out", str(out),
+                   "--strategies", "hetlora,full_ft", "--lr-grid"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hetlora: seed 0 diverged")
+        assert (out / "full_ft" / "records.jsonl").exists()
+        rows = list(csv.reader((out / "sweep_summary.csv").open()))
+        assert [r[0] for r in rows[1:]] == ["hetlora", "full_ft"]
 
     def test_sweep_gamma_ablation_variants(self, cfg_file, tmp_path):
         out = tmp_path / "gamma"
@@ -541,6 +622,20 @@ class TestCli:
     def test_sweep_without_variants(self, cfg_file, capsys):
         assert main(["sweep", "--config", str(cfg_file)]) == 2
         assert "nothing to do" in capsys.readouterr().err
+
+    def test_readme_quick_start_parses(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Quick start", 1)[1].split("```bash", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("hetlora-sim ")]
+        assert len(commands) >= 6
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README Quick start: {shlex.join(argv)} does not parse")
 
     def test_report_table_and_target_miss(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "results"

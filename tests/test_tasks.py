@@ -46,10 +46,7 @@ class TestSpecValidation:
         assert SPEC.sample_counts() == (12,) * 6
         spec = dataclasses.replace(SPEC, samples_per_client=(1, 2, 3, 4, 5, 6))
         assert spec.sample_counts() == (1, 2, 3, 4, 5, 6)
-        bad = dataclasses.replace(SPEC, samples_per_client=(1, 2))
-        with pytest.raises(ValueError):
-            bad.sample_counts()
-        for counts in (0, -3, (1, 2, 0, 4, 5, 6)):
+        for counts in (0, -3, (1, 2, 0, 4, 5, 6), (1, 2)):
             with pytest.raises(ValueError, match="samples_per_client"):
                 dataclasses.replace(SPEC, samples_per_client=counts)
 
