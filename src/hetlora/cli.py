@@ -14,8 +14,8 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import math
 import os
 import statistics
 import sys
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _parse_int_list, load_config
 from .harness import run_experiment, select_learning_rate, write_outputs
-from .records import RunResult, read_jsonl, rounds_to_target, summarize
+from .records import RunResult, read_jsonl, rounds_to_target, summarize, write_csv
 
 GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
 
@@ -70,8 +70,8 @@ def cmd_run(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
     runs = run_experiment(cfg)
     out = Path(cfg.out_dir)
-    jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.strategy)
-    _print_summary(cfg.strategy, runs, cfg.learning_rate)
+    jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.tag)
+    _print_summary(cfg.tag, runs, cfg.learning_rate)
     print(f"records: {jsonl}")
     print(f"summary: {csv_path}")
     return 0 if all(r.completed for r in runs) else 1
@@ -126,24 +126,24 @@ def cmd_sweep(args) -> int:
             lr, runs = vcfg.learning_rate, run_experiment(vcfg)
         write_outputs(runs, out / label, label=label)
         s = _print_summary(label, runs, lr)
-        rows.append(
-            [
-                label, s["strategy"], lr,
-                f"{s['final_eval_loss_mean']:.10g}",
-                f"{s['final_eval_loss_std']:.10g}", s["completed"],
-            ]
-        )
+        rows.append([label, s["strategy"], lr, f"{s['final_eval_loss_mean']:.10g}",
+                     f"{s['final_eval_loss_std']:.10g}", s["completed"]])
     summary = out / "sweep_summary.csv"
-    summary.parent.mkdir(parents=True, exist_ok=True)
-    with open(summary, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["label", "strategy", "learning_rate", "final_eval_loss_mean",
-             "final_eval_loss_std", "completed"]
-        )
-        w.writerows(rows)
+    write_csv(summary, ["label", "strategy", "learning_rate", "final_eval_loss_mean",
+                        "final_eval_loss_std", "completed"], rows)
     print(f"sweep summary: {summary}")
     return 0 if all(row[-1] for row in rows) else 1
+
+
+def _finite_positive(text: str) -> float:
+    """The argparse type of a report target: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _target_for(runs: list[RunResult], args) -> float:
@@ -214,19 +214,12 @@ def cmd_report(args) -> int:
         )
     if args.csv:
         out = Path(args.csv)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["label", "strategy", "final_eval_loss_mean", "final_eval_loss_std",
-                 "rounds_to_target", "comm_to_target", "target"]
-            )
-            for row in rows:
-                w.writerow(
-                    [row["label"], row["strategy"], f"{row['final_mean']:.10g}",
-                     f"{row['final_std']:.10g}", row["rounds_to_target"],
-                     row["comm_to_target"], f"{row['target']:.10g}"]
-                )
+        write_csv(out, ["label", "strategy", "final_eval_loss_mean",
+                        "final_eval_loss_std", "rounds_to_target", "comm_to_target",
+                        "target"],
+                  ([row["label"], row["strategy"], f"{row['final_mean']:.10g}",
+                    f"{row['final_std']:.10g}", row["rounds_to_target"],
+                    row["comm_to_target"], f"{row['target']:.10g}"] for row in rows))
         print(f"report csv: {out}")
     return 0
 
@@ -269,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="summarize JSONL record streams")
     p_rep.add_argument("records", nargs="+", help="JSONL files or directories")
-    p_rep.add_argument("--target", type=float, default=None,
+    p_rep.add_argument("--target", type=_finite_positive, default=None,
                        help="absolute eval-loss target")
-    p_rep.add_argument("--target-fraction", type=float, default=0.5,
+    p_rep.add_argument("--target-fraction", type=_finite_positive, default=0.5,
                        help="target as a fraction of initial eval loss "
                        "(default 0.5; ignored when --target is given)")
     p_rep.add_argument("--csv", help="also write the table as CSV")

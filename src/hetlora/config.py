@@ -67,6 +67,8 @@ class ExperimentConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is listed twice in seeds")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seed {min(self.seeds)} in seeds is negative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if not 0 < self.decay <= 1:

@@ -61,42 +61,34 @@ def rounds_to_target(run: RunResult, target: float) -> int | None:
     return None
 
 
-def _dump(obj) -> str:
+# Each record type's JSON keys besides "v" and "type": the attribute a key
+# holds, of the RunResult for a header and of the RoundRecord for a round
+# (None: the run's seed), and its JSON type. A header's "completed" and
+# "failure" are optional.
+_FIELDS = {
+    "header": {"seed": (None, int), "strategy": ("strategy", str),
+               "initial_eval_loss": ("initial_eval_loss", float),
+               "completed": ("completed", bool),
+               "failure": ("failure", (str, type(None)))},
+    "round": {"seed": (None, int), "round": ("round_index", int),
+              "eval_loss": ("eval_loss", float), "client_ranks": ("client_ranks", tuple),
+              "down_params": ("down_params", int), "up_params": ("up_params", int),
+              "cumulative_params": ("cumulative_params", int)},
+}
+_OPTIONAL = ("completed", "failure")
+
+
+def _line(kind: str, source, seed: int) -> str:
+    obj = {key: seed if attr is None else getattr(source, attr)
+           for key, (attr, _) in _FIELDS[kind].items()}
+    obj.update(v=SCHEMA_VERSION, type=kind)
     # strict JSON: a NaN or infinite value raises instead of being written
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def to_jsonl_lines(run: RunResult) -> list[str]:
-    lines = [
-        _dump(
-            {
-                "v": SCHEMA_VERSION,
-                "type": "header",
-                "seed": run.seed,
-                "strategy": run.strategy,
-                "initial_eval_loss": run.initial_eval_loss,
-                "completed": run.completed,
-                "failure": run.failure,
-            }
-        )
-    ]
-    for r in run.records:
-        lines.append(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "type": "round",
-                    "seed": run.seed,
-                    "round": r.round_index,
-                    "eval_loss": r.eval_loss,
-                    "client_ranks": list(r.client_ranks),
-                    "down_params": r.down_params,
-                    "up_params": r.up_params,
-                    "cumulative_params": r.cumulative_params,
-                }
-            )
-        )
-    return lines
+    return [_line("header", run, run.seed)] + [_line("round", r, run.seed)
+                                                for r in run.records]
 
 
 def write_jsonl(runs: list[RunResult], path: Path) -> None:
@@ -107,24 +99,14 @@ def write_jsonl(runs: list[RunResult], path: Path) -> None:
                 f.write(line + "\n")
 
 
-# the fields of a record, by record type, with their JSON types; a header's
-# "completed" and "failure" are optional
-_FIELDS = {
-    "header": {"seed": int, "strategy": str, "initial_eval_loss": float,
-               "completed": bool, "failure": (str, type(None))},
-    "round": {"seed": int, "round": int, "eval_loss": float, "client_ranks": list,
-              "down_params": int, "up_params": int, "cumulative_params": int},
-}
-_OPTIONAL = ("completed", "failure")
-
-
 def _typed(value, want) -> bool:
-    # a bool is no int, a float may be written as an int, a list holds ints
+    # a bool is no int, a float may be written as an int, a tuple is a JSON
+    # array of ints
     if isinstance(value, bool):
         return want is bool
     if want is float:
         return isinstance(value, (int, float))
-    if want is list:
+    if want is tuple:
         return isinstance(value, list) and all(_typed(v, int) for v in value)
     return isinstance(value, want)
 
@@ -155,86 +137,70 @@ def read_jsonl(path: Path) -> list[RunResult]:
                 )
             if kind not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown record type")
-            for name, want in _FIELDS[kind].items():
-                if name not in obj and name not in _OPTIONAL:
+            values = {}
+            for key, (attr, want) in _FIELDS[kind].items():
+                if key not in obj:
+                    if key in _OPTIONAL:
+                        continue
                     raise ValueError(
-                        f"{path}:{lineno}: {kind} record without field {name!r}")
-                if name in obj and not _typed(obj[name], want):
-                    raise ValueError(f"{path}:{lineno}: {kind} field {name!r} has "
-                                     f"the wrong type: {obj[name]!r}")
+                        f"{path}:{lineno}: {kind} record without field {key!r}")
+                value = obj[key]
+                if not _typed(value, want):
+                    raise ValueError(f"{path}:{lineno}: {kind} field {key!r} has "
+                                     f"the wrong type: {value!r}")
+                if attr is None:
+                    seed = value
+                else:
+                    values[attr] = tuple(value) if want is tuple else value
             if kind == "header":
-                runs.append(
-                    RunResult(
-                        seed=obj["seed"],
-                        strategy=obj["strategy"],
-                        initial_eval_loss=obj["initial_eval_loss"],
-                        completed=obj.get("completed", True),
-                        failure=obj.get("failure"),
-                    )
-                )
+                runs.append(RunResult(seed=seed, **values))
                 continue
-            if runs[-1].seed != obj["seed"]:
+            if runs[-1].seed != seed:
                 raise ValueError(f"{path}:{lineno}: round record without header")
             expected = len(runs[-1].records) + 1
-            if obj["round"] != expected:
+            if values["round_index"] != expected:
                 raise ValueError(
-                    f"{path}:{lineno}: round {obj['round']} where round "
+                    f"{path}:{lineno}: round {values['round_index']} where round "
                     f"{expected} was expected"
                 )
-            runs[-1].records.append(
-                RoundRecord(
-                    round_index=obj["round"],
-                    eval_loss=obj["eval_loss"],
-                    client_ranks=tuple(obj["client_ranks"]),
-                    down_params=obj["down_params"],
-                    up_params=obj["up_params"],
-                    cumulative_params=obj["cumulative_params"],
-                    wall_clock=0.0,
-                )
-            )
+            runs[-1].records.append(RoundRecord(**values, wall_clock=0.0))
     if not runs:
         raise ValueError(f"{path}: no runs found")
     return runs
 
 
 def summarize(runs: list[RunResult]) -> dict:
-    """Seeds, initial losses and the mean and std of final eval losses
-    across runs: the summary the CLI prints and the CSV's last row."""
+    """Seeds and the mean and std of final eval losses across runs: the
+    summary the CLI prints and the CSV's last row."""
     finals = [r.final_eval_loss for r in runs]
     return {
         "strategy": runs[0].strategy,
         "seeds": [r.seed for r in runs],
-        "initial_eval_loss": [r.initial_eval_loss for r in runs],
         "final_eval_loss_mean": statistics.fmean(finals),
         "final_eval_loss_std": statistics.stdev(finals) if len(finals) > 1 else 0.0,
         "completed": all(r.completed for r in runs),
     }
 
 
-def write_summary_csv(runs: list[RunResult], path: Path, label: str = "") -> None:
-    """Per-seed rows plus a mean/std row across seeds."""
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header row and `rows` as CSV, making the parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    s = summarize(runs)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(
-            [
-                "label", "strategy", "seed", "rounds", "initial_eval_loss",
-                "final_eval_loss", "cumulative_params", "wall_clock_s", "completed",
-            ]
-        )
-        for r in runs:
-            w.writerow(
-                [
-                    label, r.strategy, r.seed, len(r.records),
-                    f"{r.initial_eval_loss:.10g}", f"{r.final_eval_loss:.10g}",
-                    r.cumulative_params,
-                    f"{sum(rec.wall_clock for rec in r.records):.3f}",
-                    r.completed,
-                ]
-            )
-        w.writerow(
-            [label, s["strategy"], "mean±std", "", "",
-             f"{s['final_eval_loss_mean']:.10g}±{s['final_eval_loss_std']:.10g}",
-             "", "", ""]
-        )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_summary_csv(runs: list[RunResult], path: Path, label: str = "") -> None:
+    """Per-seed rows plus a mean/std row across seeds."""
+    s = summarize(runs)
+    rows = [[label, r.strategy, r.seed, len(r.records), f"{r.initial_eval_loss:.10g}",
+             f"{r.final_eval_loss:.10g}", r.cumulative_params,
+             f"{sum(rec.wall_clock for rec in r.records):.3f}", r.completed]
+            for r in runs]
+    rows.append([label, s["strategy"], "mean±std", "", "",
+                 f"{s['final_eval_loss_mean']:.10g}±{s['final_eval_loss_std']:.10g}",
+                 "", "", ""])
+    write_csv(path, ["label", "strategy", "seed", "rounds", "initial_eval_loss",
+                     "final_eval_loss", "cumulative_params", "wall_clock_s",
+                     "completed"], rows)

@@ -203,6 +203,7 @@ BAD_VALUES = {
     "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                                 _NON_FINITE),
     "task.samples_per_client": st.integers(max_value=0),
+    "seeds": st.integers(max_value=-1).map(lambda seed: (0, seed)),
 }
 
 
@@ -227,6 +228,34 @@ class TestRecords:
         assert back[0].records[2].eval_loss == 0.02
         assert back[1].final_eval_loss == 0.06
         assert to_jsonl_lines(back[0]) == to_jsonl_lines(runs[0])
+
+    def test_incomplete_run_round_trips(self, tmp_path):
+        failed = dataclasses.replace(fake_run(0, losses=(0.08,)), completed=False,
+                                     failure="round 2: client 3 diverged")
+        path = tmp_path / "r.jsonl"
+        write_jsonl([failed, fake_run(1)], path)
+        back = read_jsonl(path)
+        assert [(r.completed, r.failure) for r in back] == [
+            (False, "round 2: client 3 diverged"), (True, None)]
+        assert back[0].records == [dataclasses.replace(r, wall_clock=0.0)
+                                   for r in failed.records]
+        assert "".join(f"{line}\n" for r in back
+                       for line in to_jsonl_lines(r)) == path.read_text()
+
+    def test_header_without_optional_fields_reads_as_completed(self, tmp_path):
+        def drop(lines):
+            del lines[0]["completed"], lines[0]["failure"]
+        run, = read_jsonl(self._edited_stream(tmp_path, drop))
+        assert run.completed is True and run.failure is None
+        assert len(run.records) == 3
+
+    def test_schema_doc_lists_the_written_keys(self):
+        doc = (ROOT / "docs" / "record_schema.md").read_text()
+        header, round_obj = map(json.loads, to_jsonl_lines(fake_run())[:2])
+        for obj in (header, round_obj):
+            section = doc.split(f"### `{obj['type']}` object", 1)[1].split("\n#", 1)[0]
+            keys = re.findall(r"^\| `(\w+)`", section, flags=re.M)
+            assert sorted(keys) == sorted(obj), obj["type"]
 
     def test_wall_clock_not_serialized(self):
         lines = to_jsonl_lines(fake_run())
@@ -439,6 +468,13 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "final eval loss" in captured
 
+    def test_run_labels_by_strategy_tag(self, cfg_file, tmp_path, capsys):
+        assert main(["run", "--config", str(cfg_file), "--strategy", "homlora"]) == 0
+        assert capsys.readouterr().out.startswith("homlora_r8 ")
+        rows = csv.DictReader((tmp_path / "results" / "records_summary.csv").open())
+        assert {(r["label"], r["strategy"]) for r in rows} == {("homlora_r8",
+                                                                "homlora_r8")}
+
     def test_run_flag_overrides(self, cfg_file, tmp_path):
         out = tmp_path / "elsewhere"
         rc = main(["run", "--config", str(cfg_file), "--seed", "7",
@@ -642,7 +678,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg_file), "--seed", "0,1"]) == 0
         capsys.readouterr()
         # an unreachable absolute target renders as X
-        rc = main(["report", str(out / "records.jsonl"), "--target", "-1"])
+        rc = main(["report", str(out / "records.jsonl"), "--target", "1e-12"])
         assert rc == 0
         table = capsys.readouterr().out
         assert "X/X" in table
@@ -690,6 +726,19 @@ class TestCli:
             assert main(["report", str(path)]) == 2
             err = capsys.readouterr().err
             assert f"{path}:3" in err and why in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--target", "nan"), ("--target", "0"), ("--target", "-1"),
+        ("--target", "inf"), ("--target-fraction", "nan"), ("--target-fraction", "0"),
+        ("--target-fraction", "inf"), ("--target-fraction", "-0.5"),
+    ])
+    def test_report_refuses_a_target_not_finite_and_positive(self, tmp_path, capsys,
+                                                            flag, value):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([fake_run()], path)
+        with pytest.raises(SystemExit) as e:
+            main(["report", str(path), flag, value])
+        assert e.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
 
     def test_report_missing_path(self, capsys):
         assert main(["report", "/nonexistent/path.jsonl"]) == 2
