@@ -8,7 +8,7 @@ existing JSONL record streams into a table, including rounds-to-target with
 an 'X' for targets never achieved.
 
 The default output directory can be set with the HETLORA_OUT_DIR
-environment variable.
+environment variable; an empty value counts as unset.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
 
 
 def _default_out() -> str | None:
-    return os.environ.get("HETLORA_OUT_DIR")
+    return os.environ.get("HETLORA_OUT_DIR") or None
 
 
 def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:

@@ -12,14 +12,16 @@ stacked arrays: every step is one batched matmul per operation for the
 whole cohort. Adapters are zero-padded to the cohort's largest rank, and
 the padding stays exactly zero under SGD. Each client still draws its own
 batches from its own stream, so its result does not depend on its place
-in the cohort. A client's batches of a round are drawn with one call on
-its (client seed, round) stream and turned into index sets for the whole
-cohort at once; the indices, and the stream, are bit for bit those of one
-Generator.choice(n, batch_size, replace=False) per step (see
-linalg.batches_from_draws). The tails are indexed once, as (client,
-rank) pairs through which the tail norms, the regulariser's gradient and
-the prune test all read the factors. A cohort in which no client can
-have a tail (decay 1, or every rank 1) keeps no tail index.
+in the cohort. Every client holds the task's samples_per_client samples,
+so all batches of a cohort have one length. A client's batches of a round
+are drawn with one call on its (client seed, round) stream and turned into
+index sets for the whole cohort at once; the indices, and the stream,
+are bit for bit those of one Generator.choice(n, batch_size,
+replace=False) per step (see linalg.batches_from_draws). The tails are
+indexed once, as (client, rank) pairs through which the tail norms, the
+regulariser's gradient and the prune test all read the factors. A
+cohort in which no client can have a tail (decay 1, or every rank 1)
+keeps no tail index.
 
 A step works on the factors alone: the base residuals x w0' - y of all
 the round's batch rows are computed once, and each step's gradients go
@@ -138,69 +140,49 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
 def _cohort_indices(states: list[ClientState], cfg: LocalTrainConfig,
                     round_index: int) -> np.ndarray:
     """The rows of each client's mini-batches of one round in its own
-    dataset, m x iters x n for the cohort's longest batch n; a shorter
-    batch is padded with row 0.
+    dataset, m x iters x min(batch_size, n) for the n samples every client
+    holds.
 
     Each client's batches come from a stream derived from (client seed,
     round), so a local result is independent of scheduling order and of
     the cohort. They are the batches of local_iters successive
     Rng.batch_indices calls on that stream, bit for bit, but drawn in one
-    Rng.batch_draws call per client, and the draws of all clients with the
-    same number of samples become index sets in one batches_from_draws
-    pass. A client with no more samples than batch_size uses all of them,
-    in order, in every step, and draws nothing.
+    Rng.batch_draws call per client and turned into index sets for the
+    whole cohort in one batches_from_draws pass. With no more samples than
+    batch_size, every client uses all of them, in order, in every step, and
+    draws nothing.
     """
-    n = min(cfg.batch_size, max(s.dataset.size for s in states))
-    idx = np.zeros((len(states), cfg.local_iters, n), dtype=np.intp)
-    by_size: dict[int, list[int]] = {}
-    for j, s in enumerate(states):
-        by_size.setdefault(s.dataset.size, []).append(j)
-    for size, js in by_size.items():
-        if size <= cfg.batch_size:
-            idx[js, :, :size] = np.arange(size)
-            continue
-        draws = np.concatenate([
-            seeded_rng(states[j].seed).child("round", round_index)
-            .batch_draws(size, cfg.batch_size, cfg.local_iters) for j in js])
-        idx[js] = batches_from_draws(draws, size, cfg.batch_size).reshape(
-            len(js), cfg.local_iters, n)
-    return idx
+    n = states[0].dataset.size
+    if n <= cfg.batch_size:
+        return np.broadcast_to(np.arange(n), (len(states), cfg.local_iters, n))
+    draws = np.concatenate([
+        seeded_rng(s.seed).child("round", round_index)
+        .batch_draws(n, cfg.batch_size, cfg.local_iters) for s in states])
+    return batches_from_draws(draws, n, cfg.batch_size).reshape(
+        len(states), cfg.local_iters, cfg.batch_size)
 
 
 def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig,
-                    round_index: int):
-    """A cohort's mini-batches of one round: inputs (iters x m x n x l), the
-    base residuals x w0' - y of their rows (iters x m x n x d), and the batch
-    lengths.
+                    round_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cohort's mini-batches of one round: inputs (iters x m x n x l) and
+    the base residuals x w0' - y of their rows (iters x m x n x d).
 
     The batches are those of _cohort_indices. All rows are gathered with one
     index from the sample pool the clients' datasets view into, and their
-    base residuals come from one matmul. A client with fewer samples than
-    the cohort's batch length has its batches padded with zero rows, whose
-    base residuals are zero too, so they add nothing to its gradient.
+    base residuals come from one matmul.
     """
-    first = states[0].dataset
-    pool = first.pool if first.pool is not None else first
-    for s in states:
-        if (s.dataset.pool if s.dataset.pool is not None else s.dataset) is not pool:
-            raise ValueError("a cohort's datasets must view into one sample pool")
-    idx = _cohort_indices(states, cfg, round_index)
-    idx += np.array([s.dataset.start for s in states])[:, None, None]
-    idx = idx.transpose(1, 0, 2)
+    pool = states[0].dataset.pool
+    if pool is None or any(s.dataset.pool is not pool for s in states):
+        raise ValueError("a cohort's datasets must view into one sample pool")
+    starts = np.array([s.dataset.start for s in states])[:, None, None]
+    idx = (_cohort_indices(states, cfg, round_index) + starts).transpose(1, 0, 2)
     xs = pool.inputs.array[idx]
     ys = pool.targets.array[idx]
-    lengths = [min(cfg.batch_size, s.dataset.size) for s in states]
-    n = idx.shape[2]
-    if min(lengths) < n:
-        for j, k in enumerate(lengths):
-            xs[:, j, k:] = 0.0
-            ys[:, j, k:] = 0.0
-        n = np.array(lengths, dtype=np.float64)[:, None, None]
     # a stacked matmul takes each batch's product on its own, so a client's
     # residuals do not depend on its place in the cohort
     r0 = xs @ w0.array.T
     r0 -= ys
-    return xs, r0, n
+    return xs, r0
 
 
 def _raise_first_divergence(states: list[ClientState], *stacks: np.ndarray) -> None:
@@ -257,13 +239,13 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, r0, n = _cohort_batches(states, w0, cfg, round_index)
+    xs, r0 = _cohort_batches(states, w0, cfg, round_index)
     for step in range(cfg.local_iters):
         x = xs[step]
         xa = x @ a.transpose(0, 2, 1)
         resid = xa @ b.transpose(0, 2, 1)
         resid += r0[step]
-        resid /= n
+        resid /= xs.shape[2]
         gb = resid.transpose(0, 2, 1) @ xa
         ga = (resid @ b).transpose(0, 2, 1) @ x
         if regularize:
@@ -301,14 +283,14 @@ def dense_local_train(states: list[ClientState], deltas: list[np.ndarray],
     if len(states) != len(deltas):
         raise ValueError(f"{len(states)} clients but {len(deltas)} models")
     local = np.array(deltas, dtype=np.float64)
-    xs, r0, n = _cohort_batches(states, w0, cfg, round_index)
+    xs, r0 = _cohort_batches(states, w0, cfg, round_index)
     for step in range(cfg.local_iters):
         # local -= lr * (r0 + x local')' x / n, computed in place
         x = xs[step]
         resid = x @ local.transpose(0, 2, 1)
         resid += r0[step]
         g_dense = resid.transpose(0, 2, 1) @ x
-        g_dense /= n
+        g_dense /= xs.shape[2]
         g_dense *= cfg.learning_rate
         local -= g_dense
     _raise_first_divergence(states, local)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .server import AGGREGATION_STRATEGIES
+from .server import AGGREGATION_STRATEGIES, rank_weights
 from .tasks import SyntheticTaskSpec
 
 STRATEGY_TAGS = ("hetlora", "homlora", "full_ft", "recon_svd")
@@ -87,8 +87,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} {value} must be finite and > 0")
-        if not math.isfinite(self.rank_alpha):
-            raise ConfigError(f"rank_alpha {self.rank_alpha} must be finite")
+        try:
+            rank_weights(self.r_min, self.r_max, self.rank_alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def tag(self) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,7 +116,8 @@ def read_jsonl(path: Path) -> list[RunResult]:
     """Parse a record stream. Raises ValueError naming path:line for bad
     JSON, a line that is not a JSON object, an unknown schema version or
     record type, a record missing a field or with a field of the wrong
-    type, and a round record without its header or out of order."""
+    type, a non-finite float, and a round record without its header or out
+    of order."""
     runs: list[RunResult] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -148,6 +150,10 @@ def read_jsonl(path: Path) -> list[RunResult]:
                 if not _typed(value, want):
                     raise ValueError(f"{path}:{lineno}: {kind} field {key!r} has "
                                      f"the wrong type: {value!r}")
+                # json reads NaN, Infinity and 1e999 as floats; no writer does
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: {kind} field {key!r} is "
+                                     f"not finite: {value!r}")
                 if attr is None:
                     seed = value
                 else:

@@ -8,6 +8,7 @@ always truncate down to any client's rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,12 +53,20 @@ def assign_ranks(num_clients: int, r_min: int, r_max: int, alpha: float,
         raise ValueError(f"invalid rank range [{r_min}, {r_max}]")
     if num_clients < 1:
         raise ValueError("num_clients must be positive")
-    support = np.arange(r_min, r_max + 1)
-    weights = support.astype(np.float64) ** (alpha - 1.0)
+    weights = rank_weights(r_min, r_max, alpha)
     rng = seeded_rng(seed).child("rank-assignment")
-    return tuple(
-        int(support[rng.sample_discrete(weights)]) for _ in range(num_clients)
-    )
+    return tuple(r_min + rng.sample_discrete(weights) for _ in range(num_clients))
+
+
+@np.errstate(over="ignore")
+def rank_weights(r_min: int, r_max: int, alpha: float) -> np.ndarray:
+    """The weights r^(alpha - 1) of the ranks r_min..r_max. Raises
+    ValueError naming rank_alpha if they are not finite or all vanish."""
+    weights = np.arange(r_min, r_max + 1, dtype=np.float64) ** (alpha - 1.0)
+    if not (math.isfinite(alpha) and 0 < weights.sum() < np.inf):
+        raise ValueError(f"rank_alpha {alpha} must be finite and keep r^(rank_alpha"
+                         f" - 1) on [{r_min}, {r_max}] finite and not all 0")
+    return weights
 
 
 def select_clients(num_clients: int, num_selected: int, round_index: int,

@@ -2,12 +2,12 @@
 complexity.
 
 Each task is a linear model with a frozen base weight w0 and a hidden
-exactly-rank-rho* target update. Client k's inputs live in a fixed
-rho_k-dimensional subspace of the input space, so rho_k is the rank its
-local data actually requires of an adapter. Loss is mean squared error,
-which keeps exact gradient and least-squares oracles available while
-preserving the protocol-relevant structure (low-rank targets, noise
-overfitting, heterogeneous complexity).
+exactly-rank-rho* target update. Every client holds samples_per_client
+samples, and client k's inputs live in a fixed rho_k-dimensional subspace
+of the input space, so rho_k is the rank its local data actually requires
+of an adapter. Loss is mean squared error, which keeps exact gradient and
+least-squares oracles available while preserving the protocol-relevant
+structure (low-rank targets, noise overfitting, heterogeneous complexity).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class SyntheticTaskSpec:
     l: int
     true_rank: int
     num_clients: int
-    samples_per_client: int | tuple[int, ...] = 30
+    samples_per_client: int = 30  # every client holds this many samples
     noise_std: float = 0.1
     # per-client intrinsic rank: an int (same for all), an explicit tuple,
     # or "uniform" for i.i.d. uniform over [1, true_rank]
@@ -50,12 +50,8 @@ class SyntheticTaskSpec:
             raise ValueError("true_rank must be in [1, min(d, l)]")
         if self.num_clients < 1:
             raise ValueError("need at least one client")
-        counts = self.samples_per_client
-        if isinstance(counts, tuple) and len(counts) != self.num_clients:
-            raise ValueError(f"samples_per_client list length {len(counts)} must "
-                             f"equal num_clients {self.num_clients}")
-        if any(c < 1 for c in (counts if isinstance(counts, tuple) else (counts,))):
-            raise ValueError(f"samples_per_client {counts} must be >= 1")
+        if self.samples_per_client < 1:
+            raise ValueError(f"samples_per_client {self.samples_per_client} must be >= 1")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
         if self.eval_samples < 1:
@@ -75,11 +71,6 @@ class SyntheticTaskSpec:
                  for r in (c if isinstance(c, tuple) else (c,))):
             raise ValueError(f"client_complexity {c} outside [1, {self.true_rank}]")
 
-    def sample_counts(self) -> tuple[int, ...]:
-        if isinstance(self.samples_per_client, int):
-            return (self.samples_per_client,) * self.num_clients
-        return self.samples_per_client
-
 
 @dataclass(frozen=True)
 class ClientDataset:
@@ -87,9 +78,8 @@ class ClientDataset:
 
     generate_task keeps every client's samples in one pool, a dataset of
     all their rows in client order. A client's inputs and targets are views
-    of the pool's rows [start, start + n), so a cohort's mini-batches are
-    gathered from the pool with one index. A dataset without a pool is its
-    own.
+    of the pool's rows [start, start + samples_per_client), so a cohort's
+    mini-batches are gathered from the pool with one index.
     """
 
     inputs: Matrix
@@ -155,21 +145,21 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     delta *= spec.target_norm / np.linalg.norm(delta)
 
     complexities = _resolve_complexities(spec, root.child("complexity"))
-    counts = spec.sample_counts()
+    n = spec.samples_per_client
     w_full = w0.array + delta
 
-    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    starts = range(0, n * spec.num_clients + 1, n)
     pool_x = np.empty((starts[-1], spec.l))
     pool_y = np.empty((starts[-1], spec.d))
     for k in range(spec.num_clients):
         crng = root.child("client", k)
         rho = complexities[k]
         basis, _ = np.linalg.qr(crng.normal_array((spec.l, rho)))
-        z = crng.normal_array((counts[k], rho))
+        z = crng.normal_array((n, rho))
         x = z @ basis.T
         y = x @ w_full.T
         if spec.noise_std > 0:
-            y = y + crng.normal_array((counts[k], spec.d), std=spec.noise_std)
+            y = y + crng.normal_array((n, spec.d), std=spec.noise_std)
         pool_x[starts[k]:starts[k + 1]] = x
         pool_y[starts[k]:starts[k + 1]] = y
 

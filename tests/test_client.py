@@ -424,33 +424,17 @@ class TestCohort:
                               (out[k].a.array, alone.a.array)):
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_short_client_batches_are_padded_without_effect(self):
-        # client 0 holds 3 samples, fewer than a batch: its batches are the
-        # whole set, padded to the cohort's batch length with zero rows
-        spec = dataclasses.replace(SPEC, samples_per_client=(3, 24, 24, 24))
-        task = generate_task(spec)
-        cfg = LocalTrainConfig(local_iters=3, batch_size=8, learning_rate=0.1)
-        states = [ClientState(id=k, current_rank=2, dataset=task.clients[k], seed=k)
-                  for k in range(4)]
-        pairs = [random_pair(80 + k, rank=2) for k in range(4)]
-        out = local_train(states, pairs, task.base.w0, cfg)
-        deltas = [np.full((SPEC.d, SPEC.l), 0.01)] * 4
-        dense = dense_local_train(states, deltas, task.base.w0, cfg, 0)
-        for k in range(4):
-            [alone] = local_train([states[k]], [pairs[k]], task.base.w0, cfg)
-            [alone_dense] = dense_local_train([states[k]], [deltas[k]], task.base.w0,
-                                              cfg, 0)
-            for got, want in ((out[k].b.array, alone.b.array),
-                              (out[k].a.array, alone.a.array), (dense[k], alone_dense)):
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
     def test_datasets_outside_one_pool_rejected(self):
+        # another task's client, and a dataset of no pool (the eval set),
+        # alone or with a client of TASK
         other = generate_task(dataclasses.replace(SPEC, seed=8))
-        states = [make_state(client_id=0, rank=2),
-                  ClientState(id=9, current_rank=2, dataset=other.clients[1], seed=9)]
-        with pytest.raises(ValueError, match="one sample pool"):
-            local_train(states, [random_pair(1, rank=2)] * 2, TASK.base.w0,
-                        LocalTrainConfig())
+        for datasets in ((TASK.clients[0], other.clients[1]),
+                         (TASK.clients[0], TASK.eval_set), (TASK.eval_set,)):
+            states = [ClientState(id=k, current_rank=2, dataset=data, seed=k)
+                      for k, data in enumerate(datasets)]
+            with pytest.raises(ValueError, match="one sample pool"):
+                local_train(states, [random_pair(1, rank=2)] * len(states),
+                            TASK.base.w0, LocalTrainConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_first_diverging_client_in_cohort_order_is_named(self):
@@ -489,39 +473,37 @@ class TestCohort:
         assert str(exc_info.value) == "client 1 diverged"
 
 
-# client 0 holds fewer samples than a batch of 8
-SHORT_TASK = generate_task(dataclasses.replace(SPEC, num_clients=6,
-                                               samples_per_client=(3, 24, 9, 24, 24, 24),
-                                               client_complexity=(1, 2, 3, 4, 2, 1)))
+# tasks whose clients hold fewer samples than a batch of 8, as many, and more
+TASKS_BY_SIZE = {n: generate_task(dataclasses.replace(
+    SPEC, num_clients=6, samples_per_client=n, client_complexity=(1, 2, 3, 4, 2, 1)))
+    for n in (3, 8, 24)}
 
 
 class TestCohortBatches:
     @settings(max_examples=40, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    @given(size=st.integers(1, 12), clients=st.integers(1, 5),
            batch_size=st.integers(1, 9), local_iters=st.integers(1, 4),
            round_index=st.integers(0, 500), seed=st.integers(0, 2**32))
-    def test_rows_are_successive_batch_indices(self, sizes, batch_size, local_iters,
-                                               round_index, seed):
+    def test_rows_are_successive_batch_indices(self, size, clients, batch_size,
+                                               local_iters, round_index, seed):
         # each client's batches are those of successive Rng.batch_indices
         # calls on a fresh (client seed, round) stream, whether it has
         # fewer samples than a batch, as many or more
-        spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=len(sizes),
-                                 samples_per_client=tuple(sizes), noise_std=0.0,
+        spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=clients,
+                                 samples_per_client=size, noise_std=0.0,
                                  client_complexity=1, seed=1, eval_samples=2)
         task = generate_task(spec)
         states = [ClientState(id=k, current_rank=1, dataset=data, seed=seed + k)
                   for k, data in enumerate(task.clients)]
         cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
         idx = _cohort_indices(states, cfg, round_index)
-        xs, _, _ = _cohort_batches(states, task.base.w0, cfg, round_index)
+        xs, _ = _cohort_batches(states, task.base.w0, cfg, round_index)
         for j, s in enumerate(states):
             rng = seeded_rng(s.seed).child("round", round_index)
             for step in range(local_iters):
                 want = rng.batch_indices(s.dataset.size, batch_size)
-                assert np.array_equal(idx[j, step, : len(want)], want)
-                assert np.array_equal(xs[step, j, : len(want)],
-                                      s.dataset.inputs.array[want])
-                assert not xs[step, j, len(want):].any()
+                assert np.array_equal(idx[j, step], want)
+                assert np.array_equal(xs[step, j], s.dataset.inputs.array[want])
 
 
 class TestLowRankStep:
@@ -531,13 +513,14 @@ class TestLowRankStep:
     regulariser written out."""
 
     @settings(max_examples=40, deadline=None)
-    @given(order=st.permutations(range(6)), size=st.integers(1, 6),
+    @given(samples=st.sampled_from(sorted(TASKS_BY_SIZE)),
+           order=st.permutations(range(6)), size=st.integers(1, 6),
            ranks=st.lists(st.integers(1, 6), min_size=6, max_size=6),
            seed=st.integers(0, 2**32 - 1), round_index=st.integers(0, 50),
            learning_rate=st.floats(0.01, 0.3), reg_weight=st.floats(0.0, 1.0),
            decay=st.floats(0.3, 1.0), local_iters=st.integers(1, 6))
     def test_stacked_round_matches_dense_form_per_client(
-            self, order, size, ranks, seed, round_index, learning_rate,
+            self, samples, order, size, ranks, seed, round_index, learning_rate,
             reg_weight, decay, local_iters):
         cfg = LocalTrainConfig(local_iters=local_iters, batch_size=8,
                                learning_rate=learning_rate, reg_weight=reg_weight,
@@ -548,15 +531,16 @@ class TestLowRankStep:
                              Matrix(rng.standard_normal((ranks[k], SPEC.l)) * 0.2))
                     for k in cohort]
 
+        task = TASKS_BY_SIZE[samples]
         states = [ClientState(id=k, current_rank=ranks[k],
-                              dataset=SHORT_TASK.clients[k], seed=1000 + k)
+                              dataset=task.clients[k], seed=1000 + k)
                   for k in cohort]
-        out = local_train(states, received, SHORT_TASK.base.w0, cfg, round_index)
+        out = local_train(states, received, task.base.w0, cfg, round_index)
         for s, p, got in zip(states, received, out):
             keep = kept_rank(p.rank, decay)
             b, a = hand_rolled_sgd(s, p, cfg, dense_grads, round_index,
                                    keep=keep if keep < p.rank else None,
-                                   w0=SHORT_TASK.base.w0)
+                                   w0=task.base.w0)
             want = LoraPair(Matrix(b), Matrix(a))
             if tail_block_norm(want, decay) < tail_block_norm(p, decay):
                 want = truncate(want, keep)

@@ -70,6 +70,12 @@ def set_key(text: str, key: str, value) -> str:
     return new if n else f"{text}{line}\n"
 
 
+def csv_rows(path, reader=csv.reader):
+    """The rows of a CSV file, read with the file closed afterwards."""
+    with open(path, newline="") as f:
+        return list(reader(f))
+
+
 def tiny_cfg(**kwargs):
     cfg = parse_config_text(TINY_TEXT)
     return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
@@ -182,7 +188,7 @@ class TestConfigParsing:
            batch_size=st.integers(1, 64), local_iters=st.integers(1, 64),
            learning_rate=st.floats(0.0, 1e6, exclude_min=True),
            init_std=st.floats(0.0, 1e6, exclude_min=True),
-           rank_alpha=st.floats(-1e6, 1e6))
+           rank_alpha=st.floats(-1e6, 500.0))
     def test_good_field_values_accepted(self, **values):
         assert tiny_cfg(**values).decay == values["decay"]
 
@@ -198,7 +204,8 @@ BAD_VALUES = {
     "local_iters": st.integers(max_value=0),
     "learning_rate": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "init_std": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
-    "rank_alpha": _NON_FINITE,
+    # r^(rank_alpha - 1) on TINY_TEXT's ranks [1, 4] overflows
+    "rank_alpha": st.one_of(_NON_FINITE, st.floats(min_value=520.0)),
     "task.target_norm": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                                 _NON_FINITE),
@@ -347,6 +354,22 @@ class TestRecords:
             read_jsonl(self._edited_stream(tmp_path, lambda lines: lines.pop(2)))
         assert "edited.jsonl:3" in str(e.value) and "round 3" in str(e.value)
 
+    # json reads these, but a stream never holds them
+    @pytest.mark.parametrize("line,field,text", [
+        (0, "initial_eval_loss", "NaN"), (1, "eval_loss", "Infinity"),
+        (2, "eval_loss", "-Infinity"), (3, "eval_loss", "1e999"),
+    ])
+    def test_read_rejects_non_finite_float(self, tmp_path, line, field, text):
+        path = self._edited_stream(tmp_path,
+                                   lambda lines: lines[line].update({field: 0.5}))
+        lines = path.read_text().splitlines()
+        lines[line] = lines[line].replace(f'"{field}": 0.5', f'"{field}": {text}')
+        path.write_text("".join(f"{x}\n" for x in lines))
+        with pytest.raises(ValueError) as e:
+            read_jsonl(path)
+        assert f"edited.jsonl:{line + 1}" in str(e.value)
+        assert repr(field) in str(e.value) and "not finite" in str(e.value)
+
     def test_write_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError):
             write_jsonl([fake_run(losses=(0.05, float("inf")))], tmp_path / "x.jsonl")
@@ -371,7 +394,7 @@ class TestRecords:
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "s.csv"
         write_summary_csv([fake_run(0), fake_run(1)], path, label="demo")
-        rows = list(csv.reader(path.open()))
+        rows = csv_rows(path)
         assert rows[0][0] == "label"
         assert len(rows) == 4  # header + 2 seeds + mean/std
         assert rows[-1][2] == "mean±std"
@@ -471,7 +494,7 @@ class TestCli:
     def test_run_labels_by_strategy_tag(self, cfg_file, tmp_path, capsys):
         assert main(["run", "--config", str(cfg_file), "--strategy", "homlora"]) == 0
         assert capsys.readouterr().out.startswith("homlora_r8 ")
-        rows = csv.DictReader((tmp_path / "results" / "records_summary.csv").open())
+        rows = csv_rows(tmp_path / "results" / "records_summary.csv", csv.DictReader)
         assert {(r["label"], r["strategy"]) for r in rows} == {("homlora_r8",
                                                                 "homlora_r8")}
 
@@ -495,6 +518,13 @@ class TestCli:
         assert rc == 0
         assert (env_out / "records.jsonl").exists()
 
+    def test_empty_env_var_is_unset(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("HETLORA_OUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg_file), "--seed", "0"]) == 0
+        assert (tmp_path / "results" / "records.jsonl").exists()
+        assert not (tmp_path / "records.jsonl").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("task.d = twelve\n")
@@ -516,6 +546,19 @@ class TestCli:
             assert field in err and "seed" not in err
         assert not (tmp_path / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("alpha", ["1000", "-3000"])
+    def test_rank_alpha_whose_weights_overflow_or_vanish_exits_2(
+            self, tmp_path, capsys, alpha):
+        # on the smoke config's ranks [2, 8], r^(alpha - 1) overflows at
+        # alpha 1000 and is 0 for every rank at -3000
+        text = (ROOT / "configs" / "smoke.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(set_key(text, "rank_alpha", alpha))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "rank_alpha" in err and "Warning" not in err
+        assert not (tmp_path / "records.jsonl").exists()
+
     def test_diverged_run_exits_1_with_readable_stream(self, lr50_cfg, tmp_path):
         out = tmp_path / "run"
         rc = main(["run", "--config", str(lr50_cfg), "--strategy", "hetlora",
@@ -534,7 +577,7 @@ class TestCli:
         runs = read_jsonl(out / "full_ft" / "records.jsonl")
         assert not any(r.completed for r in runs)
         assert_strict_json(out / "full_ft" / "records.jsonl")
-        rows = list(csv.reader((out / "full_ft" / "records_summary.csv").open()))
+        rows = csv_rows(out / "full_ft" / "records_summary.csv")
         assert rows[-1][2] == "mean±std"
 
     @pytest.mark.parametrize("key,value", [("target_norm", "inf"),
@@ -584,7 +627,7 @@ class TestCli:
         rc = main(["sweep", "--config", str(cfg_file), "--out", str(out),
                    "--seed", "0", "--strategies", "hetlora,homlora:02"])
         assert rc == 0
-        rows = list(csv.reader((out / "sweep_summary.csv").open()))
+        rows = csv_rows(out / "sweep_summary.csv")
         assert [r[0] for r in rows[1:]] == ["hetlora", "homlora_r2"]
         # a variant is labelled by the strategy tag its stream carries
         for label in ("hetlora", "homlora_r2"):
@@ -623,7 +666,7 @@ class TestCli:
                      "--strategies", "full_ft", "--lr-grid"]) == 0
         # each grid rate trains once per seed, and the winner is not trained again
         assert rates == [lr for lr in LEARNING_RATE_GRID for _ in (0, 1)]
-        row, = csv.DictReader((out / "sweep_summary.csv").open())
+        row, = csv_rows(out / "sweep_summary.csv", csv.DictReader)
         best = dataclasses.replace(load_config(str(cfg_file)), strategy="full_ft",
                                    learning_rate=float(row["learning_rate"]))
         write_jsonl(run_experiment(best), tmp_path / "direct.jsonl")
@@ -642,7 +685,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("hetlora: seed 0 diverged")
         assert (out / "full_ft" / "records.jsonl").exists()
-        rows = list(csv.reader((out / "sweep_summary.csv").open()))
+        rows = csv_rows(out / "sweep_summary.csv")
         assert [r[0] for r in rows[1:]] == ["hetlora", "full_ft"]
 
     def test_sweep_gamma_ablation_variants(self, cfg_file, tmp_path):
@@ -650,7 +693,7 @@ class TestCli:
         rc = main(["sweep", "--config", str(cfg_file), "--out", str(out),
                    "--seed", "0", "--gamma-ablation"])
         assert rc == 0
-        rows = list(csv.reader((out / "sweep_summary.csv").open()))
+        rows = csv_rows(out / "sweep_summary.csv")
         assert [r[0] for r in rows[1:]] == [
             "gamma_1", "gamma_0.99", "gamma_0.95", "gamma_0.85",
         ]
@@ -693,7 +736,7 @@ class TestCli:
         report_csv = tmp_path / "report.csv"
         rc = main(["report", str(out), "--csv", str(report_csv)])
         assert rc == 0
-        rows = list(csv.reader(report_csv.open()))
+        rows = csv_rows(report_csv)
         assert rows[0][0] == "label"
         assert len(rows) == 2
 
@@ -710,7 +753,7 @@ class TestCli:
         table = capsys.readouterr().out.splitlines()[1:-1]
         assert [line.split()[0] for line in table] == ["ft_a", "ft_b", "het"]
         assert all(line.rstrip().endswith(" params") for line in table)
-        rows = list(csv.reader(report_csv.open()))[1:]
+        rows = csv_rows(report_csv)[1:]
         # target 0.05 is met at round 2: 2 * (down + 90) params
         assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
 

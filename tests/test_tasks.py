@@ -43,10 +43,9 @@ class TestSpecValidation:
                               target_spectrum_decay=1.5)
 
     def test_sample_counts_forms(self):
-        assert SPEC.sample_counts() == (12,) * 6
-        spec = dataclasses.replace(SPEC, samples_per_client=(1, 2, 3, 4, 5, 6))
-        assert spec.sample_counts() == (1, 2, 3, 4, 5, 6)
-        for counts in (0, -3, (1, 2, 0, 4, 5, 6), (1, 2)):
+        # every client holds samples_per_client samples, which must be >= 1
+        assert [c.size for c in generate_task(SPEC).clients] == [12] * 6
+        for counts in (0, -3):
             with pytest.raises(ValueError, match="samples_per_client"):
                 dataclasses.replace(SPEC, samples_per_client=counts)
 
@@ -75,10 +74,9 @@ class TestGeneration:
     def test_clients_view_one_pool(self):
         # every client's rows are a read-only view of the pooled arrays, in
         # client order, so the task holds one copy of the client data
-        t = generate_task(dataclasses.replace(SPEC,
-                                              samples_per_client=(1, 2, 3, 4, 5, 6)))
+        t = generate_task(SPEC)
         pool = t.clients[0].pool
-        assert pool.size == 21 and pool.pool is None
+        assert pool.size == 72 and pool.pool is None
         row = 0
         for c in t.clients:
             assert c.pool is pool and c.start == row
