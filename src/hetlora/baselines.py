@@ -22,11 +22,11 @@ from dataclasses import replace
 import numpy as np
 
 from .client import (
-    ClientState,
     LocalTrainConfig,
     TrainingError,
     dense_local_train,
     local_train,
+    make_clients,
 )
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
@@ -76,8 +76,8 @@ class _Strategy:
 
     def __init__(self, task: SyntheticTask, run_seed: int, lcfg: LocalTrainConfig):
         self.task = task
-        self.clients = [ClientState(id=k, dataset=data, seed=_client_seed(run_seed, k))
-                        for k, data in enumerate(task.clients)]
+        self.clients = make_clients(
+            task.clients, [_client_seed(run_seed, k) for k in range(len(task.clients))])
         self.lcfg = lcfg
 
     def local_step(self, selected: list[int], models: list[LoraPair],

@@ -47,9 +47,9 @@ def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """cfg.out_dir; a ConfigError if a file stands where it or a parent is."""
-    out = Path(cfg.out_dir)
+def _out_dir(out) -> Path:
+    """The directory out; a ConfigError if a file stands where it or a parent is."""
+    out = Path(out)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {out}: {existing} is not a directory")
@@ -75,7 +75,7 @@ def _print_summary(label: str, runs: list[RunResult], lr: float) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     runs = run_experiment(cfg)
     jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.tag)
     _print_summary(cfg.tag, runs, cfg.learning_rate)
@@ -118,12 +118,14 @@ def _variants(cfg: ExperimentConfig, args) -> dict[str, ExperimentConfig]:
 
 def cmd_sweep(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     variants = _variants(cfg, args)
     if not variants:
         print("sweep: nothing to do (pass --gamma-ablation or --strategies)",
               file=sys.stderr)
         return 2
+    for label in variants:
+        _out_dir(out / label)
 
     rows = []
     for label, vcfg in variants.items():
@@ -172,6 +174,8 @@ def cmd_report(args) -> int:
     if args.csv and Path(args.csv).is_dir():
         print(f"report: --csv {args.csv} is a directory", file=sys.stderr)
         return 2
+    if args.csv:
+        _out_dir(Path(args.csv).parent)
     paths: list[Path] = []
     for p in args.records:
         p = Path(p)

@@ -14,15 +14,17 @@ whole cohort. Adapters are zero-padded to the cohort's largest rank, and
 the padding stays exactly zero under SGD. Each client still draws its own
 batches from its own stream, so its result does not depend on its place
 in the cohort. Every client holds the task's samples_per_client samples,
-so all batches of a cohort have one length. A client's batches of a round
-are drawn with one call on its (client seed, round) stream and turned into
-index sets for the whole cohort at once; the indices, and the stream,
-are bit for bit those of one Generator.choice(n, batch_size,
-replace=False) per step (see linalg.batches_from_draws). The tails are
-indexed once, as (client, rank) pairs through which the tail norms, the
-regulariser's gradient and the prune test all read the factors. A
-cohort in which no client can have a tail (decay 1, or every rank 1)
-keeps no tail index.
+so all batches of a cohort have one length. The seed words of all
+clients' (client seed, round) streams are computed together, 32 rounds at
+a time (linalg.stream_words). A round's draws come from their raw PCG64
+output by Lemire's multiply for the whole cohort at once, with numpy's
+own draw for a client it might reject (linalg.bounded_draws), and one
+pass turns them into index sets: bit for bit one Generator.choice(n,
+batch_size, replace=False) per step on that stream. The tails are indexed
+once, as (client, rank) pairs through which the tail norms, the
+regulariser's gradient and the prune test all read the factors. A cohort
+in which no client can have a tail (decay 1, or every rank 1) keeps no
+tail index.
 
 A step works on the factors alone: the base residuals x w0' - y of all
 the round's batch rows are computed once, and each step's gradients go
@@ -33,11 +35,12 @@ matrix. Finiteness is checked once, after the last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Matrix, batches_from_draws, seeded_rng
+from .linalg import Matrix, batches_from_draws, bounded_draws, choice_bounds, stream_words
+from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
 from .tasks import ClientDataset
 
@@ -46,11 +49,36 @@ class TrainingError(RuntimeError):
     """Local training diverged (non-finite values)."""
 
 
+class _RoundWords:
+    """The seed words of the (seeds[k], "round", t) streams, row k, t. They
+    are computed for every k at once, 32 rounds t at a time, when a round of
+    the block is first asked for; only the last block is kept."""
+
+    def __init__(self, seeds):
+        self.seeds, self.block, self.words = seeds, None, None
+
+    def row(self, k: int, t: int) -> np.ndarray:
+        if t // 32 != self.block:
+            self.block = t // 32
+            self.words = stream_words(self.seeds, np.arange(32) + 32 * self.block)
+        return self.words[k, t % 32]
+
+
 @dataclass(frozen=True)
 class ClientState:
+    """A client: its data, its seed, and round_words, whose row id holds the
+    seed words of its batch streams."""
     id: int
     dataset: ClientDataset
     seed: int
+    round_words: _RoundWords = field(repr=False, compare=False)
+
+
+def make_clients(datasets, seeds) -> list[ClientState]:
+    """Client k of datasets[k] and seeds[k]; all share one _RoundWords."""
+    words = _RoundWords([int(s) for s in seeds])
+    return [ClientState(id=k, dataset=data, seed=seed, round_words=words)
+            for k, (data, seed) in enumerate(zip(datasets, words.seeds))]
 
 
 @dataclass(frozen=True)
@@ -146,20 +174,20 @@ def _cohort_indices(states: list[ClientState], cfg: LocalTrainConfig,
     Each client's batches come from a stream derived from (client seed,
     round), so a local result is independent of scheduling order and of
     the cohort. They are the batches of local_iters successive
-    Rng.batch_indices calls on that stream, bit for bit, but drawn in one
-    Rng.batch_draws call per client and turned into index sets for the
-    whole cohort in one batches_from_draws pass. With no more samples than
-    batch_size, every client uses all of them, in order, in every step, and
-    draws nothing.
+    Rng.batch_indices calls on that stream, bit for bit: bounded_draws
+    takes the draws from the round's stacked seed words of all clients,
+    and batches_from_draws turns them into index sets. With no more samples
+    than batch_size, every client uses all of them, in order, in every
+    step, and draws nothing.
     """
     n = states[0].dataset.size
     if n <= cfg.batch_size:
         return np.broadcast_to(np.arange(n), (len(states), cfg.local_iters, n))
-    draws = np.concatenate([
-        seeded_rng(s.seed).child("round", round_index)
-        .batch_draws(n, cfg.batch_size, cfg.local_iters) for s in states])
-    return batches_from_draws(draws, n, cfg.batch_size).reshape(
-        len(states), cfg.local_iters, cfg.batch_size)
+    words = np.stack([s.round_words.row(s.id, round_index) for s in states])
+    draws = bounded_draws(words, choice_bounds(n, cfg.batch_size, cfg.local_iters))
+    batches = batches_from_draws(draws.reshape(len(states) * cfg.local_iters, -1), n,
+                                 cfg.batch_size)
+    return batches.reshape(len(states), cfg.local_iters, cfg.batch_size)
 
 
 def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig,

@@ -1,8 +1,9 @@
 """Dense matrices, the top-k SVD and seeded randomness for the simulator.
 
 Matrices are held in the read-only :class:`Matrix`, and all randomness
-comes from the one :class:`Rng` stream, which keeps determinism and
-bit-stability easy to audit. Finiteness is checked where values enter the
+comes from :class:`Rng` streams, which keeps determinism and bit-stability
+easy to audit; stream_words and bounded_draws take many streams' bounded
+draws at once, bit for bit. Finiteness is checked where values enter the
 program or change (see README), not on every Matrix.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -158,24 +160,13 @@ class Rng:
         picked = self._gen.choice(n, size=m, replace=False)
         return sorted(int(i) for i in picked)
 
-    def batch_draws(self, n: int, size: int, count: int) -> np.ndarray:
-        """The raw draws of `count` successive batch_indices(n, size) calls
-        with size < n, one row per batch, in one integers() call.
-        batches_from_draws turns the rows into the batches."""
-        bounds = _choice_bounds(n, size, count)
-        return self._gen.integers(0, bounds, endpoint=True).reshape(count, -1)
-
     def batch_indices(self, n: int, size: int) -> np.ndarray:
-        """Mini-batch sample without replacement (whole set, in order and
-        without a draw, if size >= n).
-
-        The batch and the stream state afterwards are those of
-        Generator.choice(n, size, replace=False): the one-batch case of
-        batch_draws and batches_from_draws.
-        """
+        """Mini-batch sample without replacement: Generator.choice(n, size,
+        replace=False), or the whole set, in order and without a draw, if
+        size >= n."""
         if size >= n:
             return np.arange(n)
-        return batches_from_draws(self.batch_draws(n, size, 1), n, size)[0]
+        return self._gen.choice(n, size, replace=False)
 
 
 def _tail_shuffle(n: int, size: int) -> bool:
@@ -185,7 +176,7 @@ def _tail_shuffle(n: int, size: int) -> bool:
 
 
 @functools.cache
-def _choice_bounds(n: int, size: int, count: int) -> np.ndarray:
+def choice_bounds(n: int, size: int, count: int) -> np.ndarray:
     """Inclusive upper bounds of the bounded draws that `count` calls of
     Generator.choice(n, size, replace=False), size < n, make, in order.
 
@@ -205,8 +196,9 @@ def _choice_bounds(n: int, size: int, count: int) -> np.ndarray:
 
 def batches_from_draws(draws: np.ndarray, n: int, size: int) -> np.ndarray:
     """The batches (rows x size) that Generator.choice(n, size,
-    replace=False) returns for each row of draws from Rng.batch_draws:
-    its Floyd pass and its swap pass, each step taken for all rows at once.
+    replace=False) returns for each row of draws, a row being the bounded
+    draws of one call, in [0, choice_bounds(n, size, 1)]: its Floyd pass
+    and its swap pass, each step taken for all rows at once.
     """
     rows = np.arange(len(draws))
     if _tail_shuffle(n, size):
@@ -227,6 +219,96 @@ def batches_from_draws(draws: np.ndarray, n: int, size: int) -> np.ndarray:
         picks[rows, j] = picks[:, last - t]
         picks[:, last - t] = drawn
     return picks[:, picks.shape[1] - size:]
+
+
+_M32, _SHIFT = 0xFFFFFFFF, np.uint32(16)
+# SeedSequence's j-th hash of a word xors init * mult**j into it and then
+# multiplies it by the next power (numpy/random/bit_generator.pyx): A for
+# the 16 hashes of a pool of four entropy words, B for generate_state
+_HASH_A, _HASH_B = (np.array([init * pow(mult, j, 2**32) & _M32 for j in range(17)], np.uint32)
+                    for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_ROUND_KEY = _str_key("round")
+
+
+def _ints_in(values, low: int, high: int, what: str) -> np.ndarray:
+    a = np.asarray(values)
+    if (a.ndim != 1 or a.dtype.kind not in "iu"
+            or a.size and (a.min() < low or a.max() > high)):
+        raise ValueError(f"{what} must be integers in [{low}, {high}]")
+    return a
+
+
+def stream_words(seeds, counters) -> np.ndarray:
+    """SeedSequence([seed, _key_part("round"), counter]).generate_state(4,
+    np.uint64), which seeds seeded_rng(seed).child("round", counter), for
+    seeds and counters in [0, 2**32): len(seeds) x len(counters) x 4.
+
+    The entropy is four 32-bit words, the seed, the key's low and high word
+    and the counter, mixed by numpy's steps in uint32 arrays, which wrap as
+    its C code does."""
+    calls = itertools.count()
+
+    def hashmix(value):
+        j = next(calls)
+        value = (value ^ _HASH_A[j]) * _HASH_A[j + 1]
+        return value ^ value >> _SHIFT
+
+    pool = [hashmix(w) for w in (
+        _ints_in(seeds, 0, _M32, "seeds").astype(np.uint32)[:, None],
+        np.full((1, 1), _ROUND_KEY & _M32, np.uint32),
+        np.full((1, 1), _ROUND_KEY >> 32, np.uint32),
+        _ints_in(counters, 0, _M32, "counters").astype(np.uint32)[None])]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+        pool[dst] = mixed ^ mixed >> _SHIFT
+    # state word j hashes pool word j % 4; a pair of words joins low word first
+    state = np.stack(np.broadcast_arrays(*pool * 2), axis=-1)
+    state ^= _HASH_B[:8]
+    state *= _HASH_B[1:9]
+    state ^= state >> _SHIFT
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+@functools.cache
+def _pcg64_of_words():
+    """A function from state words to the PCG64 they seed. Built on first
+    use, so that importing this module does not import numpy.random."""
+    class GivenWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: np.random.PCG64(GivenWords(words))
+
+
+def bounded_draws(words: np.ndarray, bounds) -> np.ndarray:
+    """Generator(PCG64(s)).integers(0, bounds, endpoint=True) for each row
+    of words, s seeding the PCG64 with that row's state words (stream_words
+    gives them): rows x len(bounds), int64, for bounds in [1, 2**32 - 2].
+
+    Generator.integers draws in [0, b] by Lemire's multiply, (u * (b + 1))
+    >> 32 of a 32-bit u: a PCG64 output's low half, then its high half. It
+    runs here on the raw PCG64 output of all rows at once. numpy rejects a
+    product only if its low word is below b + 1; a row with such a product
+    is drawn by Generator.integers on the same words, so it is numpy's too.
+    """
+    # PCG64 reads the state words straight from the array's buffer
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    bounds = _ints_in(bounds, 1, _M32 - 1, "bounds")
+    pcg64 = _pcg64_of_words()
+    raw = np.empty((len(words), (len(bounds) + 1) // 2), np.uint64)
+    for j, w in enumerate(words):
+        raw[j] = pcg64(w).random_raw(raw.shape[1])
+    u = np.stack([raw & _M32, raw >> 32], axis=2).reshape(len(words), -1)
+    excl = bounds.astype(np.uint64) + 1
+    product = u[:, :len(bounds)] * excl
+    draws = (product >> 32).astype(np.int64)
+    for j in np.flatnonzero(((product & _M32) < excl).any(axis=1)):
+        draws[j] = np.random.Generator(pcg64(words[j])).integers(0, bounds, endpoint=True)
+    return draws
 
 
 def seeded_rng(seed: int) -> Rng:

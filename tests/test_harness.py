@@ -554,6 +554,24 @@ class TestCli:
         assert f"output directory {out}: {taken} is not a directory" in captured.err
         assert captured.out == ""
 
+    def test_sweep_variant_directory_blocked_by_a_file_exits_2_before_any_run(
+            self, cfg_file, tmp_path, capsys, monkeypatch):
+        # out exists as a directory, but the second variant's out/<label> is a file
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "homlora_r2").write_text("")
+
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out), "--seed", "0",
+                     "--strategies", "hetlora,homlora:2"]) == 2
+        captured = capsys.readouterr()
+        blocked = out / "homlora_r2"
+        assert f"output directory {blocked}: {blocked} is not a directory" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["", "sub/exp", ".hidden"])
     def test_run_name_must_be_a_plain_file_stem(self, cfg_file, tmp_path, capsys,
                                                 name):
@@ -789,6 +807,21 @@ class TestCli:
         assert main(["report", str(path), "--csv", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert f"--csv {tmp_path} is a directory" in captured.err
+        assert captured.out == ""
+
+    def test_report_csv_below_a_file_exits_2_before_reading(self, tmp_path, capsys,
+                                                            monkeypatch):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([fake_run()], path)
+
+        def read_jsonl(path):
+            raise AssertionError("a stream was read")
+
+        monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
+        target = path / "sub" / "r.csv"
+        assert main(["report", str(path), "--csv", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert f"output directory {target.parent}: {path} is not a directory" in captured.err
         assert captured.out == ""
 
     def test_report_two_full_ft_streams_print_absolute_comm(self, tmp_path, capsys):

@@ -9,8 +9,12 @@ from hetlora.linalg import (
     Matrix,
     NumericError,
     ShapeError,
+    _key_part,
     batches_from_draws,
+    bounded_draws,
+    choice_bounds,
     seeded_rng,
+    stream_words,
     svd,
 )
 
@@ -205,10 +209,10 @@ def choice_generator(seed):
 
 
 class TestBatchSampler:
-    """Batches are drawn as bounded integers and turned into index sets by
-    batches_from_draws. They must be Generator.choice(n, size,
-    replace=False)'s, bit for bit, and leave the generator in the state
-    choice leaves it in."""
+    """The draws of count Generator.choice(n, size, replace=False) calls are
+    bounded integers in [0, choice_bounds(n, size, count)], and
+    batches_from_draws turns them into index sets. Those must be choice's,
+    bit for bit, from a generator left in the state choice leaves it in."""
 
     def assert_matches_choice(self, seed, n, size, count):
         want_gen = choice_generator(seed)
@@ -216,10 +220,11 @@ class TestBatchSampler:
         one = seeded_rng(seed)
         assert all(np.array_equal(one.batch_indices(n, size), w) for w in want)
         assert one._gen.bit_generator.state == want_gen.bit_generator.state
-        many = seeded_rng(seed)
-        got = batches_from_draws(many.batch_draws(n, size, count), n, size)
+        many = choice_generator(seed)
+        draws = many.integers(0, choice_bounds(n, size, count), endpoint=True)
+        got = batches_from_draws(draws.reshape(count, -1), n, size)
         assert np.array_equal(got, np.array(want))
-        assert many._gen.bit_generator.state == want_gen.bit_generator.state
+        assert many.bit_generator.state == want_gen.bit_generator.state
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**63), n=st.integers(2, 60), count=st.integers(1, 5),
@@ -236,3 +241,75 @@ class TestBatchSampler:
         rng = seeded_rng(4)
         assert np.array_equal(rng.batch_indices(5, 5), np.arange(5))
         assert rng._gen.bit_generator.state == choice_generator(4).bit_generator.state
+
+
+def round_generator(seed, counter):
+    """numpy's generator of the stream seeded_rng(seed).child("round", counter)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, _key_part("round"), counter])))
+
+
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1))
+
+
+class TestStreamWords:
+    """stream_words is SeedSequence([seed, _key_part("round"),
+    counter]).generate_state(4, np.uint64)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=6),
+           counters=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    def test_words_are_seed_sequence_state(self, seeds, counters):
+        got = stream_words(seeds, counters)
+        assert got.shape == (len(seeds), len(counters), 4) and got.dtype == np.uint64
+        for i, seed in enumerate(seeds):
+            for j, c in enumerate(counters):
+                want = np.random.SeedSequence([seed, _key_part("round"), c])
+                assert np.array_equal(got[i, j], want.generate_state(4, np.uint64))
+
+    def test_round_key_is_two_words(self):
+        # stream_words mixes exactly four entropy words, two of them the key's
+        assert 2**32 <= _key_part("round") < 2**64
+
+    @pytest.mark.parametrize("seeds,counters", [([0], [2**32]), ([0], [-1]),
+                                                ([-1], [0]), ([2**32], [0])])
+    def test_out_of_range_raises(self, seeds, counters):
+        with pytest.raises(ValueError):
+            stream_words(seeds, counters)
+
+
+class TestBoundedDraws:
+    """Row j of bounded_draws is Generator.integers(0, bounds, endpoint=True)
+    of the generator seeded by words[j], rejections included."""
+
+    def assert_rows_are_integers(self, seeds, counter, bounds):
+        got = bounded_draws(stream_words(seeds, [counter])[:, 0], bounds)
+        want = [round_generator(s, counter).integers(0, bounds, endpoint=True)
+                for s in seeds]
+        assert np.array_equal(got, np.array(want).reshape(len(seeds), len(bounds)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=6),
+           counter=st.integers(0, 2**32 - 1),
+           bounds=st.lists(st.one_of(st.integers(1, 100),
+                                     st.integers(2**31 - 50, 2**31 + 50),
+                                     st.integers(1, 2**32 - 2)), min_size=1, max_size=9))
+    def test_rows_are_generator_integers(self, seeds, counter, bounds):
+        self.assert_rows_are_integers(seeds, counter, bounds)
+
+    def test_rows_numpy_rejects_in_are_numpy_s(self):
+        # near 2**31 numpy rejects about half of all 32-bit draws, so the
+        # multiply alone gives other draws on some row
+        seeds, bounds = range(20), np.full(5, 2**31 + 1)
+        self.assert_rows_are_integers(seeds, 3, bounds)
+        raw = np.array([np.random.PCG64(np.random.SeedSequence([s, _key_part("round"), 3]))
+                        .random_raw(3) for s in seeds])
+        u = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(len(seeds), -1)
+        multiplied = (u[:, :5] * np.uint64(2**31 + 2)) >> 32
+        want = [round_generator(s, 3).integers(0, bounds, endpoint=True) for s in seeds]
+        assert (multiplied != np.array(want)).any()
+
+    @pytest.mark.parametrize("bounds", [[0], [5, 0], [2**32 - 1], [2**32], [-3]])
+    def test_bound_out_of_range_raises(self, bounds):
+        with pytest.raises(ValueError):
+            bounded_draws(stream_words([1], [0])[:, 0], bounds)
