@@ -22,11 +22,11 @@ from dataclasses import replace
 import numpy as np
 
 from .client import (
+    Clients,
     LocalTrainConfig,
     TrainingError,
     dense_local_train,
     local_train,
-    make_clients,
 )
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
@@ -76,14 +76,14 @@ class _Strategy:
 
     def __init__(self, task: SyntheticTask, run_seed: int, lcfg: LocalTrainConfig):
         self.task = task
-        self.clients = make_clients(
-            task.clients, [_client_seed(run_seed, k) for k in range(len(task.clients))])
+        self.clients = Clients(
+            task, [_client_seed(run_seed, k) for k in range(task.spec.num_clients)])
         self.lcfg = lcfg
 
     def local_step(self, selected: list[int], models: list[LoraPair],
                    t: int) -> list[LoraPair]:
-        return local_train([self.clients[k] for k in selected], models,
-                           self.task.base.w0, self.lcfg, round_index=t)
+        return local_train(self.clients, selected, models, self.task.base.w0,
+                           self.lcfg, t)
 
 
 class _FactorServer(_Strategy):
@@ -100,7 +100,8 @@ class _FactorServer(_Strategy):
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(self.server.client_ranks[c.id] for c in self.clients)
+        # the registry keeps the client-id order it was built in
+        return tuple(self.server.client_ranks.values())
 
     def hand_out(self, k: int) -> LoraPair:
         return distribute(self.server, self.server.client_ranks[k])
@@ -144,8 +145,8 @@ class _FullFT(_DenseServer):
 
     def local_step(self, selected: list[int], models: list[np.ndarray],
                    t: int) -> list[np.ndarray]:
-        return dense_local_train([self.clients[k] for k in selected], models,
-                                 self.task.base.w0, self.lcfg, round_index=t)
+        return dense_local_train(self.clients, selected, models, self.task.base.w0,
+                                 self.lcfg, t)
 
     def aggregate(self, updates: list[tuple[int, np.ndarray]]) -> None:
         self._set_mean([u for _, u in updates])

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, _parse_int_list, load_config
-from .harness import run_experiment, select_learning_rate, write_outputs
+from .harness import output_files, run_experiment, select_learning_rate, write_outputs
 from .records import RunResult, read_jsonl, rounds_to_target, summarize, write_csv
 
 GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
@@ -47,12 +47,16 @@ def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _out_dir(out) -> Path:
-    """The directory out; a ConfigError if a file stands where it or a parent is."""
+def _out_dir(out, *files: str) -> Path:
+    """The directory out; a ConfigError if a file stands where it or a parent
+    is, or a directory where one of the files in it goes."""
     out = Path(out)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    for path in (out / name for name in files):
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
     return out
 
 
@@ -75,7 +79,7 @@ def _print_summary(label: str, runs: list[RunResult], lr: float) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg.out_dir)
+    out = _out_dir(cfg.out_dir, *output_files(args.name))
     runs = run_experiment(cfg)
     jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.tag)
     _print_summary(cfg.tag, runs, cfg.learning_rate)
@@ -118,14 +122,15 @@ def _variants(cfg: ExperimentConfig, args) -> dict[str, ExperimentConfig]:
 
 def cmd_sweep(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg.out_dir)
+    summary = Path(cfg.out_dir) / "sweep_summary.csv"
+    out = _out_dir(summary.parent, summary.name)
     variants = _variants(cfg, args)
     if not variants:
         print("sweep: nothing to do (pass --gamma-ablation or --strategies)",
               file=sys.stderr)
         return 2
     for label in variants:
-        _out_dir(out / label)
+        _out_dir(out / label, *output_files())
 
     rows = []
     for label, vcfg in variants.items():
@@ -137,7 +142,6 @@ def cmd_sweep(args) -> int:
         s = _print_summary(label, runs, lr)
         rows.append([label, s["strategy"], lr, f"{s['final_eval_loss_mean']:.10g}",
                      f"{s['final_eval_loss_std']:.10g}", s["completed"]])
-    summary = out / "sweep_summary.csv"
     write_csv(summary, ["label", "strategy", "learning_rate", "final_eval_loss_mean",
                         "final_eval_loss_std", "completed"], rows)
     print(f"sweep summary: {summary}")
@@ -163,6 +167,13 @@ def _file_stem(text: str) -> str:
     return text
 
 
+def _stream_label(path: Path) -> str:
+    """A records.jsonl's directory name, or else the stream's <dir>/<stem>."""
+    if path.name == "records.jsonl" and path.parent.name:
+        return path.parent.name
+    return str(Path(path.parent.name, path.stem))
+
+
 def _target_for(runs: list[RunResult], args) -> float:
     if args.target is not None:
         return args.target
@@ -171,11 +182,8 @@ def _target_for(runs: list[RunResult], args) -> float:
 
 
 def cmd_report(args) -> int:
-    if args.csv and Path(args.csv).is_dir():
-        print(f"report: --csv {args.csv} is a directory", file=sys.stderr)
-        return 2
     if args.csv:
-        _out_dir(Path(args.csv).parent)
+        _out_dir(Path(args.csv).parent, Path(args.csv).name)
     paths: list[Path] = []
     for p in args.records:
         p = Path(p)
@@ -204,7 +212,7 @@ def cmd_report(args) -> int:
                  for r, h in zip(runs, hits)]
         s = summarize(runs)
         rows.append({
-            "label": path.parent.name if path.parent.name else path.stem,
+            "label": _stream_label(path),
             "strategy": s["strategy"],
             "final_mean": s["final_eval_loss_mean"],
             "final_std": s["final_eval_loss_std"],

@@ -8,20 +8,17 @@ drove their norm strictly below the value it had in the module received
 from the server. A client keeps no rank: the pair it returns has its new
 rank, which the server's rank registry keeps, so pruned ranks never grow back.
 
-The clients selected in a round are trained together, as one cohort in
+A run's clients are one Clients object: their samples as clients x n
+arrays, views of the task's pool (every client holds the task's
+samples_per_client samples), and their seeds; a client is its index. The
+clients selected in a round are trained together, as one cohort in
 stacked arrays: every step is one batched matmul per operation for the
 whole cohort. Adapters are zero-padded to the cohort's largest rank, and
 the padding stays exactly zero under SGD. Each client still draws its own
-batches from its own stream, so its result does not depend on its place
-in the cohort. Every client holds the task's samples_per_client samples,
-so all batches of a cohort have one length. The seed words of all
-clients' (client seed, round) streams are computed together, 32 rounds at
-a time (linalg.stream_words). A round's draws come from their raw PCG64
-output by Lemire's multiply for the whole cohort at once, with numpy's
-own draw for a client it might reject (linalg.bounded_draws), and one
-pass turns them into index sets: bit for bit one Generator.choice(n,
-batch_size, replace=False) per step on that stream. The tails are indexed
-once, as (client, rank) pairs through which the tail norms, the
+batches from its own (client seed, round) stream, bit for bit one
+Generator.choice(n, batch_size, replace=False) per step (_cohort_indices),
+so its result does not depend on its place in the cohort. The tails are
+indexed once, as (client, rank) pairs through which the tail norms, the
 regulariser's gradient and the prune test all read the factors. A cohort
 in which no client can have a tail (decay 1, or every rank 1) keeps no
 tail index.
@@ -35,50 +32,41 @@ matrix. Finiteness is checked once, after the last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Matrix, batches_from_draws, bounded_draws, choice_bounds, stream_words
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
-from .tasks import ClientDataset
+from .tasks import SyntheticTask
 
 
 class TrainingError(RuntimeError):
     """Local training diverged (non-finite values)."""
 
 
-class _RoundWords:
-    """The seed words of the (seeds[k], "round", t) streams, row k, t. They
-    are computed for every k at once, 32 rounds t at a time, when a round of
-    the block is first asked for; only the last block is kept."""
+class Clients:
+    """A run's clients as arrays: client k holds inputs[k] (n x l) and
+    targets[k] (n x d), read-only views of its rows of the task's pool, and
+    seeds[k], the seed of its batch streams."""
 
-    def __init__(self, seeds):
-        self.seeds, self.block, self.words = seeds, None, None
+    def __init__(self, task: SyntheticTask, seeds):
+        n = task.spec.samples_per_client
+        self.inputs = task.pool.inputs.array.reshape(-1, n, task.spec.l)
+        self.targets = task.pool.targets.array.reshape(-1, n, task.spec.d)
+        self.seeds = [int(s) for s in seeds]
+        self._block, self._words = None, None
 
-    def row(self, k: int, t: int) -> np.ndarray:
-        if t // 32 != self.block:
-            self.block = t // 32
-            self.words = stream_words(self.seeds, np.arange(32) + 32 * self.block)
-        return self.words[k, t % 32]
-
-
-@dataclass(frozen=True)
-class ClientState:
-    """A client: its data, its seed, and round_words, whose row id holds the
-    seed words of its batch streams."""
-    id: int
-    dataset: ClientDataset
-    seed: int
-    round_words: _RoundWords = field(repr=False, compare=False)
-
-
-def make_clients(datasets, seeds) -> list[ClientState]:
-    """Client k of datasets[k] and seeds[k]; all share one _RoundWords."""
-    words = _RoundWords([int(s) for s in seeds])
-    return [ClientState(id=k, dataset=data, seed=seed, round_words=words)
-            for k, (data, seed) in enumerate(zip(datasets, words.seeds))]
+    def round_words(self, selected, t: int) -> np.ndarray:
+        """The seed words of the (seeds[k], "round", t) streams of the
+        clients k in selected, one row each. They are computed for every
+        client at once, 32 rounds t at a time, when a round of the block is
+        first asked for; only the last block is kept."""
+        if t // 32 != self._block:
+            self._block = t // 32
+            self._words = stream_words(self.seeds, np.arange(32) + 32 * self._block)
+        return self._words[selected, t % 32]
 
 
 @dataclass(frozen=True)
@@ -165,47 +153,43 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
     ga[j, k, :] += a[j, k, :] * ca[j, None]
 
 
-def _cohort_indices(states: list[ClientState], cfg: LocalTrainConfig,
+def _cohort_indices(clients: Clients, selected: list[int], cfg: LocalTrainConfig,
                     round_index: int) -> np.ndarray:
-    """The rows of each client's mini-batches of one round in its own
-    dataset, m x iters x min(batch_size, n) for the n samples every client
-    holds.
+    """The rows of each selected client's mini-batches of one round in its
+    own samples, m x iters x min(batch_size, n) for the n samples every
+    client holds.
 
-    Each client's batches come from a stream derived from (client seed,
-    round), so a local result is independent of scheduling order and of
-    the cohort. They are the batches of local_iters successive
-    Rng.batch_indices calls on that stream, bit for bit: bounded_draws
-    takes the draws from the round's stacked seed words of all clients,
-    and batches_from_draws turns them into index sets. With no more samples
-    than batch_size, every client uses all of them, in order, in every
-    step, and draws nothing.
+    A client's batches are those of local_iters successive
+    Rng.batch_indices calls on its (client seed, round) stream, bit for
+    bit: bounded_draws takes the draws from the selected clients' seed
+    words of the round (Clients.round_words), and batches_from_draws turns
+    them into index sets. With no more samples than batch_size, every
+    client uses all of them, in order, in every step, and draws nothing.
     """
-    n = states[0].dataset.size
+    m, n = len(selected), clients.inputs.shape[1]
     if n <= cfg.batch_size:
-        return np.broadcast_to(np.arange(n), (len(states), cfg.local_iters, n))
-    words = np.stack([s.round_words.row(s.id, round_index) for s in states])
-    draws = bounded_draws(words, choice_bounds(n, cfg.batch_size, cfg.local_iters))
-    batches = batches_from_draws(draws.reshape(len(states) * cfg.local_iters, -1), n,
+        return np.broadcast_to(np.arange(n), (m, cfg.local_iters, n))
+    draws = bounded_draws(clients.round_words(selected, round_index),
+                          choice_bounds(n, cfg.batch_size, cfg.local_iters))
+    batches = batches_from_draws(draws.reshape(m * cfg.local_iters, -1), n,
                                  cfg.batch_size)
-    return batches.reshape(len(states), cfg.local_iters, cfg.batch_size)
+    return batches.reshape(m, cfg.local_iters, cfg.batch_size)
 
 
-def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig,
-                    round_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """A cohort's mini-batches of one round: inputs (iters x m x n x l) and
-    the base residuals x w0' - y of their rows (iters x m x n x d).
+def _cohort_batches(clients: Clients, selected: list[int], w0: Matrix,
+                    cfg: LocalTrainConfig, round_index: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The selected clients' mini-batches of one round: inputs (iters x m x
+    n x l) and the base residuals x w0' - y of their rows (iters x m x n x d).
 
-    The batches are those of _cohort_indices. All rows are gathered with one
-    index from the sample pool the clients' datasets view into, and their
-    base residuals come from one matmul.
+    The batches are those of _cohort_indices. All rows are gathered from
+    the clients' arrays with one index, and their base residuals come from
+    one matmul.
     """
-    pool = states[0].dataset.pool
-    if pool is None or any(s.dataset.pool is not pool for s in states):
-        raise ValueError("a cohort's datasets must view into one sample pool")
-    starts = np.array([s.dataset.start for s in states])[:, None, None]
-    idx = (_cohort_indices(states, cfg, round_index) + starts).transpose(1, 0, 2)
-    xs = pool.inputs.array[idx]
-    ys = pool.targets.array[idx]
+    idx = _cohort_indices(clients, selected, cfg, round_index).transpose(1, 0, 2)
+    rows = np.asarray(selected)[:, None]
+    xs = clients.inputs[rows, idx]
+    ys = clients.targets[rows, idx]
     # a stacked matmul takes each batch's product on its own, so a client's
     # residuals do not depend on its place in the cohort
     r0 = xs @ w0.array.T
@@ -213,7 +197,7 @@ def _cohort_batches(states: list[ClientState], w0: Matrix, cfg: LocalTrainConfig
     return xs, r0
 
 
-def _raise_first_divergence(states: list[ClientState], *stacks: np.ndarray) -> None:
+def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
     """Name the first client, in cohort order, whose trained values are not
     all finite: the client a one-at-a-time loop would have stopped at.
 
@@ -225,16 +209,16 @@ def _raise_first_divergence(states: list[ClientState], *stacks: np.ndarray) -> N
     if all(np.isfinite(s).all() for s in stacks):
         return
     ok = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
-    raise TrainingError(f"client {states[np.flatnonzero(~ok)[0]].id} diverged")
+    raise TrainingError(f"client {selected[np.flatnonzero(~ok)[0]]} diverged")
 
 
-def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
-                cfg: LocalTrainConfig, round_index: int = 0) -> list[LoraPair]:
+def local_train(clients: Clients, selected: list[int], received: list[LoraPair],
+                w0: Matrix, cfg: LocalTrainConfig, round_index: int) -> list[LoraPair]:
     """Run local SGD for a cohort and decide on pruning.
 
-    states[k] trains received[k], at received[k]'s rank. Returns the trained
-    pairs in cohort order, each truncated to its client's new rank, and
-    changes none of its arguments. With reg_weight 0 and decay 1 this is a
+    Client selected[j] trains received[j], at received[j]'s rank. Returns
+    the trained pairs in cohort order, each truncated to its client's new
+    rank, and changes none of its arguments. With reg_weight 0 and decay 1 this is a
     plain FedAvg local step: the tail is empty and the strict-decrease
     pruning test can never fire.
 
@@ -244,8 +228,8 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
     g_a = (resid b)' x: the gradients of the dense form, without forming
     w0 + b a or any other d x l matrix.
     """
-    if len(states) != len(received):
-        raise ValueError(f"{len(states)} clients but {len(received)} models")
+    if len(selected) != len(received):
+        raise ValueError(f"{len(selected)} clients but {len(received)} models")
     ranks = [p.rank for p in received]
     width = max(ranks)
     b = np.zeros((len(received), received[0].d, width))
@@ -261,7 +245,7 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, r0 = _cohort_batches(states, w0, cfg, round_index)
+    xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
     for step in range(cfg.local_iters):
         x = xs[step]
         xa = x @ a.transpose(0, 2, 1)
@@ -279,7 +263,7 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
         b -= gb
         ga *= cfg.learning_rate
         a -= ga
-    _raise_first_divergence(states, b, a)
+    _raise_first_divergence(selected, b, a)
 
     new_ranks = ranks
     if has_tail:
@@ -290,19 +274,19 @@ def local_train(states: list[ClientState], received: list[LoraPair], w0: Matrix,
             for j, r in enumerate(new_ranks)]
 
 
-def dense_local_train(states: list[ClientState], deltas: list[np.ndarray],
-                      w0: Matrix, cfg: LocalTrainConfig, round_index: int,
-                      ) -> list[np.ndarray]:
+def dense_local_train(clients: Clients, selected: list[int],
+                      deltas: list[np.ndarray], w0: Matrix, cfg: LocalTrainConfig,
+                      round_index: int) -> list[np.ndarray]:
     """Local SGD of a cohort on dense d x l additive updates (full
-    fine-tuning): states[k] trains deltas[k].
+    fine-tuning): client selected[j] trains deltas[j].
 
     Same batches as local_train; the loss is the plain MSE of w0 + delta,
     with no regulariser and no rank. Returns new arrays in cohort order.
     """
-    if len(states) != len(deltas):
-        raise ValueError(f"{len(states)} clients but {len(deltas)} models")
+    if len(selected) != len(deltas):
+        raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
     local = np.array(deltas, dtype=np.float64)
-    xs, r0 = _cohort_batches(states, w0, cfg, round_index)
+    xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
     for step in range(cfg.local_iters):
         # local -= lr * (r0 + x local')' x / n, computed in place
         x = xs[step]
@@ -312,5 +296,5 @@ def dense_local_train(states: list[ClientState], deltas: list[np.ndarray],
         g_dense /= xs.shape[2]
         g_dense *= cfg.learning_rate
         local -= g_dense
-    _raise_first_divergence(states, local)
+    _raise_first_divergence(selected, local)
     return list(local)

@@ -20,6 +20,7 @@ from .config import LEARNING_RATE_GRID, ExperimentConfig
 from .records import RunResult, summarize, write_jsonl, write_summary_csv
 
 __all__ = [
+    "output_files",
     "run_experiment",
     "select_learning_rate",
     "write_outputs",
@@ -45,12 +46,15 @@ def select_learning_rate(cfg: ExperimentConfig, grid=LEARNING_RATE_GRID
                 for lr in grid), key=score)
 
 
+def output_files(name: str = "records") -> tuple[str, str]:
+    """The names of the files write_outputs writes."""
+    return f"{name}.jsonl", f"{name}_summary.csv"
+
+
 def write_outputs(runs: list[RunResult], out_dir: Path,
                   name: str = "records", label: str = "") -> tuple[Path, Path]:
     """Write the JSONL record stream and the sidecar CSV summary."""
-    out_dir = Path(out_dir)
-    jsonl = out_dir / f"{name}.jsonl"
-    csv_path = out_dir / f"{name}_summary.csv"
+    jsonl, csv_path = (Path(out_dir) / f for f in output_files(name))
     write_jsonl(runs, jsonl)
     write_summary_csv(runs, csv_path, label=label)
     return jsonl, csv_path

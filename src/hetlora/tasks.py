@@ -13,7 +13,7 @@ structure (low-rank targets, noise overfitting, heterogeneous complexity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,12 @@ class SyntheticTaskSpec:
 class ClientDataset:
     """Samples as rows: inputs is n x l, targets is n x d.
 
-    generate_task keeps every client's samples in one pool, a dataset of
-    all their rows in client order. A client's inputs and targets are views
-    of the pool's rows [start, start + samples_per_client), so a cohort's
-    mini-batches are gathered from the pool with one index.
+    A task's client datasets are views of rows of its pool; client.Clients
+    views the pool as one clients x n array of each.
     """
 
     inputs: Matrix
     targets: Matrix
-    pool: ClientDataset | None = field(default=None, compare=False, repr=False)
-    start: int = 0
 
     def __post_init__(self):
         if self.inputs.rows != self.targets.rows:
@@ -108,6 +104,7 @@ class SyntheticTask:
     spec: SyntheticTaskSpec
     base: FrozenBaseModel
     target_delta: Matrix  # the hidden rank-rho* update, Frobenius norm 1
+    pool: ClientDataset  # all samples; clients[k] views rows [k n, (k + 1) n)
     clients: tuple[ClientDataset, ...]
     complexities: tuple[int, ...]
     eval_set: ClientDataset  # full input distribution, noiseless targets
@@ -148,9 +145,10 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     n = spec.samples_per_client
     w_full = w0.array + delta
 
-    starts = range(0, n * spec.num_clients + 1, n)
-    pool_x = np.empty((starts[-1], spec.l))
-    pool_y = np.empty((starts[-1], spec.d))
+    pool_x = np.empty((spec.num_clients * n, spec.l))
+    pool_y = np.empty((spec.num_clients * n, spec.d))
+    xs = pool_x.reshape(spec.num_clients, n, spec.l)
+    ys = pool_y.reshape(spec.num_clients, n, spec.d)
     for k in range(spec.num_clients):
         crng = root.child("client", k)
         rho = complexities[k]
@@ -160,8 +158,7 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
         y = x @ w_full.T
         if spec.noise_std > 0:
             y = y + crng.normal_array((n, spec.d), std=spec.noise_std)
-        pool_x[starts[k]:starts[k + 1]] = x
-        pool_y[starts[k]:starts[k + 1]] = y
+        xs[k], ys[k] = x, y
 
     er = root.child("eval")
     ex = er.normal_array((spec.eval_samples, spec.l))
@@ -169,17 +166,13 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     if not all(np.isfinite(v).all() for v in (w0.array, delta, pool_x, pool_y, ex, ey)):
         raise ValueError(f"task values are not finite; {OVERFLOW_HINT}")
 
-    pool = ClientDataset(inputs=Matrix._wrap(pool_x), targets=Matrix._wrap(pool_y))
-    clients = [
-        ClientDataset(inputs=Matrix._wrap(pool_x[start:end]),
-                      targets=Matrix._wrap(pool_y[start:end]), pool=pool, start=start)
-        for start, end in zip(starts, starts[1:])
-    ]
     return SyntheticTask(
         spec=spec,
         base=FrozenBaseModel(w0=w0),
         target_delta=Matrix._wrap(delta),
-        clients=tuple(clients),
+        pool=ClientDataset(inputs=Matrix._wrap(pool_x), targets=Matrix._wrap(pool_y)),
+        clients=tuple(ClientDataset(inputs=Matrix._wrap(x), targets=Matrix._wrap(y))
+                      for x, y in zip(xs, ys)),
         complexities=complexities,
         eval_set=ClientDataset(inputs=Matrix._wrap(ex), targets=Matrix._wrap(ey)),
     )

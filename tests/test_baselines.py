@@ -231,7 +231,7 @@ class TestRoundLoop:
                                                                  tmp_path):
         # every client returns finite factors of 1e308, and unit weights
         # make their sum overflow in round 1
-        def huge(states, received, w0, cfg, round_index):
+        def huge(clients, selected, received, w0, cfg, round_index):
             return [LoraPair(Matrix(np.full((p.d, p.rank), 1e308)),
                              Matrix(np.full((p.rank, p.l), 1e308))) for p in received]
 

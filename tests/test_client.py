@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetlora.client import (
+    Clients,
     LocalTrainConfig,
     TrainingError,
     _cohort_batches,
@@ -16,10 +17,9 @@ from hetlora.client import (
     dense_local_train,
     kept_rank,
     local_train,
-    make_clients,
     tail_block_norm,
 )
-from hetlora.linalg import Matrix, seeded_rng
+from hetlora.linalg import Matrix, _key_part, seeded_rng
 from hetlora.lora import LoraPair, truncate
 from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
 from oracles import (
@@ -35,10 +35,7 @@ SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=4,
                          samples_per_client=24, noise_std=0.05,
                          client_complexity=(1, 2, 3, 4), seed=7)
 TASK = generate_task(SPEC)
-
-
-def make_state(client_id=0):
-    return make_clients(TASK.clients, [100 + k for k in range(SPEC.num_clients)])[client_id]
+CLIENTS = Clients(TASK, [100 + k for k in range(SPEC.num_clients)])
 
 
 def random_pair(seed, rank=4, scale=0.2):
@@ -49,30 +46,32 @@ def random_pair(seed, rank=4, scale=0.2):
     )
 
 
-def train_one(state, received, cfg, round_index=0):
-    """local_train on a cohort of one: the trained pair, at its new rank."""
-    [out] = local_train([state], [received], TASK.base.w0, cfg, round_index)
+def train_one(k, received, cfg, round_index=0):
+    """local_train of client k of CLIENTS on a cohort of one: the trained
+    pair, at its new rank."""
+    [out] = local_train(CLIENTS, [k], [received], TASK.base.w0, cfg, round_index)
     return out
 
 
-def dense_one(state, delta, cfg, round_index=0):
-    [out] = dense_local_train([state], [delta], TASK.base.w0, cfg, round_index)
+def dense_one(k, delta, cfg, round_index=0):
+    [out] = dense_local_train(CLIENTS, [k], [delta], TASK.base.w0, cfg, round_index)
     return out
 
 
-def hand_rolled_sgd(state, received, cfg, grads, round_index=0, keep=None,
-                    w0=TASK.base.w0):
-    """Per-client SGD from `received`, written out apart from local_train:
+def hand_rolled_sgd(k, received, cfg, grads, round_index=0, keep=None,
+                    task=TASK, clients=CLIENTS):
+    """Client k's SGD from `received`, written out apart from local_train,
+    on the task's dataset of client k and the seed clients gives it:
     `grads` gives the data-loss gradients of a batch; with `keep`, the tail
     regulariser acts on the ranks from `keep` on. Returns the trained
     factors at full rank."""
-    rng = seeded_rng(state.seed).child("round", round_index)
+    rng = seeded_rng(clients.seeds[k]).child("round", round_index)
     b = received.b.array.copy()
     a = received.a.array.copy()
-    data = state.dataset
+    data = task.clients[k]
     for _ in range(cfg.local_iters):
         idx = rng.batch_indices(data.size, cfg.batch_size)
-        gb, ga = grads(b, a, w0.array, data.inputs.array[idx],
+        gb, ga = grads(b, a, task.base.w0.array, data.inputs.array[idx],
                        data.targets.array[idx])
         if keep is not None:
             nb, na = np.linalg.norm(b[:, keep:]), np.linalg.norm(a[keep:, :])
@@ -92,6 +91,29 @@ def first_diverging_iters(train, cfg, limit):
         except TrainingError:
             return iters
     return None
+
+
+class TestClients:
+    def test_arrays_view_the_task_pool(self):
+        # client k's rows are the task's dataset of client k, read-only
+        # views of the pool, not copies
+        for k, data in enumerate(TASK.clients):
+            for got, want in ((CLIENTS.inputs[k], data.inputs.array),
+                              (CLIENTS.targets[k], data.targets.array)):
+                assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.shares_memory(CLIENTS.inputs, TASK.pool.inputs.array)
+        assert np.shares_memory(CLIENTS.targets, TASK.pool.targets.array)
+
+    def test_round_words_out_of_order_and_across_blocks(self):
+        # one object asked for rounds out of order, across the 32-round
+        # blocks and back to an earlier block
+        seeds = [7, 2**32 - 1, 0, 12345]
+        clients = Clients(TASK, seeds)
+        selected = [3, 0, 1]
+        for t in (31, 32, 0, 64, 33):
+            want = [np.random.SeedSequence([seeds[k], _key_part("round"), t])
+                    .generate_state(4, np.uint64) for k in selected]
+            assert np.array_equal(clients.round_words(selected, t), want)
 
 
 class TestKeptRankAndTailNorm:
@@ -201,16 +223,16 @@ class TestRegularizedObjective:
 class TestLocalTrain:
     def test_deterministic(self):
         cfg = LocalTrainConfig(learning_rate=0.1, reg_weight=0.01, decay=0.5)
-        out1 = train_one(make_state(), random_pair(1), cfg, round_index=3)
-        out2 = train_one(make_state(), random_pair(1), cfg, round_index=3)
+        out1 = train_one(0, random_pair(1), cfg, round_index=3)
+        out2 = train_one(0, random_pair(1), cfg, round_index=3)
         assert out1.rank == out2.rank
         assert np.array_equal(out1.b.array, out2.b.array)
         assert np.array_equal(out1.a.array, out2.a.array)
 
     def test_round_index_changes_batches(self):
         cfg = LocalTrainConfig(learning_rate=0.1)
-        out1 = train_one(make_state(), random_pair(1), cfg, round_index=0)
-        out2 = train_one(make_state(), random_pair(1), cfg, round_index=1)
+        out1 = train_one(0, random_pair(1), cfg, round_index=0)
+        out2 = train_one(0, random_pair(1), cfg, round_index=1)
         assert not np.array_equal(out1.b.array, out2.b.array)
 
     def test_matches_hand_rolled_sgd_without_pruning(self):
@@ -219,24 +241,22 @@ class TestLocalTrain:
         # loop on the dense formula
         cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.15,
                                reg_weight=0.0, decay=1.0)
-        state = make_state(client_id=2)
         received = random_pair(11)
-        out = train_one(state, received, cfg, round_index=5)
+        out = train_one(2, received, cfg, round_index=5)
         assert out.rank == received.rank
 
-        b, a = hand_rolled_sgd(state, received, cfg, lowrank_grads, round_index=5)
+        b, a = hand_rolled_sgd(2, received, cfg, lowrank_grads, round_index=5)
         assert np.array_equal(out.b.array, b)
         assert np.array_equal(out.a.array, a)
-        b, a = hand_rolled_sgd(state, received, cfg, dense_grads, round_index=5)
+        b, a = hand_rolled_sgd(2, received, cfg, dense_grads, round_index=5)
         np.testing.assert_allclose(out.b.array, b, rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.a.array, a, rtol=1e-12, atol=0)
 
     def test_training_reduces_loss(self):
         cfg = LocalTrainConfig(local_iters=20, batch_size=16, learning_rate=0.2)
-        state = make_state(client_id=3)
         received = random_pair(2, scale=0.05)
         before = loss(received, TASK.base.w0, TASK.clients[3])
-        out = train_one(state, received, cfg)
+        out = train_one(3, received, cfg)
         after = loss(out, TASK.base.w0, TASK.clients[3])
         assert after < before
 
@@ -245,11 +265,11 @@ class TestLocalTrain:
         # pairs twice and are left as they were
         cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.05,
                                reg_weight=1.0, decay=0.5)
-        states = [make_state(client_id=k) for k in range(2)]
+        selected = [0, 1]
         received = [random_pair(7, scale=0.1), random_pair(12, scale=0.1)]
         before = [(p.b.array.copy(), p.a.array.copy()) for p in received]
-        first = local_train(states, received, TASK.base.w0, cfg)
-        second = local_train(states, received, TASK.base.w0, cfg)
+        first = local_train(CLIENTS, selected, received, TASK.base.w0, cfg, 0)
+        second = local_train(CLIENTS, selected, received, TASK.base.w0, cfg, 0)
         assert first[0].rank == 2
         for p, q in zip(first, second):
             assert p.rank == q.rank
@@ -257,13 +277,13 @@ class TestLocalTrain:
             assert np.array_equal(p.a.array, q.a.array)
         for p, (b, a) in zip(received, before):
             assert np.array_equal(p.b.array, b) and np.array_equal(p.a.array, a)
-        assert states == [make_state(client_id=k) for k in range(2)]
+        assert selected == [0, 1]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_training_error(self):
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e6)
         with pytest.raises(TrainingError) as exc_info:
-            train_one(make_state(), random_pair(1), cfg)
+            train_one(0, random_pair(1), cfg)
         assert str(exc_info.value) == "client 0 diverged"
 
     def test_prunes_when_regularizer_shrinks_tail(self):
@@ -272,7 +292,7 @@ class TestLocalTrain:
         cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.05,
                                reg_weight=1.0, decay=0.5)
         received = random_pair(7, rank=4, scale=0.1)
-        out = train_one(make_state(client_id=0), received, cfg)
+        out = train_one(0, received, cfg)
         assert out.rank == kept_rank(4, 0.5) == 2
 
     def test_no_prune_when_received_tail_is_zero(self):
@@ -283,31 +303,29 @@ class TestLocalTrain:
         b = np.hstack([base.b.array[:, :2], np.zeros((SPEC.d, 2))])
         a = np.vstack([base.a.array[:2, :], np.zeros((2, SPEC.l))])
         received = LoraPair(Matrix(b), Matrix(a))
-        out = train_one(make_state(client_id=1), received, cfg)
+        out = train_one(1, received, cfg)
         assert out.rank == 4
 
     def test_no_prune_when_decay_is_one(self):
         cfg = LocalTrainConfig(local_iters=5, learning_rate=0.1,
                                reg_weight=1.0, decay=1.0)
-        assert train_one(make_state(), random_pair(9), cfg).rank == 4
+        assert train_one(0, random_pair(9), cfg).rank == 4
 
     def test_pruned_output_is_truncation_of_trained_pair(self):
         cfg_prune = LocalTrainConfig(local_iters=10, batch_size=8,
                                      learning_rate=0.05, reg_weight=1.0,
                                      decay=0.5)
         received = random_pair(7, rank=4, scale=0.1)
-        out = train_one(make_state(), received, cfg_prune)
+        out = train_one(0, received, cfg_prune)
         assert out.rank == 2
         # re-run identically but inspect the full trained pair via the same
         # arithmetic with truncation undone: the pruned result must be the
         # leading block of a rank-4 training trajectory, i.e. training then
         # truncating, never retraining at the smaller rank
-        b, a = hand_rolled_sgd(make_state(), received, cfg_prune, lowrank_grads,
-                               keep=2)
+        b, a = hand_rolled_sgd(0, received, cfg_prune, lowrank_grads, keep=2)
         assert np.array_equal(out.b.array, b[:, :2])
         assert np.array_equal(out.a.array, a[:2, :])
-        b, a = hand_rolled_sgd(make_state(), received, cfg_prune, dense_grads,
-                               keep=2)
+        b, a = hand_rolled_sgd(0, received, cfg_prune, dense_grads, keep=2)
         np.testing.assert_allclose(out.b.array, b[:, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.a.array, a[:2, :], rtol=1e-12, atol=0)
 
@@ -316,11 +334,10 @@ class TestLocalTrain:
         # client's rank sequence never increases
         cfg = LocalTrainConfig(local_iters=5, batch_size=8, learning_rate=0.1,
                                reg_weight=0.3, decay=0.7)
-        state = make_state(client_id=0)
         received = random_pair(21, rank=4, scale=0.1)
         seen = [received.rank]
         for t in range(12):
-            out = train_one(state, truncate(received, seen[-1]), cfg, round_index=t)
+            out = train_one(0, truncate(received, seen[-1]), cfg, round_index=t)
             seen.append(out.rank)
         assert all(a >= b for a, b in zip(seen, seen[1:]))
 
@@ -330,10 +347,9 @@ class TestLocalTrain:
         # federation loop
         cfg = LocalTrainConfig(local_iters=5, batch_size=8, learning_rate=0.2,
                                reg_weight=0.05, decay=0.7)
-        state = make_state(client_id=0)  # complexity 1 client
         pair = random_pair(33, rank=4, scale=0.1)
         for t in range(60):
-            pair = train_one(state, pair, cfg, round_index=t)
+            pair = train_one(0, pair, cfg, round_index=t)  # a complexity 1 client
             if pair.rank == 1:
                 break
         assert pair.rank < 4
@@ -343,13 +359,12 @@ class TestDenseLocalTrain:
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
         # gradient of tasks.dense_loss, checked by central differences
-        state = make_state(client_id=2)
-        data = state.dataset
+        data = TASK.clients[2]
         w0 = TASK.base.w0
         lr = 0.05
         cfg = LocalTrainConfig(local_iters=1, batch_size=data.size, learning_rate=lr)
         delta = np.random.default_rng(29).standard_normal((SPEC.d, SPEC.l)) * 0.2
-        stepped = dense_one(state, delta, cfg, round_index=3)
+        stepped = dense_one(2, delta, cfg, round_index=3)
         g = (delta - stepped) / lr
         rng = np.random.default_rng(31)
         eps = 1e-6
@@ -363,21 +378,19 @@ class TestDenseLocalTrain:
     def test_batches_depend_on_client_and_round_only(self):
         # same (client seed, round): identical bytes; another round: other
         # batches; the received update is never modified in place
-        state = make_state(client_id=1)
         cfg = LocalTrainConfig(local_iters=3, batch_size=5, learning_rate=0.1)
         delta = np.zeros((SPEC.d, SPEC.l))
-        one = dense_one(state, delta, cfg, round_index=4)
-        two = dense_one(state, delta, cfg, round_index=4)
+        one = dense_one(1, delta, cfg, round_index=4)
+        two = dense_one(1, delta, cfg, round_index=4)
         assert np.array_equal(one, two)
-        assert not np.array_equal(one, dense_one(state, delta, cfg, round_index=5))
+        assert not np.array_equal(one, dense_one(1, delta, cfg, round_index=5))
         assert np.array_equal(delta, np.zeros((SPEC.d, SPEC.l)))  # input untouched
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_training_error(self):
-        state = make_state(client_id=0)
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e8)
         with pytest.raises(TrainingError) as e:
-            dense_one(state, np.zeros((SPEC.d, SPEC.l)), cfg)
+            dense_one(0, np.zeros((SPEC.d, SPEC.l)), cfg)
         assert str(e.value) == "client 0 diverged"
 
 
@@ -389,17 +402,15 @@ class TestCohort:
                            reg_weight=0.3, decay=0.7)
     RANKS = (1, 4, 2, 3)
 
-    def cohort(self, order):
-        states = [make_state(client_id=k) for k in order]
+    def train(self, order):
+        """The pairs clients order train in round 2, in cohort order."""
         pairs = [random_pair(70 + k, rank=self.RANKS[k], scale=0.1) for k in order]
-        return states, pairs
+        return local_train(CLIENTS, list(order), pairs, TASK.base.w0, self.CFG, 2)
 
     def test_permuting_a_cohort_is_bit_identical(self):
         by_order = []
         for order in ((0, 1, 2, 3), (2, 0, 3, 1)):
-            states, pairs = self.cohort(order)
-            out = local_train(states, pairs, TASK.base.w0, self.CFG, round_index=2)
-            by_order.append({s.id: p for s, p in zip(states, out)})
+            by_order.append(dict(zip(order, self.train(order))))
         assert any(p.rank < self.RANKS[k] for k, p in by_order[0].items())
         for k, p in by_order[0].items():
             p2 = by_order[1][k]
@@ -410,69 +421,47 @@ class TestCohort:
     def test_permuting_a_dense_cohort_is_bit_identical(self):
         cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.1)
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(4)]
-        states = [make_state(client_id=k) for k in range(4)]
-        out = dense_local_train(states, deltas, TASK.base.w0, cfg, 1)
-        back = dense_local_train(states[::-1], deltas[::-1], TASK.base.w0, cfg, 1)
+        out = dense_local_train(CLIENTS, [0, 1, 2, 3], deltas, TASK.base.w0, cfg, 1)
+        back = dense_local_train(CLIENTS, [3, 2, 1, 0], deltas[::-1], TASK.base.w0, cfg,
+                                 1)
         for k in range(4):
             assert np.array_equal(out[k], back[3 - k])
 
     def test_mixed_rank_cohort_matches_cohorts_of_one(self):
-        states, pairs = self.cohort((0, 1, 2, 3))
-        out = local_train(states, pairs, TASK.base.w0, self.CFG, round_index=2)
+        out = self.train((0, 1, 2, 3))
         for k in range(4):
-            alone_states, alone_pairs = self.cohort((k,))
-            [alone] = local_train(alone_states, alone_pairs, TASK.base.w0, self.CFG,
-                                  round_index=2)
+            [alone] = self.train((k,))
             assert out[k].rank == alone.rank
             for got, want in ((out[k].b.array, alone.b.array),
                               (out[k].a.array, alone.a.array)):
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-    def test_datasets_outside_one_pool_rejected(self):
-        # another task's client, and a dataset of no pool (the eval set),
-        # alone or with a client of TASK
-        other = generate_task(dataclasses.replace(SPEC, seed=8))
-        for datasets in ((TASK.clients[0], other.clients[1]),
-                         (TASK.clients[0], TASK.eval_set), (TASK.eval_set,)):
-            states = make_clients(datasets, range(len(datasets)))
-            with pytest.raises(ValueError, match="one sample pool"):
-                local_train(states, [random_pair(1, rank=2)] * len(states),
-                            TASK.base.w0, LocalTrainConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_first_diverging_client_in_cohort_order_is_named(self):
         # alone, the 2nd client takes more local steps to diverge than the
         # 4th; a one-at-a-time loop stops at the 2nd, and so must the cohort
         cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.5)
-        scales = (0.1, 3.0, 0.1, 1e60)
-
-        def cohort():
-            states = [make_state(client_id=k) for k in range(4)]
-            return states, [random_pair(1, rank=3, scale=x) for x in scales]
-
-        states, pairs = cohort()
-        iters = {s.id: first_diverging_iters(lambda c: train_one(s, p, c), cfg, 10)
-                 for s, p in zip(states, pairs)}
+        pairs = [random_pair(1, rank=3, scale=x) for x in (0.1, 3.0, 0.1, 1e60)]
+        iters = {k: first_diverging_iters(lambda c: train_one(k, p, c), cfg, 10)
+                 for k, p in enumerate(pairs)}
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
 
-        states, pairs = cohort()
         with pytest.raises(TrainingError) as exc_info:
-            local_train(states, pairs, TASK.base.w0, cfg)
+            local_train(CLIENTS, [0, 1, 2, 3], pairs, TASK.base.w0, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_first_diverging_dense_client_in_cohort_order_is_named(self):
         cfg = LocalTrainConfig(local_iters=30, learning_rate=1e8)
         scales = (0.0, 1e100, 0.0, 1e200)
-        states = [make_state(client_id=k) for k in range(4)]
         deltas = [np.full((SPEC.d, SPEC.l), x) for x in scales]
-        iters = {s.id: first_diverging_iters(lambda c: dense_one(s, delta, c), cfg, 30)
-                 for s, delta in zip(states, deltas)}
+        iters = {k: first_diverging_iters(lambda c: dense_one(k, delta, c), cfg, 30)
+                 for k, delta in enumerate(deltas)}
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
         with pytest.raises(TrainingError) as exc_info:
-            dense_local_train(states, deltas, TASK.base.w0, cfg, 0)
+            dense_local_train(CLIENTS, [0, 1, 2, 3], deltas, TASK.base.w0, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
 
@@ -489,23 +478,25 @@ class TestCohortBatches:
            round_index=st.integers(0, 500), seed=st.integers(0, 2**32 - 5))
     def test_rows_are_successive_batch_indices(self, size, clients, batch_size,
                                                local_iters, round_index, seed):
-        # each client's batches are those of successive Rng.batch_indices
-        # calls on a fresh (client seed, round) stream, whether it has
-        # fewer samples than a batch, as many or more
+        # each selected client's batches are those of successive
+        # Rng.batch_indices calls on a fresh (client seed, round) stream,
+        # whether it has fewer samples than a batch, as many or more; the
+        # cohort is every client, last first
         spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=clients,
                                  samples_per_client=size, noise_std=0.0,
                                  client_complexity=1, seed=1, eval_samples=2)
         task = generate_task(spec)
-        states = make_clients(task.clients, range(seed, seed + clients))
+        population = Clients(task, range(seed, seed + clients))
+        selected = list(range(clients))[::-1]
         cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
-        idx = _cohort_indices(states, cfg, round_index)
-        xs, _ = _cohort_batches(states, task.base.w0, cfg, round_index)
-        for j, s in enumerate(states):
-            rng = seeded_rng(s.seed).child("round", round_index)
+        idx = _cohort_indices(population, selected, cfg, round_index)
+        xs, _ = _cohort_batches(population, selected, task.base.w0, cfg, round_index)
+        for j, k in enumerate(selected):
+            rng = seeded_rng(seed + k).child("round", round_index)
             for step in range(local_iters):
-                want = rng.batch_indices(s.dataset.size, batch_size)
+                want = rng.batch_indices(size, batch_size)
                 assert np.array_equal(idx[j, step], want)
-                assert np.array_equal(xs[step, j], s.dataset.inputs.array[want])
+                assert np.array_equal(xs[step, j], task.clients[k].inputs.array[want])
 
 
 class TestLowRankStep:
@@ -534,14 +525,13 @@ class TestLowRankStep:
                     for k in cohort]
 
         task = TASKS_BY_SIZE[samples]
-        population = make_clients(task.clients, range(1000, 1006))
-        states = [population[k] for k in cohort]
-        out = local_train(states, received, task.base.w0, cfg, round_index)
-        for s, p, got in zip(states, received, out):
+        population = Clients(task, range(1000, 1006))
+        out = local_train(population, cohort, received, task.base.w0, cfg, round_index)
+        for k, p, got in zip(cohort, received, out):
             keep = kept_rank(p.rank, decay)
-            b, a = hand_rolled_sgd(s, p, cfg, dense_grads, round_index,
+            b, a = hand_rolled_sgd(k, p, cfg, dense_grads, round_index,
                                    keep=keep if keep < p.rank else None,
-                                   w0=task.base.w0)
+                                   task=task, clients=population)
             want = LoraPair(Matrix(b), Matrix(a))
             if tail_block_norm(want, decay) < tail_block_norm(p, decay):
                 want = truncate(want, keep)

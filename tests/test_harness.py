@@ -4,8 +4,11 @@ import bisect
 import csv
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -572,6 +575,43 @@ class TestCli:
         assert f"output directory {blocked}: {blocked} is not a directory" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name,blocked", [(None, "records.jsonl"),
+                                              (None, "records_summary.csv"),
+                                              ("exp", "exp.jsonl"),
+                                              ("exp", "exp_summary.csv")])
+    def test_run_output_file_that_is_a_directory_exits_2_before_any_run(
+            self, cfg_file, tmp_path, capsys, monkeypatch, name, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv + (["--name", name] if name else [])) == 2
+        captured = capsys.readouterr()
+        assert f"output file {out / blocked} is a directory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("blocked", ["homlora_r2/records.jsonl",
+                                         "homlora_r2/records_summary.csv",
+                                         "sweep_summary.csv"])
+    def test_sweep_output_file_that_is_a_directory_exits_2_before_any_run(
+            self, cfg_file, tmp_path, capsys, monkeypatch, blocked):
+        out = tmp_path / "sweep"
+        (out / blocked).mkdir(parents=True)
+
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out), "--seed", "0",
+                     "--strategies", "hetlora,homlora:2"]) == 2
+        captured = capsys.readouterr()
+        assert f"output file {out / blocked} is a directory" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["", "sub/exp", ".hidden"])
     def test_run_name_must_be_a_plain_file_stem(self, cfg_file, tmp_path, capsys,
                                                 name):
@@ -757,6 +797,15 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_file)]) == 2
         assert "nothing to do" in capsys.readouterr().err
 
+    def test_importing_the_cli_leaves_numpy_random_unimported(self):
+        # numpy.random costs milliseconds of every command's start-up; the
+        # simulator imports it on its first draw (linalg._pcg64_of_words)
+        code = "import sys, hetlora.cli; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     def test_readme_quick_start_parses(self):
         text = (ROOT / "README.md").read_text()
         block = text.split("## Quick start", 1)[1].split("```bash", 1)[1]
@@ -806,7 +855,7 @@ class TestCli:
         monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
         assert main(["report", str(path), "--csv", str(tmp_path)]) == 2
         captured = capsys.readouterr()
-        assert f"--csv {tmp_path} is a directory" in captured.err
+        assert f"output file {tmp_path} is a directory" in captured.err
         assert captured.out == ""
 
     def test_report_csv_below_a_file_exits_2_before_reading(self, tmp_path, capsys,
@@ -840,6 +889,21 @@ class TestCli:
         rows = csv_rows(report_csv)[1:]
         # target 0.05 is met at round 2: 2 * (down + 90) params
         assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
+
+    def test_report_labels_keep_streams_of_one_directory_apart(self, tmp_path,
+                                                               capsys):
+        # a records.jsonl is labelled by its directory, as a sweep variant's
+        # stream is; any other stream by <dir>/<stem>
+        for path, strategy in (("rr/het.jsonl", "hetlora"), ("rr/full.jsonl", "full_ft"),
+                               ("sw/hetlora/records.jsonl", "hetlora")):
+            write_jsonl([fake_run(strategy=strategy)], tmp_path / path)
+        report_csv = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path), "--csv", str(report_csv)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:-1]
+        want = [("rr/full", "full_ft"), ("rr/het", "hetlora"), ("hetlora", "hetlora")]
+        assert [tuple(line.split()[:2]) for line in table] == want
+        rows = csv_rows(report_csv, csv.DictReader)
+        assert [(r["label"], r["strategy"]) for r in rows] == want
 
     def test_report_rejected_stream_exit_code(self, tmp_path, capsys):
         for n, (edit, why) in enumerate([({"v": 99}, "version"),

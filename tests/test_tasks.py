@@ -75,11 +75,10 @@ class TestGeneration:
         # every client's rows are a read-only view of the pooled arrays, in
         # client order, so the task holds one copy of the client data
         t = generate_task(SPEC)
-        pool = t.clients[0].pool
-        assert pool.size == 72 and pool.pool is None
+        pool = t.pool
+        assert pool.size == 72
         row = 0
         for c in t.clients:
-            assert c.pool is pool and c.start == row
             for part, pooled in ((c.inputs.array, pool.inputs.array),
                                  (c.targets.array, pool.targets.array)):
                 assert part.base is pooled and not part.flags.writeable
