@@ -21,7 +21,8 @@ import statistics
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, _parse_int_list, load_config
+from .config import (STRATEGY_TAGS, ConfigError, ExperimentConfig, _parse_int_list,
+                     load_config)
 from .harness import output_files, run_experiment, select_learning_rate, write_outputs
 from .records import RunResult, read_jsonl, rounds_to_target, summarize, write_csv
 
@@ -273,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment config")
     common(p_run)
-    p_run.add_argument("--strategy", choices=("hetlora", "homlora", "full_ft",
-                                              "recon_svd"))
+    p_run.add_argument("--strategy", choices=STRATEGY_TAGS)
     p_run.add_argument("--name", type=_file_stem, default="records",
                        help="output file stem")
     p_run.set_defaults(fn=cmd_run)

@@ -1,15 +1,17 @@
 """Experiment configuration: the dataclass, and a line-oriented key=value
 config file format.
 
-The file format is flat `key = value` pairs with `#` comments. Values are
-parsed per key; lists are comma-separated. Parse errors carry the file
-name and line number.
+The file format is flat `key = value` pairs with `#` comments. Its keys are
+the config dataclasses' fields: `task.<field>` for each `SyntheticTaskSpec`
+field but `seed` (the run's seed), then each `ExperimentConfig` field but
+`task`. A value is parsed by its field's annotation; lists are
+comma-separated. Parse errors carry the file name and line number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -71,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed {min(self.seeds)} in seeds is negative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if not 0 < self.decay <= 1:
             raise ConfigError(f"decay {self.decay} must be in (0, 1]")
         if not (math.isfinite(self.reg_weight) and self.reg_weight >= 0):
@@ -111,36 +115,19 @@ def _parse_complexity(s: str):
     return _parse_int_list(s) if "," in s else int(s)
 
 
+# a field's annotation -> the parser of its value; a field without one fails here
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_int_list,
+            "int | tuple[int, ...] | str": _parse_complexity}
+
 # key -> (target, field name, parser); target "task" nests into the task spec
 _SCHEMA = {
-    "task.d": ("task", "d", int),
-    "task.l": ("task", "l", int),
-    "task.true_rank": ("task", "true_rank", int),
-    "task.num_clients": ("task", "num_clients", int),
-    "task.samples_per_client": ("task", "samples_per_client", int),
-    "task.noise_std": ("task", "noise_std", float),
-    "task.client_complexity": ("task", "client_complexity", _parse_complexity),
-    "task.eval_samples": ("task", "eval_samples", int),
-    "task.target_norm": ("task", "target_norm", float),
-    "task.target_spectrum_decay": ("task", "target_spectrum_decay", float),
-    "strategy": ("cfg", "strategy", str),
-    "homlora_rank": ("cfg", "homlora_rank", int),
-    "r_min": ("cfg", "r_min", int),
-    "r_max": ("cfg", "r_max", int),
-    "rank_alpha": ("cfg", "rank_alpha", float),
-    "aggregation": ("cfg", "aggregation", str),
-    "reg_weight": ("cfg", "reg_weight", float),
-    "decay": ("cfg", "decay", float),
-    "local_iters": ("cfg", "local_iters", int),
-    "batch_size": ("cfg", "batch_size", int),
-    "learning_rate": ("cfg", "learning_rate", float),
-    "clients_per_round": ("cfg", "clients_per_round", int),
-    "rounds": ("cfg", "rounds", int),
-    "seeds": ("cfg", "seeds", _parse_int_list),
-    "threads": ("cfg", "threads", int),
-    "init_std": ("cfg", "init_std", float),
-    "out_dir": ("cfg", "out_dir", str),
+    **{f"task.{f.name}": ("task", f.name, _PARSERS[f.type])
+       for f in fields(SyntheticTaskSpec) if f.name != "seed"},
+    **{f.name: ("cfg", f.name, _PARSERS[f.type])
+       for f in fields(ExperimentConfig) if f.name != "task"},
 }
+
+_REQUIRED_TASK_KEYS = [f.name for f in fields(SyntheticTaskSpec) if f.default is MISSING]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -169,8 +156,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
         (task_kwargs if target == "task" else cfg_kwargs)[name] = parsed
 
-    required = ("d", "l", "true_rank", "num_clients")
-    missing = [k for k in required if k not in task_kwargs]
+    missing = [k for k in _REQUIRED_TASK_KEYS if k not in task_kwargs]
     if missing:
         raise ConfigError(f"{source}: missing required task keys: {missing}")
     try:

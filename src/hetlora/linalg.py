@@ -137,9 +137,6 @@ class Rng:
             raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
         return Matrix._wrap(self._gen.standard_normal((rows, cols)) * float(std))
 
-    def normal_array(self, shape, std: float = 1.0) -> np.ndarray:
-        return self._gen.standard_normal(shape) * float(std)
-
     def sample_discrete(self, weights) -> int:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:

@@ -120,8 +120,6 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> Server
     shrinks to the new max (the discarded trailing ranks can no longer be
     distributed to anyone).
     """
-    if not updates:
-        raise ValueError("updates must be non-empty")
     pairs = [p for _, p in updates]
     new_pair = aggregate_pairs(pairs, aggregation_weights(pairs, state.aggregation))
 

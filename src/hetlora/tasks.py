@@ -135,8 +135,8 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     root = seeded_rng(spec.seed)
     w0 = root.child("base").gaussian(spec.d, spec.l, std=1.0 / np.sqrt(spec.l))
     fr = root.child("target")
-    left, _ = np.linalg.qr(fr.normal_array((spec.d, spec.true_rank)))
-    right, _ = np.linalg.qr(fr.normal_array((spec.l, spec.true_rank)))
+    left, _ = np.linalg.qr(fr.gaussian(spec.d, spec.true_rank).array)
+    right, _ = np.linalg.qr(fr.gaussian(spec.l, spec.true_rank).array)
     sigma = spec.target_spectrum_decay ** np.arange(spec.true_rank)
     delta = (left * sigma) @ right.T
     delta *= spec.target_norm / np.linalg.norm(delta)
@@ -152,16 +152,16 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     for k in range(spec.num_clients):
         crng = root.child("client", k)
         rho = complexities[k]
-        basis, _ = np.linalg.qr(crng.normal_array((spec.l, rho)))
-        z = crng.normal_array((n, rho))
+        basis, _ = np.linalg.qr(crng.gaussian(spec.l, rho).array)
+        z = crng.gaussian(n, rho).array
         x = z @ basis.T
         y = x @ w_full.T
         if spec.noise_std > 0:
-            y = y + crng.normal_array((n, spec.d), std=spec.noise_std)
+            y = y + crng.gaussian(n, spec.d, std=spec.noise_std).array
         xs[k], ys[k] = x, y
 
     er = root.child("eval")
-    ex = er.normal_array((spec.eval_samples, spec.l))
+    ex = er.gaussian(spec.eval_samples, spec.l).array
     ey = ex @ w_full.T
     if not all(np.isfinite(v).all() for v in (w0.array, delta, pool_x, pool_y, ex, ey)):
         raise ValueError(f"task values are not finite; {OVERFLOW_HINT}")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlora import baselines, cli, harness
+from hetlora import baselines, cli, config, harness
 from hetlora.cli import build_parser, main
 from hetlora.config import (
     LEARNING_RATE_GRID,
@@ -111,10 +111,70 @@ class TestConfigParsing:
             parse_config_text("task.d 12")
         assert "key = value" in str(e.value)
 
+    def test_file_keys_in_order(self):
+        # the key set is a file format: renaming a config field changes it
+        assert list(config._SCHEMA) == [
+            "task.d", "task.l", "task.true_rank", "task.num_clients",
+            "task.samples_per_client", "task.noise_std", "task.client_complexity",
+            "task.eval_samples", "task.target_norm", "task.target_spectrum_decay",
+            "strategy", "homlora_rank", "r_min", "r_max", "rank_alpha", "aggregation",
+            "reg_weight", "decay", "local_iters", "batch_size", "learning_rate",
+            "clients_per_round", "rounds", "seeds", "threads", "init_std", "out_dir",
+        ]
+
+    def test_every_key_parses_to_its_field(self):
+        text = """
+            task.d = 12
+            task.l = 8
+            task.true_rank = 4
+            task.num_clients = 3
+            task.samples_per_client = 16
+            task.noise_std = 0.5
+            task.client_complexity = 1, 2, 3
+            task.eval_samples = 64
+            task.target_norm = 2
+            task.target_spectrum_decay = 0.25
+            strategy = homlora
+            homlora_rank = 3
+            r_min = 1
+            r_max = 4
+            rank_alpha = -0.5
+            aggregation = simple
+            reg_weight = 0.125
+            decay = 0.75
+            local_iters = 7
+            batch_size = 5
+            learning_rate = 0.0625
+            clients_per_round = 2
+            rounds = 9
+            seeds = 4, 2
+            threads = 3
+            init_std = 0.03125
+            out_dir = some/where
+        """
+        cfg = parse_config_text(text)
+        assert cfg == ExperimentConfig(
+            task=SyntheticTaskSpec(d=12, l=8, true_rank=4, num_clients=3,
+                                   samples_per_client=16, noise_std=0.5,
+                                   client_complexity=(1, 2, 3), eval_samples=64,
+                                   target_norm=2.0, target_spectrum_decay=0.25),
+            strategy="homlora", homlora_rank=3, r_min=1, r_max=4, rank_alpha=-0.5,
+            aggregation="simple", reg_weight=0.125, decay=0.75, local_iters=7,
+            batch_size=5, learning_rate=0.0625, clients_per_round=2, rounds=9,
+            seeds=(4, 2), threads=3, init_std=0.03125, out_dir="some/where")
+        assert type(cfg.task.target_norm) is float and type(cfg.rank_alpha) is float
+
+    def test_task_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config_text(TINY_TEXT + "task.seed = 1\n", source="exp.cfg")
+        lineno = len(TINY_TEXT.splitlines()) + 1
+        assert str(e.value) == f"exp.cfg:{lineno}: unknown key 'task.seed'"
+
     def test_missing_required_task_keys(self):
         with pytest.raises(ConfigError) as e:
             parse_config_text("task.d = 4\ntask.l = 4")
-        assert "true_rank" in str(e.value)
+        assert str(e.value) == ("<config>: missing required task keys: "
+                                "['true_rank', 'num_clients']")
 
     def test_complexity_forms(self):
         assert parse_config_text(
@@ -214,6 +274,7 @@ BAD_VALUES = {
                                 _NON_FINITE),
     "task.samples_per_client": st.integers(max_value=0),
     "seeds": st.integers(max_value=-1).map(lambda seed: (0, seed)),
+    "out_dir": st.just(""),
 }
 
 
@@ -527,6 +588,38 @@ class TestCli:
         assert main(["run", "--config", str(cfg_file), "--seed", "0"]) == 0
         assert (tmp_path / "results" / "records.jsonl").exists()
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["--out", "out_dir"])
+    def test_empty_out_dir_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                  command, source):
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        monkeypatch.delenv("HETLORA_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_TEXT + ("out_dir =\n" if source == "out_dir" else ""))
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--strategies", "hetlora"]
+        if source == "--out":
+            argv += ["--out", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "out_dir must not be empty" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_run_strategy_takes_exactly_the_strategy_tags(self, capsys):
+        parser = build_parser()
+        argv = ["run", "--config", "default", "--strategy"]
+        for tag in ("hetlora", "homlora", "full_ft", "recon_svd"):
+            assert parser.parse_args(argv + [tag]).strategy == tag
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["homlora_r2"])
+        assert "invalid choice: 'homlora_r2'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("source", ["--out", "HETLORA_OUT_DIR", "out_dir"])
