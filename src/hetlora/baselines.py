@@ -21,13 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .client import (
-    Clients,
-    LocalTrainConfig,
-    TrainingError,
-    dense_local_train,
-    local_train,
-)
+from .client import Clients, LocalTrainConfig, dense_local_train, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd, truncate
@@ -218,7 +212,7 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
             eval_loss = strategy.evaluate()
             if not math.isfinite(eval_loss):
                 raise NumericError(f"eval loss is {eval_loss}")
-        except (TrainingError, NumericError) as exc:
+        except NumericError as exc:
             run.completed = False
             run.failure = f"round {t}: {exc}"
             break
@@ -264,8 +258,6 @@ def run_strategy(cfg: ExperimentConfig, run_seed: int,
     elif cfg.strategy == "full_ft":
         # dense clients have no adapter rank and record 0
         strategy = _FullFT(task, run_seed, (0,) * n, plain)
-    elif cfg.strategy == "recon_svd":
-        strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
     else:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+        strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
     return _run_rounds(cfg, task, run_seed, strategy)

@@ -50,14 +50,24 @@ def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _out_dir(out, *files: str) -> Path:
     """The directory out; a ConfigError if a file stands where it or a parent
-    is, or a directory where one of the files in it goes."""
+    is, a directory where one of the files in it goes, or the filesystem
+    refuses a name on the way to them."""
     out = Path(out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"output directory {out}: {existing} is not a directory")
-    for path in (out / name for name in files):
-        if path.is_dir():
-            raise ConfigError(f"output file {path} is a directory")
+    chain = (out, *out.parents)
+    try:
+        k = next(k for k, p in enumerate(chain) if p.exists())
+        name_max = os.pathconf(chain[k], "PC_NAME_MAX")
+        taken = [path for path in (out / name for name in files) if path.is_dir()]
+    except OSError as exc:
+        raise ConfigError(f"output path {exc.filename}: {exc.strerror}") from None
+    if not chain[k].is_dir():
+        raise ConfigError(f"output directory {out}: {chain[k]} is not a directory")
+    # a probe below a directory still to be made sees no name too long
+    for path in (*chain[:k], *(out / name for name in files)):
+        if len(os.fsencode(path.name)) > name_max:
+            raise ConfigError(f"output path {path}: name longer than {name_max} bytes")
+    if taken:
+        raise ConfigError(f"output file {taken[0]} is a directory")
     return out
 
 

@@ -36,14 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, batches_from_draws, bounded_draws, choice_bounds, stream_words
+from .linalg import (Matrix, NumericError, batches_from_draws, bounded_draws,
+                     choice_bounds, stream_words)
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
 from .tasks import SyntheticTask
-
-
-class TrainingError(RuntimeError):
-    """Local training diverged (non-finite values)."""
 
 
 class Clients:
@@ -209,7 +206,7 @@ def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
     if all(np.isfinite(s).all() for s in stacks):
         return
     ok = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
-    raise TrainingError(f"client {selected[np.flatnonzero(~ok)[0]]} diverged")
+    raise NumericError(f"client {selected[np.flatnonzero(~ok)[0]]} diverged")
 
 
 def local_train(clients: Clients, selected: list[int], received: list[LoraPair],

@@ -162,18 +162,23 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     try:
         task = SyntheticTaskSpec(**task_kwargs)
         return ExperimentConfig(task=task, **cfg_kwargs)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(name_or_path: str) -> ExperimentConfig:
-    """Load a config from a file path, or by name from the bundled configs
-    (e.g. "default")."""
+    """Load a UTF-8 config from a file path, or by name from the bundled
+    configs (e.g. "default")."""
     path = Path(name_or_path)
-    if path.is_file():
-        return parse_config_text(path.read_text(), source=str(path))
-    bundled = resources.files("hetlora").joinpath("configs", f"{name_or_path}.cfg")
-    if bundled.is_file():
-        return parse_config_text(bundled.read_text(), source=f"builtin:{name_or_path}")
-    raise ConfigError(f"config not found: {name_or_path!r}")
+    source = str(path)
+    if not path.is_file():
+        path = resources.files("hetlora").joinpath("configs", f"{name_or_path}.cfg")
+        source = f"builtin:{name_or_path}"
+        if not path.is_file():
+            raise ConfigError(f"config not found: {name_or_path!r}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return parse_config_text(text, source=source)
 

@@ -3,8 +3,9 @@
 Matrices are held in the read-only :class:`Matrix`, and all randomness
 comes from :class:`Rng` streams, which keeps determinism and bit-stability
 easy to audit; stream_words and bounded_draws take many streams' bounded
-draws at once, bit for bit. Finiteness is checked where values enter the
-program or change (see README), not on every Matrix.
+draws at once, bit for bit. A bad dimension raises ValueError. Finiteness
+is checked where values enter the program or change (see README), not on
+every Matrix, and a non-finite value raises NumericError.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import itertools
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand dimensions do not conform."""
-
-
 class NumericError(RuntimeError):
     """A numeric routine met or produced non-finite values, or failed to
     converge."""
@@ -29,7 +26,7 @@ class Matrix:
     """Read-only dense 2-D real matrix (row-major float64).
 
     Matrix(data) copies data from outside the program and fails with
-    :class:`ShapeError` unless it is 2-D and non-empty, and with
+    ValueError unless it is 2-D and non-empty, and with
     :class:`NumericError` if any entry is NaN or infinite. The simulator
     holds its own results with Matrix._wrap, which checks nothing.
     """
@@ -39,9 +36,9 @@ class Matrix:
     def __init__(self, data):
         a = np.array(data, dtype=np.float64)
         if a.ndim != 2:
-            raise ShapeError(f"expected 2-D data, got ndim={a.ndim}")
+            raise ValueError(f"expected 2-D data, got ndim={a.ndim}")
         if a.shape[0] == 0 or a.shape[1] == 0:
-            raise ShapeError("matrix dimensions must be positive")
+            raise ValueError("matrix dimensions must be positive")
         if not np.isfinite(a).all():
             raise NumericError("matrix entries must be finite")
         a.setflags(write=False)
@@ -58,7 +55,7 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         if rows <= 0 or cols <= 0:
-            raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
+            raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
         return cls._wrap(np.zeros((rows, cols)))
 
     @property
@@ -84,7 +81,7 @@ def svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sees it: LAPACK can spin on an inf instead of failing.
     """
     if not 1 <= k <= min(m.shape):
-        raise ShapeError(f"k={k} out of range for {m.shape[0]}x{m.shape[1]}")
+        raise ValueError(f"k={k} out of range for {m.shape[0]}x{m.shape[1]}")
     if not np.isfinite(m).all():
         raise NumericError(f"SVD input ({m.shape[0]}x{m.shape[1]}) is not finite")
     try:
@@ -134,7 +131,7 @@ class Rng:
 
     def gaussian(self, rows: int, cols: int, std: float = 1.0) -> Matrix:
         if rows <= 0 or cols <= 0:
-            raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
+            raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
         return Matrix._wrap(self._gen.standard_normal((rows, cols)) * float(std))
 
     def sample_discrete(self, weights) -> int:

@@ -113,15 +113,18 @@ def _typed(value, want) -> bool:
 
 
 def read_jsonl(path: Path) -> list[RunResult]:
-    """Parse a record stream. Raises ValueError naming path:line for bad
-    JSON, a line that is not a JSON object, an unknown schema version or
-    record type, a record missing a field or with a field of the wrong
-    type, a non-finite float, and a round record without its header or out
-    of order."""
+    """Parse a record stream. Raises ValueError naming path:line for a line
+    that is not UTF-8, bad JSON, a line that is not a JSON object, an
+    unknown schema version or record type, a record missing a field or with
+    a field of the wrong type, a non-finite float, and a round record
+    without its header or out of order."""
     runs: list[RunResult] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:

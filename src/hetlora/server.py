@@ -21,10 +21,6 @@ SPARSITY_WEIGHTED = "sparsity_weighted"
 AGGREGATION_STRATEGIES = (SIMPLE, SPARSITY_WEIGHTED)
 
 
-class ProtocolError(RuntimeError):
-    """An invariant of the distribution/aggregation protocol was violated."""
-
-
 @dataclass(frozen=True)
 class ServerState:
     global_pair: LoraPair
@@ -35,10 +31,6 @@ class ServerState:
     def __post_init__(self):
         if self.aggregation not in AGGREGATION_STRATEGIES:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
-
-    @property
-    def global_rank(self) -> int:
-        return self.global_pair.rank
 
 
 def assign_ranks(num_clients: int, r_min: int, r_max: int, alpha: float,
@@ -72,20 +64,12 @@ def rank_weights(r_min: int, r_max: int, alpha: float) -> np.ndarray:
 def select_clients(num_clients: int, num_selected: int, round_index: int,
                    seed: int) -> list[int]:
     """Uniform sample without replacement, deterministic per (seed, round)."""
-    if not 1 <= num_selected <= num_clients:
-        raise ValueError(
-            f"cannot select {num_selected} of {num_clients} clients"
-        )
     rng = seeded_rng(seed).child("selection", round_index)
     return rng.subset(num_clients, num_selected)
 
 
 def distribute(state: ServerState, client_rank: int) -> LoraPair:
     """Truncate the global pair down to the client's current rank."""
-    if client_rank > state.global_rank:
-        raise ProtocolError(
-            f"client rank {client_rank} exceeds global rank {state.global_rank}"
-        )
     return truncate(state.global_pair, client_rank)
 
 
@@ -126,10 +110,10 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> Server
     registry = dict(state.client_ranks)
     for cid, p in updates:
         registry[cid] = p.rank
-    global_rank = max(registry.values())
+    top_rank = max(registry.values())
     # the registry holds every update's rank, so the aggregate is never wider
-    if new_pair.rank < global_rank:
-        new_pair = zero_pad(new_pair, global_rank)
+    if new_pair.rank < top_rank:
+        new_pair = zero_pad(new_pair, top_rank)
 
     return replace(
         state,

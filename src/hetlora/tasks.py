@@ -180,6 +180,8 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
 
 def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
     """0.5 * mean over rows of ||w x_i - y_i||^2, with one n x d temporary."""
+    if x.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
     resid = x @ w.T
     resid -= y
     resid *= resid
@@ -188,15 +190,11 @@ def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
 
 def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset) -> float:
     """Mean over the batch of 0.5 * ||(w0 + delta) x - y||^2."""
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
     return _mean_half_squared(batch.inputs.array, w0.array + delta.array,
                               batch.targets.array)
 
 
 def loss(p: LoraPair, w0: Matrix, batch: ClientDataset) -> float:
     """Mean squared-error loss of the adapted model w0 + b @ a on the batch."""
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
     return _mean_half_squared(batch.inputs.array, w0.array + p.b.array @ p.a.array,
                               batch.targets.array)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hetlora.client import (
     Clients,
     LocalTrainConfig,
-    TrainingError,
     _cohort_batches,
     _cohort_indices,
     _Tails,
@@ -19,7 +18,7 @@ from hetlora.client import (
     local_train,
     tail_block_norm,
 )
-from hetlora.linalg import Matrix, _key_part, seeded_rng
+from hetlora.linalg import Matrix, NumericError, _key_part, seeded_rng
 from hetlora.lora import LoraPair, truncate
 from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
 from oracles import (
@@ -84,11 +83,11 @@ def hand_rolled_sgd(k, received, cfg, grads, round_index=0, keep=None,
 
 def first_diverging_iters(train, cfg, limit):
     """The fewest local steps after which `train(cfg)` raises a
-    TrainingError, or None within `limit` steps."""
+    NumericError, or None within `limit` steps."""
     for iters in range(1, limit + 1):
         try:
             train(dataclasses.replace(cfg, local_iters=iters))
-        except TrainingError:
+        except NumericError:
             return iters
     return None
 
@@ -221,6 +220,11 @@ class TestRegularizedObjective:
 
 
 class TestLocalTrain:
+    def test_one_model_per_client(self):
+        with pytest.raises(ValueError, match="2 clients but 1 models"):
+            local_train(CLIENTS, [0, 1], [random_pair(1)], TASK.base.w0,
+                        LocalTrainConfig(), 0)
+
     def test_deterministic(self):
         cfg = LocalTrainConfig(learning_rate=0.1, reg_weight=0.01, decay=0.5)
         out1 = train_one(0, random_pair(1), cfg, round_index=3)
@@ -280,9 +284,9 @@ class TestLocalTrain:
         assert selected == [0, 1]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
-    def test_divergence_raises_training_error(self):
+    def test_divergence_raises_numeric_error(self):
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e6)
-        with pytest.raises(TrainingError) as exc_info:
+        with pytest.raises(NumericError) as exc_info:
             train_one(0, random_pair(1), cfg)
         assert str(exc_info.value) == "client 0 diverged"
 
@@ -356,6 +360,11 @@ class TestLocalTrain:
 
 
 class TestDenseLocalTrain:
+    def test_one_model_per_client(self):
+        with pytest.raises(ValueError, match="1 clients but 2 models"):
+            dense_local_train(CLIENTS, [0], [np.zeros((SPEC.d, SPEC.l))] * 2,
+                              TASK.base.w0, LocalTrainConfig(), 0)
+
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
         # gradient of tasks.dense_loss, checked by central differences
@@ -387,9 +396,9 @@ class TestDenseLocalTrain:
         assert np.array_equal(delta, np.zeros((SPEC.d, SPEC.l)))  # input untouched
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
-    def test_divergence_raises_training_error(self):
+    def test_divergence_raises_numeric_error(self):
         cfg = LocalTrainConfig(local_iters=50, learning_rate=1e8)
-        with pytest.raises(TrainingError) as e:
+        with pytest.raises(NumericError) as e:
             dense_one(0, np.zeros((SPEC.d, SPEC.l)), cfg)
         assert str(e.value) == "client 0 diverged"
 
@@ -447,7 +456,7 @@ class TestCohort:
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
 
-        with pytest.raises(TrainingError) as exc_info:
+        with pytest.raises(NumericError) as exc_info:
             local_train(CLIENTS, [0, 1, 2, 3], pairs, TASK.base.w0, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
@@ -460,7 +469,7 @@ class TestCohort:
                  for k, delta in enumerate(deltas)}
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
-        with pytest.raises(TrainingError) as exc_info:
+        with pytest.raises(NumericError) as exc_info:
             dense_local_train(CLIENTS, [0, 1, 2, 3], deltas, TASK.base.w0, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 

@@ -269,6 +269,9 @@ BAD_VALUES = {
     "init_std": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     # r^(rank_alpha - 1) on TINY_TEXT's ranks [1, 4] overflows
     "rank_alpha": st.one_of(_NON_FINITE, st.floats(min_value=520.0)),
+    # TINY_TEXT's adapters are at most min(d, l) = 8 wide
+    "homlora_rank": st.one_of(st.integers(max_value=0), st.integers(min_value=9)),
+    "rounds": st.integers(max_value=-1),
     "task.target_norm": st.one_of(st.floats(max_value=0.0), _NON_FINITE),
     "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                                 _NON_FINITE),
@@ -378,6 +381,27 @@ class TestRecords:
         with pytest.raises(ValueError) as e:
             read_jsonl(self._edited_stream(tmp_path, swap))
         assert "edited.jsonl:2" in str(e.value) and "round 2" in str(e.value)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n".join(["", *to_jsonl_lines(fake_run()), "  ", ""]))
+        assert read_jsonl(path)[0].final_eval_loss == 0.02
+
+    def test_read_rejects_unknown_record_type(self, tmp_path):
+        path = self._edited_stream(tmp_path, lambda lines: lines[1].update(type="eval"))
+        with pytest.raises(ValueError, match="edited.jsonl:2: unknown record type"):
+            read_jsonl(path)
+
+    def test_read_rejects_round_of_another_seed(self, tmp_path):
+        path = self._edited_stream(tmp_path, lambda lines: lines[2].update(seed=1))
+        with pytest.raises(ValueError, match="edited.jsonl:3: round record without"):
+            read_jsonl(path)
+
+    def test_read_rejects_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(to_jsonl_lines(fake_run())[0].encode() + b'\n{"\xff": 1}\n')
+        with pytest.raises(ValueError, match="latin.jsonl:2: not UTF-8"):
+            read_jsonl(path)
 
     def test_read_rejects_line_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "list.jsonl"
@@ -705,6 +729,44 @@ class TestCli:
         assert f"output file {out / blocked} is a directory" in captured.err
         assert captured.out == ""
 
+    # (command, what is too long, whether the output directory exists)
+    @pytest.mark.parametrize("command,where,made", [
+        ("run", "--name", False), ("run", "--name", True), ("run", "--out", False),
+        ("run", "--out", True), ("sweep", "--out", False), ("sweep", "--out", True),
+        ("run", "path", False), ("sweep", "path", False),
+    ])
+    def test_output_name_the_filesystem_refuses_exits_2_before_any_run(
+            self, cfg_file, tmp_path, capsys, monkeypatch, command, where, made):
+        long = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+        out = tmp_path / "out"
+        if made:
+            out.mkdir()
+        argv = [command, "--config", str(cfg_file), "--seed", "0"]
+        if where == "--name":
+            argv += ["--out", str(out), "--name", long]
+            refused = out / f"{long}.jsonl"
+        elif where == "--out":
+            refused = out / long
+            argv += ["--out", str(refused)]
+        else:
+            # short names, but the output files' paths are too long
+            room = os.pathconf(tmp_path, "PC_PATH_MAX") - len(str(out)) - 8
+            refused = out.joinpath(*["y" * 99] * (room // 100), "y" * (room % 100))
+            argv += ["--out", str(refused)]
+        if command == "sweep":
+            argv += ["--strategies", "hetlora"]
+        before = sorted(tmp_path.rglob("*"))
+
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error: output " in captured.err and str(refused) in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("name", ["", "sub/exp", ".hidden"])
     def test_run_name_must_be_a_plain_file_stem(self, cfg_file, tmp_path, capsys,
                                                 name):
@@ -718,6 +780,25 @@ class TestCli:
         bad.write_text("task.d = twelve\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_not_utf8_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"task.d = 8\n\xff\n")
+        argv = [command, "--config", str(bad), "--out", "o"]
+        if command == "sweep":
+            argv += ["--strategies", "hetlora"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {bad}: 'utf-8' codec can't decode" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_missing_config_exit_code(self):
         assert main(["run", "--config", "no_such_config_anywhere"]) == 2
@@ -1014,7 +1095,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,value", [
         ("--target", "nan"), ("--target", "0"), ("--target", "-1"),
         ("--target", "inf"), ("--target-fraction", "nan"), ("--target-fraction", "0"),
-        ("--target-fraction", "inf"), ("--target-fraction", "-0.5"),
+        ("--target-fraction", "inf"), ("--target-fraction", "-0.5"), ("--target", "abc"),
     ])
     def test_report_refuses_a_target_not_finite_and_positive(self, tmp_path, capsys,
                                                             flag, value):
@@ -1023,6 +1104,34 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["report", str(path), flag, value])
         assert e.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+
+    def test_report_csv_name_the_filesystem_refuses_exits_2_before_reading(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([fake_run()], path)
+
+        def read_jsonl(path):
+            raise AssertionError("a stream was read")
+
+        monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
+        csv_path = tmp_path / ("c" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".csv")
+        assert main(["report", str(path), "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: output path {csv_path}: " in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_report_stream_not_utf8_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\xff\n")
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"report: {path}:1: not UTF-8" in err and "Traceback" not in err
+
+    def test_report_directory_without_streams(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("")
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "report: no record streams found\n"
 
     def test_report_missing_path(self, capsys):
         assert main(["report", "/nonexistent/path.jsonl"]) == 2

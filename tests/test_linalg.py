@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hetlora.linalg import (
     Matrix,
     NumericError,
-    ShapeError,
     _key_part,
     batches_from_draws,
     bounded_draws,
@@ -32,11 +31,11 @@ class TestMatrixConstruction:
         assert m.array[0, 0] == 1.0
 
     def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             Matrix([1.0, 2.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             Matrix(np.zeros((0, 3)))
 
     def test_rejects_nan_and_inf(self):
@@ -60,7 +59,7 @@ class TestMatrixConstruction:
 
     def test_zeros(self):
         assert np.array_equal(Matrix.zeros(3, 4).array, np.zeros((3, 4)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             Matrix.zeros(0, 4)
 
 
@@ -125,9 +124,9 @@ class TestFrobeniusAndSvd:
                 svd(m, 4)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             svd(np.zeros((3, 3)), 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             svd(np.zeros((3, 3)), 0)
 
 
@@ -162,6 +161,10 @@ class TestRng:
         a = r1.child("x").gaussian(2, 2)
         b = seeded_rng(7).child("x").gaussian(2, 2)
         assert same(a, b)
+
+    def test_gaussian_rejects_empty_shape(self):
+        with pytest.raises(ValueError, match="got 0x3"):
+            seeded_rng(0).gaussian(0, 3)
 
     def test_gaussian_std(self):
         m = seeded_rng(0).gaussian(200, 200, std=0.5)

@@ -11,7 +11,6 @@ from hetlora.lora import LoraPair, reconstruct, sparsity_score, zero_pad
 from hetlora.server import (
     SIMPLE,
     SPARSITY_WEIGHTED,
-    ProtocolError,
     ServerState,
     aggregate,
     aggregation_weights,
@@ -92,7 +91,7 @@ class TestSelectClients:
         assert all(0 <= i < 30 for i in s)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot pick 6 of 5"):
             select_clients(5, 6, 0, seed=0)
 
 
@@ -107,8 +106,8 @@ class TestDistribute:
         state = make_state(rank=4)
         assert distribute(state, 4) is state.global_pair
 
-    def test_rank_above_global_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
+    def test_rank_above_global_is_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
             distribute(make_state(rank=4), 5)
 
 
@@ -159,13 +158,13 @@ class TestAggregate:
         assert new.client_ranks[3] == 4
         assert new.client_ranks[1] == 4  # untouched
 
-    def test_global_rank_is_registry_max_not_batch_max(self):
+    def test_global_pair_rank_is_registry_max_not_batch_max(self):
         # an unselected client still holds rank 4, so the global must stay
         # at 4 even when everyone in the batch has pruned to 2
         state = make_state(rank=4)
         updates = [(0, random_pair(1, 2)), (1, random_pair(2, 2))]
         new = aggregate(state, updates)
-        assert new.global_rank == 4
+        assert new.global_pair.rank == 4
         # the padding is genuine zeros beyond the batch max
         assert np.all(new.global_pair.b.array[:, 2:] == 0)
         assert np.all(new.global_pair.a.array[2:, :] == 0)
@@ -174,7 +173,7 @@ class TestAggregate:
         state = make_state(rank=4, num_clients=2)
         updates = [(0, random_pair(1, 2)), (1, random_pair(2, 3))]
         new = aggregate(state, updates)
-        assert new.global_rank == 3
+        assert new.global_pair.rank == 3
 
     def test_matches_manual_weighted_padding(self):
         state = make_state(rank=4, aggregation=SPARSITY_WEIGHTED)

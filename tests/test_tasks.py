@@ -25,6 +25,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticTaskSpec(d=0, l=4, true_rank=1, num_clients=1)
 
+    def test_no_clients_or_eval_samples(self):
+        with pytest.raises(ValueError, match="at least one client"):
+            dataclasses.replace(SPEC, num_clients=0)
+        with pytest.raises(ValueError, match="eval_samples"):
+            dataclasses.replace(SPEC, eval_samples=0)
+
+    def test_dataset_rows_must_pair_up(self):
+        with pytest.raises(ValueError, match="equal sample counts"):
+            ClientDataset(inputs=Matrix(np.ones((3, SPEC.l))),
+                          targets=Matrix(np.ones((2, SPEC.d))))
+
     def test_bad_true_rank(self):
         with pytest.raises(ValueError):
             SyntheticTaskSpec(d=4, l=4, true_rank=5, num_clients=1)
