@@ -7,8 +7,8 @@ best grid learning rate) and writes a combined summary. `report` aggregates
 existing JSONL record streams into a table, including rounds-to-target with
 an 'X' for targets never achieved.
 
-The default output directory can be set with the HETLORA_OUT_DIR
-environment variable; an empty value counts as unset.
+The output directory is --out, else the config's out_dir. The report
+target is --target, else half the mean initial eval loss of a stream's runs.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ def _apply_common_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         except ValueError:
             raise ConfigError("--seed expects comma-separated integers, "
                               f"got {args.seed!r}") from None
-    # output dir precedence: --out, then HETLORA_OUT_DIR if not empty, then config
-    out = (os.environ.get("HETLORA_OUT_DIR") or None) if args.out is None else args.out
-    if out is not None:
-        updates["out_dir"] = out
+    if args.out is not None:
+        updates["out_dir"] = args.out
     if getattr(args, "strategy", None) is not None:
         updates["strategy"] = args.strategy
     if args.threads is not None:
@@ -90,9 +88,9 @@ def _print_summary(label: str, runs: list[RunResult], lr: float) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg.out_dir, *output_files(args.name))
+    out = _out_dir(cfg.out_dir, *output_files())
     runs = run_experiment(cfg)
-    jsonl, csv_path = write_outputs(runs, out, name=args.name, label=cfg.tag)
+    jsonl, csv_path = write_outputs(runs, out, label=cfg.tag)
     _print_summary(cfg.tag, runs, cfg.learning_rate)
     print(f"records: {jsonl}")
     print(f"summary: {csv_path}")
@@ -170,14 +168,6 @@ def _finite_positive(text: str) -> float:
     return value
 
 
-def _file_stem(text: str) -> str:
-    """The argparse type of run --name: a visible file name stem."""
-    if not text or "/" in text or text.startswith("."):
-        raise argparse.ArgumentTypeError(f"expected a file name stem without '/' "
-                                         f"or a leading '.', got {text!r}")
-    return text
-
-
 def _stream_label(path: Path) -> str:
     """A records.jsonl's directory name, or else the stream's <dir>/<stem>."""
     if path.name == "records.jsonl" and path.parent.name:
@@ -185,26 +175,21 @@ def _stream_label(path: Path) -> str:
     return str(Path(path.parent.name, path.stem))
 
 
-def _target_for(runs: list[RunResult], args) -> float:
-    if args.target is not None:
-        return args.target
-    init = statistics.fmean(r.initial_eval_loss for r in runs)
-    return args.target_fraction * init
-
-
 def cmd_report(args) -> int:
     if args.csv:
         _out_dir(Path(args.csv).parent, Path(args.csv).name)
     paths: list[Path] = []
-    for p in args.records:
-        p = Path(p)
-        if p.is_dir():
-            paths.extend(sorted(p.rglob("*.jsonl")))
-        elif p.is_file():
-            paths.append(p)
-        else:
-            print(f"report: no such file or directory: {p}", file=sys.stderr)
-            return 2
+    for p in map(Path, args.records):
+        try:
+            if p.is_dir():
+                paths.extend(sorted(p.rglob("*.jsonl")))
+            elif p.is_file():
+                paths.append(p)
+            else:
+                print(f"report: no such file or directory: {p}", file=sys.stderr)
+                return 2
+        except OSError as exc:
+            raise ConfigError(f"report path {p}: {exc.strerror}") from None
     if not paths:
         print("report: no record streams found", file=sys.stderr)
         return 2
@@ -216,7 +201,8 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             print(f"report: {exc}", file=sys.stderr)
             return 2
-        target = _target_for(runs, args)
+        target = (args.target if args.target is not None
+                  else 0.5 * statistics.fmean(r.initial_eval_loss for r in runs))
         hits = [rounds_to_target(r, target) for r in runs]
         # the params a run had spent when it met the target, 0 at round 0
         comms = [None if h is None else r.records[h - 1].cumulative_params if h else 0
@@ -285,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment config")
     common(p_run)
     p_run.add_argument("--strategy", choices=STRATEGY_TAGS)
-    p_run.add_argument("--name", type=_file_stem, default="records",
-                       help="output file stem")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a family of config variants")
@@ -304,10 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="summarize JSONL record streams")
     p_rep.add_argument("records", nargs="+", help="JSONL files or directories")
     p_rep.add_argument("--target", type=_finite_positive, default=None,
-                       help="absolute eval-loss target")
-    p_rep.add_argument("--target-fraction", type=_finite_positive, default=0.5,
-                       help="target as a fraction of initial eval loss "
-                       "(default 0.5; ignored when --target is given)")
+                       help="absolute eval-loss target (default: half the mean "
+                       "initial eval loss of each stream's runs)")
     p_rep.add_argument("--csv", help="also write the table as CSV")
     p_rep.set_defaults(fn=cmd_report)
     return parser

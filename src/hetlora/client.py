@@ -74,14 +74,6 @@ class LocalTrainConfig:
     reg_weight: float = 0.0  # weight of the tail-block norm product
     decay: float = 1.0  # fraction of ranks kept by one pruning event, in (0, 1]
 
-    def __post_init__(self):
-        if self.local_iters < 1:
-            raise ValueError("local_iters must be >= 1")
-        if not 0 < self.decay <= 1:
-            raise ValueError("decay must be in (0, 1]")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be non-negative")
-
 
 def kept_rank(rank: int, decay: float) -> int:
     """Ranks surviving one pruning event: max(1, floor(decay * rank))."""

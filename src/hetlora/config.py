@@ -53,8 +53,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if not 1 <= self.r_min <= self.r_max <= min(self.task.d, self.task.l):
             raise ConfigError(
-                f"rank range [{self.r_min}, {self.r_max}] invalid for "
-                f"{self.task.d}x{self.task.l}"
+                f"rank range r_min {self.r_min}, r_max {self.r_max} invalid for "
+                f"{self.task.d}x{self.task.l}: need 1 <= r_min <= r_max <= min(d, l)"
             )
         if not 1 <= self.homlora_rank <= min(self.task.d, self.task.l):
             raise ConfigError(f"homlora_rank {self.homlora_rank} out of range")
@@ -171,12 +171,12 @@ def load_config(name_or_path: str) -> ExperimentConfig:
     configs (e.g. "default")."""
     path = Path(name_or_path)
     source = str(path)
-    if not path.is_file():
-        path = resources.files("hetlora").joinpath("configs", f"{name_or_path}.cfg")
-        source = f"builtin:{name_or_path}"
-        if not path.is_file():
-            raise ConfigError(f"config not found: {name_or_path!r}")
     try:
+        if not path.is_file():
+            path = resources.files("hetlora").joinpath("configs", f"{name_or_path}.cfg")
+            source = f"builtin:{name_or_path}"
+            if not path.is_file():
+                raise ConfigError(f"config not found: {name_or_path!r}")
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None

@@ -46,15 +46,15 @@ def select_learning_rate(cfg: ExperimentConfig, grid=LEARNING_RATE_GRID
                 for lr in grid), key=score)
 
 
-def output_files(name: str = "records") -> tuple[str, str]:
+def output_files() -> tuple[str, str]:
     """The names of the files write_outputs writes."""
-    return f"{name}.jsonl", f"{name}_summary.csv"
+    return "records.jsonl", "records_summary.csv"
 
 
 def write_outputs(runs: list[RunResult], out_dir: Path,
-                  name: str = "records", label: str = "") -> tuple[Path, Path]:
+                  label: str = "") -> tuple[Path, Path]:
     """Write the JSONL record stream and the sidecar CSV summary."""
-    jsonl, csv_path = (Path(out_dir) / f for f in output_files(name))
+    jsonl, csv_path = (Path(out_dir) / f for f in output_files())
     write_jsonl(runs, jsonl)
     write_summary_csv(runs, csv_path, label=label)
     return jsonl, csv_path

@@ -44,18 +44,15 @@ class SyntheticTaskSpec:
     target_spectrum_decay: float = 0.5
 
     def __post_init__(self):
-        if self.d <= 0 or self.l <= 0:
-            raise ValueError("base dimensions must be positive")
+        for name in ("d", "l", "samples_per_client", "eval_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
         if not 1 <= self.true_rank <= min(self.d, self.l):
             raise ValueError("true_rank must be in [1, min(d, l)]")
         if self.num_clients < 1:
-            raise ValueError("need at least one client")
-        if self.samples_per_client < 1:
-            raise ValueError(f"samples_per_client {self.samples_per_client} must be >= 1")
+            raise ValueError(f"num_clients {self.num_clients}: need at least one client")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
-        if self.eval_samples < 1:
-            raise ValueError("eval_samples must be positive")
         if not (math.isfinite(self.target_norm) and self.target_norm > 0):
             raise ValueError(f"target_norm {self.target_norm} must be finite and > 0")
         if not 0 < self.target_spectrum_decay <= 1:

@@ -146,16 +146,6 @@ class TestKeptRankAndTailNorm:
             tail_block_norm(random_pair(0), 0.0)
 
 
-class TestLocalTrainConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalTrainConfig(local_iters=0)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(decay=0.0)
-        with pytest.raises(ValueError):
-            LocalTrainConfig(reg_weight=-1.0)
-
-
 class TestRegularizedObjective:
     def test_reduces_to_plain_loss_without_reg(self):
         cfg = LocalTrainConfig(reg_weight=0.0, decay=0.5)

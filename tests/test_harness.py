@@ -1,5 +1,6 @@
 """Tests for config parsing, record serialization, orchestration, and CLI."""
 
+import argparse
 import bisect
 import csv
 import dataclasses
@@ -276,6 +277,12 @@ BAD_VALUES = {
     "task.noise_std": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                                 _NON_FINITE),
     "task.samples_per_client": st.integers(max_value=0),
+    "task.d": st.integers(max_value=0),
+    "task.l": st.integers(max_value=0),
+    "task.num_clients": st.integers(max_value=0),
+    # TINY_TEXT's ranks need 1 <= r_min <= r_max = 4 and r_max <= min(d, l) = 8
+    "r_min": st.one_of(st.integers(max_value=0), st.integers(min_value=5)),
+    "r_max": st.one_of(st.integers(max_value=0), st.integers(min_value=9)),
     "seeds": st.integers(max_value=-1).map(lambda seed: (0, seed)),
     "out_dir": st.just(""),
 }
@@ -541,9 +548,9 @@ class TestHarness:
         assert all(r.failure.startswith("round ") for r in runs)
 
     def test_write_outputs_paths(self, tmp_path):
-        jsonl, csv_path = write_outputs([fake_run()], tmp_path, name="exp")
-        assert jsonl == tmp_path / "exp.jsonl"
-        assert csv_path == tmp_path / "exp_summary.csv"
+        jsonl, csv_path = write_outputs([fake_run()], tmp_path)
+        assert jsonl == tmp_path / "records.jsonl"
+        assert csv_path == tmp_path / "records_summary.csv"
         assert jsonl.exists() and csv_path.exists()
 
 
@@ -590,28 +597,11 @@ class TestCli:
         out = tmp_path / "elsewhere"
         rc = main(["run", "--config", str(cfg_file), "--seed", "7",
                    "--out", str(out), "--strategy", "full_ft",
-                   "--threads", "2", "--name", "ft"])
+                   "--threads", "2"])
         assert rc == 0
-        runs = read_jsonl(out / "ft.jsonl")
+        runs = read_jsonl(out / "records.jsonl")
         assert [r.seed for r in runs] == [7]
         assert runs[0].strategy == "full_ft"
-
-    def test_env_var_default_out_dir(self, cfg_file, tmp_path, monkeypatch):
-        env_out = tmp_path / "env_results"
-        monkeypatch.setenv("HETLORA_OUT_DIR", str(env_out))
-        # config text without out_dir so the env default applies
-        bare = tmp_path / "bare.cfg"
-        bare.write_text(TINY_TEXT)
-        rc = main(["run", "--config", str(bare), "--seed", "0"])
-        assert rc == 0
-        assert (env_out / "records.jsonl").exists()
-
-    def test_empty_env_var_is_unset(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("HETLORA_OUT_DIR", "")
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", str(cfg_file), "--seed", "0"]) == 0
-        assert (tmp_path / "results" / "records.jsonl").exists()
-        assert not (tmp_path / "records.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("source", ["--out", "out_dir"])
@@ -621,7 +611,6 @@ class TestCli:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(harness, "run_strategy", run_strategy)
-        monkeypatch.delenv("HETLORA_OUT_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY_TEXT + ("out_dir =\n" if source == "out_dir" else ""))
@@ -646,7 +635,7 @@ class TestCli:
         assert "invalid choice: 'homlora_r2'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("source", ["--out", "HETLORA_OUT_DIR", "out_dir"])
+    @pytest.mark.parametrize("source", ["--out", "out_dir"])
     @pytest.mark.parametrize("below", [False, True])
     def test_output_directory_blocked_by_a_file_exits_2_before_any_run(
             self, tmp_path, capsys, monkeypatch, command, source, below):
@@ -659,7 +648,6 @@ class TestCli:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(harness, "run_strategy", run_strategy)
-        monkeypatch.delenv("HETLORA_OUT_DIR", raising=False)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY_TEXT + (f"out_dir = {out}\n" if source == "out_dir" else ""))
         argv = [command, "--config", str(cfg)]
@@ -667,8 +655,6 @@ class TestCli:
             argv += ["--strategies", "hetlora", "--lr-grid"]
         if source == "--out":
             argv += ["--out", str(out)]
-        elif source == "HETLORA_OUT_DIR":
-            monkeypatch.setenv("HETLORA_OUT_DIR", str(out))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"output directory {out}: {taken} is not a directory" in captured.err
@@ -692,12 +678,9 @@ class TestCli:
         assert f"output directory {blocked}: {blocked} is not a directory" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("name,blocked", [(None, "records.jsonl"),
-                                              (None, "records_summary.csv"),
-                                              ("exp", "exp.jsonl"),
-                                              ("exp", "exp_summary.csv")])
+    @pytest.mark.parametrize("blocked", ["records.jsonl", "records_summary.csv"])
     def test_run_output_file_that_is_a_directory_exits_2_before_any_run(
-            self, cfg_file, tmp_path, capsys, monkeypatch, name, blocked):
+            self, cfg_file, tmp_path, capsys, monkeypatch, blocked):
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
 
@@ -705,8 +688,7 @@ class TestCli:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(harness, "run_strategy", run_strategy)
-        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
-        assert main(argv + (["--name", name] if name else [])) == 2
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert f"output file {out / blocked} is a directory" in captured.err
         assert captured.out == ""
@@ -731,9 +713,8 @@ class TestCli:
 
     # (command, what is too long, whether the output directory exists)
     @pytest.mark.parametrize("command,where,made", [
-        ("run", "--name", False), ("run", "--name", True), ("run", "--out", False),
-        ("run", "--out", True), ("sweep", "--out", False), ("sweep", "--out", True),
-        ("run", "path", False), ("sweep", "path", False),
+        ("run", "--out", False), ("run", "--out", True), ("sweep", "--out", False),
+        ("sweep", "--out", True), ("run", "path", False), ("sweep", "path", False),
     ])
     def test_output_name_the_filesystem_refuses_exits_2_before_any_run(
             self, cfg_file, tmp_path, capsys, monkeypatch, command, where, made):
@@ -742,10 +723,7 @@ class TestCli:
         if made:
             out.mkdir()
         argv = [command, "--config", str(cfg_file), "--seed", "0"]
-        if where == "--name":
-            argv += ["--out", str(out), "--name", long]
-            refused = out / f"{long}.jsonl"
-        elif where == "--out":
+        if where == "--out":
             refused = out / long
             argv += ["--out", str(refused)]
         else:
@@ -766,14 +744,6 @@ class TestCli:
         assert "config error: output " in captured.err and str(refused) in captured.err
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize("name", ["", "sub/exp", ".hidden"])
-    def test_run_name_must_be_a_plain_file_stem(self, cfg_file, tmp_path, capsys,
-                                                name):
-        with pytest.raises(SystemExit) as e:
-            main(["run", "--config", str(cfg_file), "--name", name])
-        assert e.value.code == 2 and "argument --name: " in capsys.readouterr().err
-        assert not (tmp_path / "results").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -799,6 +769,21 @@ class TestCli:
         assert f"config error: {bad}: 'utf-8' codec can't decode" in captured.err
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_path_the_filesystem_refuses_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command):
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        long = tmp_path / ("a" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".cfg")
+        argv = [command, "--config", str(long), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--strategies", "hetlora"] if command == "sweep" else [])) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {long}: " in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_exit_code(self):
         assert main(["run", "--config", "no_such_config_anywhere"]) == 2
@@ -971,6 +956,21 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_file)]) == 2
         assert "nothing to do" in capsys.readouterr().err
 
+    def test_each_setting_has_one_source(self):
+        # the commands' options, and no setting read from the environment
+        parser = build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {name: sorted(s for a in p._actions for s in a.option_strings)
+                   for name, p in sub.choices.items()}
+        common = ["--config", "--help", "--out", "--seed", "--threads", "-h"]
+        assert options == {
+            "run": sorted(common + ["--strategy"]),
+            "sweep": sorted(common + ["--gamma-ablation", "--lr-grid", "--strategies"]),
+            "report": ["--csv", "--help", "--target", "-h"],
+        }
+        for path in sorted((ROOT / "src" / "hetlora").rglob("*.py")):
+            assert not re.search(r"environ|getenv", path.read_text()), path
+
     def test_importing_the_cli_leaves_numpy_random_unimported(self):
         # numpy.random costs milliseconds of every command's start-up; the
         # simulator imports it on its first draw (linalg._pcg64_of_words)
@@ -1017,6 +1017,24 @@ class TestCli:
         rows = csv_rows(report_csv)
         assert rows[0][0] == "label"
         assert len(rows) == 2
+
+    def test_report_default_target_is_half_the_mean_initial_loss(self, tmp_path,
+                                                                 capsys):
+        # at 8 rounds seed 0 meets the target and seed 1 does not
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(set_key(TINY_TEXT, "rounds", 8))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--seed", "0,1", "--out", str(out)]) == 0
+        report_csv = tmp_path / "report.csv"
+        assert main(["report", str(out), "--csv", str(report_csv)]) == 0
+        [row] = csv_rows(report_csv, csv.DictReader)
+        runs = read_jsonl(out / "records.jsonl")
+        target = 0.5 * (runs[0].initial_eval_loss + runs[1].initial_eval_loss) / 2
+        assert row["target"] == f"{target:.10g}"
+        # each seed's first round at or below the target, X if none is
+        hits = [next((str(t) for t, v in enumerate(r.eval_curve()) if v <= target), "X")
+                for r in runs]
+        assert row["rounds_to_target"] == "/".join(hits) and hits[0] != "X"
 
     def test_report_csv_that_is_a_directory_exits_2_before_reading(
             self, tmp_path, capsys, monkeypatch):
@@ -1092,18 +1110,14 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"{path}:3" in err and why in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--target", "nan"), ("--target", "0"), ("--target", "-1"),
-        ("--target", "inf"), ("--target-fraction", "nan"), ("--target-fraction", "0"),
-        ("--target-fraction", "inf"), ("--target-fraction", "-0.5"), ("--target", "abc"),
-    ])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "abc"])
     def test_report_refuses_a_target_not_finite_and_positive(self, tmp_path, capsys,
-                                                            flag, value):
+                                                            value):
         path = tmp_path / "records.jsonl"
         write_jsonl([fake_run()], path)
         with pytest.raises(SystemExit) as e:
-            main(["report", str(path), flag, value])
-        assert e.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+            main(["report", str(path), "--target", value])
+        assert e.value.code == 2 and "argument --target: " in capsys.readouterr().err
 
     def test_report_csv_name_the_filesystem_refuses_exits_2_before_reading(
             self, tmp_path, capsys, monkeypatch):
@@ -1127,6 +1141,18 @@ class TestCli:
         assert main(["report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"report: {path}:1: not UTF-8" in err and "Traceback" not in err
+
+    def test_report_path_the_filesystem_refuses_exits_2_before_reading(
+            self, tmp_path, capsys, monkeypatch):
+        def read_jsonl(path):
+            raise AssertionError("a stream was read")
+
+        monkeypatch.setattr(cli, "read_jsonl", read_jsonl)
+        long = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        assert main(["report", str(long)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: report path {long}: " in captured.err
+        assert captured.out == ""
 
     def test_report_directory_without_streams(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("")
