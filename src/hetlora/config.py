@@ -179,6 +179,8 @@ def load_config(name_or_path: str) -> ExperimentConfig:
                 raise ConfigError(f"config not found: {name_or_path!r}")
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+        # str(OSError) ends with the file name, which source already gives
+        why = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"{source}: {why}") from None
     return parse_config_text(text, source=source)
 

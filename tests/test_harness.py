@@ -287,6 +287,21 @@ BAD_VALUES = {
     "out_dir": st.just(""),
 }
 
+# values that LocalTrainConfig, assign_ranks or ServerState once refused
+# again, and the task dimensions; the config is now their one refusal
+ONE_REFUSAL = [
+    ("local_iters", 0, "local_iters must be >= 1"),
+    ("decay", 0, "decay 0.0 must be in (0, 1]"),
+    ("reg_weight", -1, "reg_weight -1.0 must be finite and >= 0"),
+    ("aggregation", "geometric", "unknown aggregation 'geometric'"),
+    ("r_min", 0, "r_min 0, r_max 4 invalid"),
+    ("r_min", 5, "r_min 5, r_max 4 invalid"),
+    ("r_max", 9, "r_min 1, r_max 9 invalid"),
+    ("task.num_clients", 0, "num_clients 0: need at least one client"),
+    ("task.d", 0, "d 0 must be >= 1"),
+    ("task.l", 0, "l 0 must be >= 1"),
+]
+
 
 def fake_run(seed=0, losses=(0.08, 0.05, 0.02), strategy="hetlora", down=100):
     records = [
@@ -782,6 +797,7 @@ class TestCli:
         assert main(argv + (["--strategies", "hetlora"] if command == "sweep" else [])) == 2
         captured = capsys.readouterr()
         assert f"config error: {long}: " in captured.err and "Traceback" not in captured.err
+        assert captured.err.count(long.name) == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -799,6 +815,50 @@ class TestCli:
             err = capsys.readouterr().err
             assert field in err and "seed" not in err
         assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("key,value,message", ONE_REFUSAL,
+                             ids=[f"{key}-{value}" for key, value, _ in ONE_REFUSAL])
+    def test_config_is_the_one_refusal_of_a_bad_value(self, tmp_path, capsys,
+                                                      monkeypatch, key, value, message):
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(set_key(TINY_TEXT, key, value))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {bad}: ")
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_dir_is_not_read_from_the_environment(self, cfg_file, tmp_path,
+                                                      monkeypatch, command):
+        # a variable that once chose the output directory now changes nothing
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setenv("HETLORA_OUT_DIR", str(taken))
+        argv = [command, "--config", str(cfg_file), "--seed", "0"]
+        if command == "sweep":
+            argv += ["--strategies", "hetlora"]
+        assert main(argv) == 0
+        assert len(list((tmp_path / "results").rglob("records.jsonl"))) == 1
+        assert taken.read_text() == ""
+
+    def test_two_runs_are_kept_apart_by_out(self, cfg_file, tmp_path):
+        # every run writes records.jsonl; a second --out keeps the first stream
+        for seed in (0, 1):
+            out = tmp_path / f"seed{seed}"
+            assert main(["run", "--config", str(cfg_file), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        for seed in (0, 1):
+            out = tmp_path / f"seed{seed}"
+            assert sorted(p.name for p in out.iterdir()) == ["records.jsonl",
+                                                             "records_summary.csv"]
+            assert [r.seed for r in read_jsonl(out / "records.jsonl")] == [seed]
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("alpha", ["1000", "-3000"])
     def test_rank_alpha_whose_weights_overflow_or_vanish_exits_2(
@@ -899,6 +959,22 @@ class TestCli:
         assert rc == 2
         assert f"{label} is given twice" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tag", ["homlora:0", "homlora:9"])
+    def test_sweep_homlora_rank_out_of_range_exits_2_before_any_run(
+            self, cfg_file, tmp_path, capsys, monkeypatch, tag):
+        # TINY_TEXT's adapters are at most min(d, l) = 8 wide
+        def run_strategy(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_strategy", run_strategy)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--strategies", f"hetlora,{tag}"]) == 2
+        captured = capsys.readouterr()
+        rank = tag.split(":")[1]
+        assert captured.err == f"config error: homlora_rank {rank} out of range\n"
+        assert captured.out == "" and not out.exists()
 
     def test_sweep_has_no_ranks_flag(self, cfg_file, capsys):
         # homogeneous ranks are --strategies homlora:R tags
@@ -1111,13 +1187,14 @@ class TestCli:
             assert f"{path}:3" in err and why in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "abc"])
+    @pytest.mark.parametrize("flag", ["--target"])
     def test_report_refuses_a_target_not_finite_and_positive(self, tmp_path, capsys,
-                                                            value):
+                                                            flag, value):
         path = tmp_path / "records.jsonl"
         write_jsonl([fake_run()], path)
         with pytest.raises(SystemExit) as e:
-            main(["report", str(path), "--target", value])
-        assert e.value.code == 2 and "argument --target: " in capsys.readouterr().err
+            main(["report", str(path), flag, value])
+        assert e.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
 
     def test_report_csv_name_the_filesystem_refuses_exits_2_before_reading(
             self, tmp_path, capsys, monkeypatch):

@@ -207,3 +207,9 @@ class TestAggregate:
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError):
             aggregate(make_state(), [])
+
+    def test_unknown_aggregation_rejected_at_aggregation(self):
+        # ServerState takes any name; folding the first round refuses it
+        state = make_state(aggregation="geometric")
+        with pytest.raises(ValueError, match="geometric"):
+            aggregate(state, [(0, random_pair(0, 4))])
