@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import server
 from .client import Clients, LocalTrainConfig, dense_local_train, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
@@ -68,11 +69,16 @@ class _Strategy:
     gives every client's rank in client-id order. Clients train adapters
     with local_train unless a strategy says otherwise."""
 
-    def __init__(self, task: SyntheticTask, run_seed: int, lcfg: LocalTrainConfig):
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
+                 lcfg: LocalTrainConfig):
         self.task = task
-        self.clients = Clients(
-            task, [_client_seed(run_seed, k) for k in range(task.spec.num_clients)])
+        n, m = task.spec.num_clients, cfg.clients_per_round
+        # the batch blocks read the schedule from server; only the round loop
+        # looks select_clients up here, once per round
+        self.clients = Clients(task, [_client_seed(run_seed, k) for k in range(n)],
+                               lambda t: server.select_clients(n, m, t, run_seed))
         self.lcfg = lcfg
+        self.eval_resid = np.empty(task.eval_set.targets.array.shape)
 
     def local_step(self, selected: list[int], models: list[LoraPair],
                    t: int) -> list[LoraPair]:
@@ -87,7 +93,7 @@ class _FactorServer(_Strategy):
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                  ranks, lcfg: LocalTrainConfig, aggregation: str):
-        super().__init__(task, run_seed, lcfg)
+        super().__init__(cfg, task, run_seed, lcfg)
         self.server = ServerState(
             global_pair=_initial_pair(task, max(ranks), cfg.init_std, run_seed),
             round_index=0, aggregation=aggregation, client_ranks=dict(enumerate(ranks)))
@@ -104,16 +110,17 @@ class _FactorServer(_Strategy):
         self.server = aggregate(self.server, updates)
 
     def evaluate(self) -> float:
-        return loss(self.server.global_pair, self.task.base.w0, self.task.eval_set)
+        return loss(self.server.global_pair, self.task.base.w0, self.task.eval_set,
+                    out=self.eval_resid)
 
 
 class _DenseServer(_Strategy):
     """The server keeps a dense d x l update and replaces it each round by
     the plain mean of the clients' dense updates. Client ranks are fixed."""
 
-    def __init__(self, task: SyntheticTask, run_seed: int, ranks,
-                 lcfg: LocalTrainConfig):
-        super().__init__(task, run_seed, lcfg)
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
+                 ranks, lcfg: LocalTrainConfig):
+        super().__init__(cfg, task, run_seed, lcfg)
         self.ranks = tuple(ranks)
         self.dense = np.zeros((task.spec.d, task.spec.l))
 
@@ -125,7 +132,7 @@ class _DenseServer(_Strategy):
 
     def evaluate(self) -> float:
         return dense_loss(Matrix._wrap(self.dense), self.task.base.w0,
-                          self.task.eval_set)
+                          self.task.eval_set, out=self.eval_resid)
 
 
 class _FullFT(_DenseServer):
@@ -161,7 +168,7 @@ class _ReconSvd(_DenseServer):
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                  ranks, lcfg: LocalTrainConfig):
-        super().__init__(task, run_seed, ranks, lcfg)
+        super().__init__(cfg, task, run_seed, ranks, lcfg)
         self.rank = max(ranks)
         self.pair = _initial_pair(task, self.rank, cfg.init_std, run_seed)
 
@@ -257,7 +264,7 @@ def run_strategy(cfg: ExperimentConfig, run_seed: int,
                                  SIMPLE)
     elif cfg.strategy == "full_ft":
         # dense clients have no adapter rank and record 0
-        strategy = _FullFT(task, run_seed, (0,) * n, plain)
+        strategy = _FullFT(cfg, task, run_seed, (0,) * n, plain)
     else:
         strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
     return _run_rounds(cfg, task, run_seed, strategy)

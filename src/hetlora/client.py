@@ -13,12 +13,14 @@ arrays, views of the task's pool (every client holds the task's
 samples_per_client samples), and their seeds; a client is its index. The
 clients selected in a round are trained together, as one cohort in
 stacked arrays: every step is one batched matmul per operation for the
-whole cohort. Adapters are zero-padded to the cohort's largest rank, and
-the padding stays exactly zero under SGD. Each client still draws its own
-batches from its own (client seed, round) stream, bit for bit one
-Generator.choice(n, batch_size, replace=False) per step (_cohort_indices),
-so its result does not depend on its place in the cohort. The tails are
-indexed once, as (client, rank) pairs through which the tail norms, the
+whole cohort, into arrays that Clients keeps from round to round.
+Adapters are zero-padded to the cohort's largest rank, and the padding
+stays exactly zero under SGD. Each client still draws its own batches
+from its own (client seed, round) stream, bit for bit one
+Generator.choice(n, batch_size, replace=False) per step, so its result
+does not depend on its place in the cohort; a run's scheduled cohorts
+draw theirs 32 rounds at a time (Clients.batches). The tails are indexed
+once, as (client, rank) pairs through which the tail norms, the
 regulariser's gradient and the prune test all read the factors. A cohort
 in which no client can have a tail (decay 1, or every rank 1) keeps no
 tail index.
@@ -46,24 +48,54 @@ from .tasks import SyntheticTask
 class Clients:
     """A run's clients as arrays: client k holds inputs[k] (n x l) and
     targets[k] (n x d), read-only views of its rows of the task's pool, and
-    seeds[k], the seed of its batch streams."""
+    seeds[k], the seed of its batch streams. schedule(t), if given, is the
+    cohort of round t. A round's arrays live in buffers (buffer)."""
 
-    def __init__(self, task: SyntheticTask, seeds):
+    def __init__(self, task: SyntheticTask, seeds, schedule=None):
         n = task.spec.samples_per_client
         self.inputs = task.pool.inputs.array.reshape(-1, n, task.spec.l)
         self.targets = task.pool.targets.array.reshape(-1, n, task.spec.d)
         self.seeds = [int(s) for s in seeds]
-        self._block, self._words = None, None
+        self.schedule = schedule
+        # the block of batches drawn last: its key, its cohorts and their batches
+        self._drawn = self._cohorts = self._batches = None
+        self._buffers: dict[str, np.ndarray] = {}
 
     def round_words(self, selected, t: int) -> np.ndarray:
         """The seed words of the (seeds[k], "round", t) streams of the
-        clients k in selected, one row each. They are computed for every
-        client at once, 32 rounds t at a time, when a round of the block is
-        first asked for; only the last block is kept."""
-        if t // 32 != self._block:
-            self._block = t // 32
-            self._words = stream_words(self.seeds, np.arange(32) + 32 * self._block)
-        return self._words[selected, t % 32]
+        clients k in selected, one row each."""
+        return stream_words(np.take(self.seeds, selected), [t], "round")[:, 0]
+
+    def batches(self, selected: list[int], t: int, cfg: LocalTrainConfig) -> np.ndarray:
+        """The rows of each selected client's mini-batches of round t in its
+        own samples, m x local_iters x min(batch_size, n): with more than
+        batch_size samples, those of local_iters successive
+        Rng.batch_indices calls on its (seed, "round", t) stream, bit for
+        bit (_draw_batches); else all of them, in order, drawing nothing.
+        A cohort on the schedule takes its rows from one draw for the
+        scheduled cohorts of all 32 rounds of t's block."""
+        n = self.inputs.shape[1]
+        if n <= cfg.batch_size:
+            return np.broadcast_to(np.arange(n), (len(selected), cfg.local_iters, n))
+        key = (t // 32, cfg.batch_size, cfg.local_iters)
+        if self.schedule is not None and key != self._drawn:
+            rounds = np.arange(32) + 32 * key[0]
+            self._cohorts = np.array([self.schedule(r) for r in rounds])
+            words = stream_words(self.seeds, rounds, "round")[self._cohorts,
+                                                               np.arange(32)[:, None]]
+            self._batches = _draw_batches(words, n, cfg)
+            self._drawn = key
+        if key == self._drawn and np.array_equal(self._cohorts[t % 32], selected):
+            return self._batches[t % 32]
+        return _draw_batches(self.round_words(selected, t), n, cfg)
+
+    def buffer(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A contiguous float64 array of the shape, a prefix of role's one
+        buffer; its values last until role is asked for again."""
+        size = math.prod(shape)
+        if role not in self._buffers or self._buffers[role].size < size:
+            self._buffers[role] = np.empty(size)
+        return self._buffers[role][:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -111,9 +143,11 @@ class _Tails:
         Each tail rank is reduced by the dot product np.linalg.norm uses,
         and a client's ranks are summed before the square root: a one-rank
         tail has tail_block_norm's bits, a wider one agrees to rounding.
+        The tail rows gathered are kept, for _add_reg_grad.
         """
         j, k = self.client, self.rank
-        return self._norms(b[j, :, k]), self._norms(a[j, k])
+        self.rows = b[j, :, k], a[j, k]
+        return self._norms(self.rows[0]), self._norms(self.rows[1])
 
     def _norms(self, rows: np.ndarray) -> np.ndarray:
         # a stack of 1 x n times n x 1 products is one dot product per row
@@ -122,11 +156,11 @@ class _Tails:
         return np.sqrt(np.bincount(self.client, sq, minlength=len(self.keep)))
 
 
-def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
-                  tails: _Tails, norms: tuple[np.ndarray, np.ndarray],
-                  reg_weight: float) -> None:
+def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails,
+                  norms: tuple[np.ndarray, np.ndarray], reg_weight: float) -> None:
     """In-place gradient of reg_weight * ||b_tail|| * ||a_tail|| for every
-    client of a stacked cohort, given the tail norms tails.norms(b, a).
+    client of a stacked cohort, given the tail norms tails.norms(b, a) of
+    its factors b and a, and the tail rows that call gathered.
 
     Subgradient 0 is used for a factor whose tail norm is 0 (the product of
     norms is non-differentiable there), which keeps fully-shrunk tails stable.
@@ -138,50 +172,38 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, b: np.ndarray, a: np.ndarray,
     # only the tail entries change; the stacks are indexed in three
     # dimensions because a flat view of a non-contiguous stack is a copy
     j, k = tails.client, tails.rank
-    gb[j, :, k] += b[j, :, k] * cb[j, None]
-    ga[j, k, :] += a[j, k, :] * ca[j, None]
+    gb[j, :, k] += tails.rows[0] * cb[j, None]
+    ga[j, k, :] += tails.rows[1] * ca[j, None]
 
 
-def _cohort_indices(clients: Clients, selected: list[int], cfg: LocalTrainConfig,
-                    round_index: int) -> np.ndarray:
-    """The rows of each selected client's mini-batches of one round in its
-    own samples, m x iters x min(batch_size, n) for the n samples every
-    client holds.
-
-    A client's batches are those of local_iters successive
-    Rng.batch_indices calls on its (client seed, round) stream, bit for
-    bit: bounded_draws takes the draws from the selected clients' seed
-    words of the round (Clients.round_words), and batches_from_draws turns
-    them into index sets. With no more samples than batch_size, every
-    client uses all of them, in order, in every step, and draws nothing.
-    """
-    m, n = len(selected), clients.inputs.shape[1]
-    if n <= cfg.batch_size:
-        return np.broadcast_to(np.arange(n), (m, cfg.local_iters, n))
-    draws = bounded_draws(clients.round_words(selected, round_index),
+def _draw_batches(words: np.ndarray, n: int, cfg: LocalTrainConfig) -> np.ndarray:
+    """The batches of local_iters Rng.batch_indices(n, batch_size) calls on
+    the stream seeded by each row of words, words.shape[:-1] x local_iters x
+    batch_size, through bounded_draws and batches_from_draws."""
+    draws = bounded_draws(words.reshape(-1, 4),
                           choice_bounds(n, cfg.batch_size, cfg.local_iters))
-    batches = batches_from_draws(draws.reshape(m * cfg.local_iters, -1), n,
-                                 cfg.batch_size)
-    return batches.reshape(m, cfg.local_iters, cfg.batch_size)
+    batches = batches_from_draws(draws.reshape(-1, draws.shape[1] // cfg.local_iters),
+                                 n, cfg.batch_size)
+    return batches.reshape(*words.shape[:-1], cfg.local_iters, cfg.batch_size)
 
 
 def _cohort_batches(clients: Clients, selected: list[int], w0: Matrix,
                     cfg: LocalTrainConfig, round_index: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The selected clients' mini-batches of one round: inputs (iters x m x
-    n x l) and the base residuals x w0' - y of their rows (iters x m x n x d).
-
-    The batches are those of _cohort_indices. All rows are gathered from
-    the clients' arrays with one index, and their base residuals come from
-    one matmul.
-    """
-    idx = _cohort_indices(clients, selected, cfg, round_index).transpose(1, 0, 2)
-    rows = np.asarray(selected)[:, None]
-    xs = clients.inputs[rows, idx]
-    ys = clients.targets[rows, idx]
+    """The selected clients' mini-batches of one round (Clients.batches):
+    inputs (iters x m x n x l) and the base residuals x w0' - y of their rows
+    (iters x m x n x d), in the "xs" and "r0" buffers. The rows are gathered
+    through one flat index, and their residuals come from one matmul."""
+    idx = clients.batches(selected, round_index, cfg).transpose(1, 0, 2)
+    flat = idx + np.multiply(selected, clients.inputs.shape[1])[:, None]
+    xs = clients.buffer("xs", flat.shape + clients.inputs.shape[2:])
+    ys = clients.buffer("ys", flat.shape + clients.targets.shape[2:])
+    # the indices are in range, and mode "clip" writes to out unbuffered
+    np.take(clients.inputs.reshape(-1, xs.shape[3]), flat, axis=0, out=xs, mode="clip")
+    np.take(clients.targets.reshape(-1, ys.shape[3]), flat, axis=0, out=ys, mode="clip")
     # a stacked matmul takes each batch's product on its own, so a client's
     # residuals do not depend on its place in the cohort
-    r0 = xs @ w0.array.T
+    r0 = np.matmul(xs, w0.array.T, out=clients.buffer("r0", ys.shape))
     r0 -= ys
     return xs, r0
 
@@ -235,19 +257,23 @@ def local_train(clients: Clients, selected: list[int], received: list[LoraPair],
     regularize = cfg.reg_weight > 0 and has_tail
 
     xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
+    xa, rb = (clients.buffer(role, xs.shape[1:3] + (width,)) for role in ("xa", "rb"))
+    resid = clients.buffer("resid", r0.shape[1:])
+    gb, ga = clients.buffer("gb", b.shape), clients.buffer("ga", a.shape)
     for step in range(cfg.local_iters):
         x = xs[step]
-        xa = x @ a.transpose(0, 2, 1)
-        resid = xa @ b.transpose(0, 2, 1)
+        np.matmul(x, a.transpose(0, 2, 1), out=xa)
+        np.matmul(xa, b.transpose(0, 2, 1), out=resid)
         resid += r0[step]
         resid /= xs.shape[2]
-        gb = resid.transpose(0, 2, 1) @ xa
-        ga = (resid @ b).transpose(0, 2, 1) @ x
+        np.matmul(resid.transpose(0, 2, 1), xa, out=gb)
+        np.matmul(resid, b, out=rb)
+        np.matmul(rb.transpose(0, 2, 1), x, out=ga)
         if regularize:
             # step 0 regularizes the received factors, whose norms are known
             if step:
                 norms = tails.norms(b, a)
-            _add_reg_grad(gb, ga, b, a, tails, norms, cfg.reg_weight)
+            _add_reg_grad(gb, ga, tails, norms, cfg.reg_weight)
         gb *= cfg.learning_rate
         b -= gb
         ga *= cfg.learning_rate
@@ -276,12 +302,14 @@ def dense_local_train(clients: Clients, selected: list[int],
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
     local = np.array(deltas, dtype=np.float64)
     xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
+    resid = clients.buffer("resid", r0.shape[1:])
+    g_dense = clients.buffer("gdense", local.shape)
     for step in range(cfg.local_iters):
         # local -= lr * (r0 + x local')' x / n, computed in place
         x = xs[step]
-        resid = x @ local.transpose(0, 2, 1)
+        np.matmul(x, local.transpose(0, 2, 1), out=resid)
         resid += r0[step]
-        g_dense = resid.transpose(0, 2, 1) @ x
+        np.matmul(resid.transpose(0, 2, 1), x, out=g_dense)
         g_dense /= xs.shape[2]
         g_dense *= cfg.learning_rate
         local -= g_dense

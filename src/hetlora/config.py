@@ -69,8 +69,9 @@ class ExperimentConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is listed twice in seeds")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seed {min(self.seeds)} in seeds is negative")
+        outside = [s for s in self.seeds if not 0 <= s < 2**32]
+        if outside:
+            raise ConfigError(f"seed {outside[0]} in seeds is outside [0, 2**32)")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if not self.out_dir:

@@ -2,10 +2,11 @@
 
 Matrices are held in the read-only :class:`Matrix`, and all randomness
 comes from :class:`Rng` streams, which keeps determinism and bit-stability
-easy to audit; stream_words and bounded_draws take many streams' bounded
-draws at once, bit for bit. A bad dimension raises ValueError. Finiteness
-is checked where values enter the program or change (see README), not on
-every Matrix, and a non-finite value raises NumericError.
+easy to audit; stream_words and bounded_draws take the bounded draws of
+many streams of one key at once, bit for bit (a run's batches and client
+selections). A bad dimension raises ValueError. Finiteness is checked
+where values enter the program or change (see README), not on every
+Matrix, and a non-finite value raises NumericError.
 """
 
 from __future__ import annotations
@@ -222,7 +223,6 @@ _M32, _SHIFT = 0xFFFFFFFF, np.uint32(16)
 _HASH_A, _HASH_B = (np.array([init * pow(mult, j, 2**32) & _M32 for j in range(17)], np.uint32)
                     for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_ROUND_KEY = _str_key("round")
 
 
 def _ints_in(values, low: int, high: int, what: str) -> np.ndarray:
@@ -233,10 +233,10 @@ def _ints_in(values, low: int, high: int, what: str) -> np.ndarray:
     return a
 
 
-def stream_words(seeds, counters) -> np.ndarray:
-    """SeedSequence([seed, _key_part("round"), counter]).generate_state(4,
-    np.uint64), which seeds seeded_rng(seed).child("round", counter), for
-    seeds and counters in [0, 2**32): len(seeds) x len(counters) x 4.
+def stream_words(seeds, counters, key: str) -> np.ndarray:
+    """SeedSequence([seed, _key_part(key), counter]).generate_state(4,
+    np.uint64), which seeds seeded_rng(seed).child(key, counter), for seeds
+    and counters in [0, 2**32): len(seeds) x len(counters) x 4.
 
     The entropy is four 32-bit words, the seed, the key's low and high word
     and the counter, mixed by numpy's steps in uint32 arrays, which wrap as
@@ -250,8 +250,8 @@ def stream_words(seeds, counters) -> np.ndarray:
 
     pool = [hashmix(w) for w in (
         _ints_in(seeds, 0, _M32, "seeds").astype(np.uint32)[:, None],
-        np.full((1, 1), _ROUND_KEY & _M32, np.uint32),
-        np.full((1, 1), _ROUND_KEY >> 32, np.uint32),
+        np.full((1, 1), _str_key(key) & _M32, np.uint32),
+        np.full((1, 1), _str_key(key) >> 32, np.uint32),
         _ints_in(counters, 0, _M32, "counters").astype(np.uint32)[None])]
     for src, dst in itertools.permutations(range(4), 2):
         mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])

@@ -175,23 +175,28 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     )
 
 
-def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
-    """0.5 * mean over rows of ||w x_i - y_i||^2, with one n x d temporary."""
+def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray,
+                       out: np.ndarray | None) -> float:
+    """0.5 * mean over rows of ||w x_i - y_i||^2, with the n x d residual in
+    out, or in one temporary if out is None."""
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    resid = x @ w.T
+    resid = np.matmul(x, w.T, out=out)
     resid -= y
     resid *= resid
     return float(0.5 * np.sum(resid) / x.shape[0])
 
 
-def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset) -> float:
-    """Mean over the batch of 0.5 * ||(w0 + delta) x - y||^2."""
+def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset,
+               out: np.ndarray | None = None) -> float:
+    """Mean over the batch of 0.5 * ||(w0 + delta) x - y||^2; out as in loss."""
     return _mean_half_squared(batch.inputs.array, w0.array + delta.array,
-                              batch.targets.array)
+                              batch.targets.array, out)
 
 
-def loss(p: LoraPair, w0: Matrix, batch: ClientDataset) -> float:
-    """Mean squared-error loss of the adapted model w0 + b @ a on the batch."""
+def loss(p: LoraPair, w0: Matrix, batch: ClientDataset,
+         out: np.ndarray | None = None) -> float:
+    """Mean squared-error loss of the adapted model w0 + b @ a on the batch;
+    out, if given, takes the residual (the shape of batch.targets)."""
     return _mean_half_squared(batch.inputs.array, w0.array + p.b.array @ p.a.array,
-                              batch.targets.array)
+                              batch.targets.array, out)

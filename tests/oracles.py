@@ -66,5 +66,5 @@ def stacked_reg_grad(pairs, decay, reg_weight, base=None):
         gb[j, :, : p.rank] = pb
         ga[j, : p.rank] = pa
     tails = _Tails([p.rank for p in pairs], decay)
-    _add_reg_grad(gb, ga, b, a, tails, tails.norms(b, a), reg_weight)
+    _add_reg_grad(gb, ga, tails, tails.norms(b, a), reg_weight)
     return gb, ga

@@ -10,7 +10,7 @@ import pytest
 from hetlora import baselines, lora, server
 from hetlora.baselines import lora_params, run_strategy
 from hetlora.config import ExperimentConfig, load_config
-from hetlora.linalg import Matrix, _key_part
+from hetlora.linalg import Matrix
 from hetlora.lora import LoraPair
 from hetlora.records import read_jsonl, to_jsonl_lines, write_jsonl
 from hetlora.tasks import SyntheticTaskSpec, generate_task
@@ -192,10 +192,11 @@ class TestRoundLoop:
         assert run.completed and len(run.records) == cfg.rounds
         assert calls == [max(run.records[0].client_ranks)] * (cfg.rounds - 1)
 
-    def test_a_round_seeds_only_the_selection_stream(self, monkeypatch):
-        # batch streams come from seed words computed once per run, so no
-        # round builds a SeedSequence per client
-        cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=5)
+    def test_no_round_builds_a_seed_sequence(self, monkeypatch):
+        # selection and batch streams both come from seed words computed 32
+        # rounds at a time, so no round builds a SeedSequence, also across
+        # the block edge at round 32
+        cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=40)
         task = generate_task(dataclasses.replace(cfg.task, seed=0))
         builds = []
         real_seed_sequence = np.random.SeedSequence
@@ -210,8 +211,9 @@ class TestRoundLoop:
             return real_run_rounds(*args)
 
         monkeypatch.setattr(baselines, "_run_rounds", run_rounds)
-        assert run_strategy(cfg, 0, task).completed
-        assert builds == [[0, _key_part("selection"), t] for t in range(1, 6)]
+        run = run_strategy(cfg, 0, task)
+        assert run.completed and len(run.records) == 40
+        assert builds == []
 
     def test_hetlora_never_refactors(self, monkeypatch):
         monkeypatch.setattr(lora, "svd", None)  # any call would raise

@@ -11,7 +11,6 @@ from hetlora.client import (
     Clients,
     LocalTrainConfig,
     _cohort_batches,
-    _cohort_indices,
     _Tails,
     dense_local_train,
     kept_rank,
@@ -20,6 +19,7 @@ from hetlora.client import (
 )
 from hetlora.linalg import Matrix, NumericError, _key_part, seeded_rng
 from hetlora.lora import LoraPair, truncate
+from hetlora.server import select_clients
 from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
 from oracles import (
     dense_grads,
@@ -104,8 +104,8 @@ class TestClients:
         assert np.shares_memory(CLIENTS.targets, TASK.pool.targets.array)
 
     def test_round_words_out_of_order_and_across_blocks(self):
-        # one object asked for rounds out of order, across the 32-round
-        # blocks and back to an earlier block
+        # one object asked for rounds out of order, on both sides of the
+        # edges of Clients.batches' 32-round blocks
         seeds = [7, 2**32 - 1, 0, 12345]
         clients = Clients(TASK, seeds)
         selected = [3, 0, 1]
@@ -464,6 +464,63 @@ class TestCohort:
         assert str(exc_info.value) == "client 1 diverged"
 
 
+class TestBuffers:
+    """A round's arrays live in its Clients' buffers; no call sees what an
+    earlier one left there, and no returned value shares their memory."""
+
+    CFG = LocalTrainConfig(local_iters=3, batch_size=8, learning_rate=0.2,
+                           reg_weight=0.3, decay=0.7)
+
+    def calls(self):
+        """local_train, dense_local_train, then local_train on wider and
+        again on narrower cohorts, each as f(clients) -> returned arrays."""
+        def lora(cohort, ranks, t):
+            pairs = [random_pair(90 + k, rank=r) for k, r in zip(cohort, ranks)]
+
+            def call(c):
+                out = local_train(c, cohort, pairs, TASK.base.w0, self.CFG, t)
+                return [x for p in out for x in (p.b.array, p.a.array)]
+            return call
+
+        deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(3)]
+        return [lora([1, 3], [2, 1], 5),
+                lambda c: dense_local_train(c, [2, 0, 3], deltas, TASK.base.w0,
+                                            self.CFG, 6),
+                lora([0, 1, 2, 3], [4, 3, 2, 4], 7),
+                lora([2, 0], [1, 2], 40)]
+
+    def test_each_call_equals_the_call_on_fresh_clients(self):
+        clients = Clients(TASK, CLIENTS.seeds)
+        for call in self.calls():
+            got = call(clients)
+            want = call(Clients(TASK, CLIENTS.seeds))
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert not any(np.shares_memory(g, buf) for g in got
+                           for buf in clients._buffers.values())
+        assert set(clients._buffers) == {"xs", "ys", "r0", "xa", "rb", "resid", "gb",
+                                         "ga", "gdense"}
+
+    def test_a_cohort_off_the_schedule_gets_the_block_path_s_batches(self):
+        def schedule(t):
+            return select_clients(SPEC.num_clients, 2, t, seed=3)
+
+        cfg = LocalTrainConfig(local_iters=4, batch_size=5)
+        for t in (31, 32, 0, 64):
+            scheduled = Clients(TASK, CLIENTS.seeds, schedule)
+            cohort = schedule(t)
+            block = scheduled.batches(cohort, t, cfg)
+            assert scheduled._drawn == (t // 32, 5, 4)
+            alone = Clients(TASK, CLIENTS.seeds).batches(cohort, t, cfg)
+            assert np.array_equal(block, alone)
+            # the same clients in another order are not round t's cohort
+            assert np.array_equal(scheduled.batches(cohort[::-1], t, cfg), block[::-1])
+            rng = seeded_rng(CLIENTS.seeds[cohort[0]]).child("round", t)
+            for step in range(cfg.local_iters):
+                assert np.array_equal(block[0, step],
+                                      rng.batch_indices(SPEC.samples_per_client, 5))
+
+
 # tasks whose clients hold fewer samples than a batch of 8, as many, and more
 TASKS_BY_SIZE = {n: generate_task(dataclasses.replace(
     SPEC, num_clients=6, samples_per_client=n, client_complexity=(1, 2, 3, 4, 2, 1)))
@@ -488,7 +545,7 @@ class TestCohortBatches:
         population = Clients(task, range(seed, seed + clients))
         selected = list(range(clients))[::-1]
         cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
-        idx = _cohort_indices(population, selected, cfg, round_index)
+        idx = population.batches(selected, round_index, cfg)
         xs, _ = _cohort_batches(population, selected, task.base.w0, cfg, round_index)
         for j, k in enumerate(selected):
             rng = seeded_rng(seed + k).child("round", round_index)

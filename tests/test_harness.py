@@ -283,7 +283,8 @@ BAD_VALUES = {
     # TINY_TEXT's ranks need 1 <= r_min <= r_max = 4 and r_max <= min(d, l) = 8
     "r_min": st.one_of(st.integers(max_value=0), st.integers(min_value=5)),
     "r_max": st.one_of(st.integers(max_value=0), st.integers(min_value=9)),
-    "seeds": st.integers(max_value=-1).map(lambda seed: (0, seed)),
+    "seeds": st.one_of(st.integers(max_value=-1),
+                       st.integers(min_value=2**32)).map(lambda seed: (0, seed)),
     "out_dir": st.just(""),
 }
 
@@ -859,6 +860,17 @@ class TestCli:
                                                              "records_summary.csv"]
             assert [r.seed for r in read_jsonl(out / "records.jsonl")] == [seed]
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("seeds", ["4294967296", "0,18446744073709551616"])
+    def test_seed_of_2_to_the_32_or_more_exits_2(self, cfg_file, tmp_path, capsys,
+                                                 seeds):
+        # selection and batch streams take 32-bit seeds
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--seed", seeds,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "in seeds is outside [0, 2**32)" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1000", "-3000"])
     def test_rank_alpha_whose_weights_overflow_or_vanish_exits_2(

@@ -256,29 +256,32 @@ SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1))
 
 
 class TestStreamWords:
-    """stream_words is SeedSequence([seed, _key_part("round"),
+    """stream_words is SeedSequence([seed, _key_part(key),
     counter]).generate_state(4, np.uint64)."""
 
     @settings(max_examples=60, deadline=None)
     @given(seeds=st.lists(SEEDS, min_size=1, max_size=6),
-           counters=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-    def test_words_are_seed_sequence_state(self, seeds, counters):
-        got = stream_words(seeds, counters)
+           counters=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+           key=st.sampled_from(["round", "selection"]))
+    def test_words_are_seed_sequence_state(self, seeds, counters, key):
+        got = stream_words(seeds, counters, key)
         assert got.shape == (len(seeds), len(counters), 4) and got.dtype == np.uint64
         for i, seed in enumerate(seeds):
             for j, c in enumerate(counters):
-                want = np.random.SeedSequence([seed, _key_part("round"), c])
+                want = np.random.SeedSequence([seed, _key_part(key), c])
                 assert np.array_equal(got[i, j], want.generate_state(4, np.uint64))
 
     def test_round_key_is_two_words(self):
-        # stream_words mixes exactly four entropy words, two of them the key's
-        assert 2**32 <= _key_part("round") < 2**64
+        # stream_words mixes exactly four entropy words, two of them the
+        # key's, for the "round" key and the "selection" key alike
+        for key in ("round", "selection"):
+            assert 2**32 <= _key_part(key) < 2**64
 
     @pytest.mark.parametrize("seeds,counters", [([0], [2**32]), ([0], [-1]),
                                                 ([-1], [0]), ([2**32], [0])])
     def test_out_of_range_raises(self, seeds, counters):
         with pytest.raises(ValueError):
-            stream_words(seeds, counters)
+            stream_words(seeds, counters, "round")
 
 
 class TestBoundedDraws:
@@ -286,7 +289,7 @@ class TestBoundedDraws:
     of the generator seeded by words[j], rejections included."""
 
     def assert_rows_are_integers(self, seeds, counter, bounds):
-        got = bounded_draws(stream_words(seeds, [counter])[:, 0], bounds)
+        got = bounded_draws(stream_words(seeds, [counter], "round")[:, 0], bounds)
         want = [round_generator(s, counter).integers(0, bounds, endpoint=True)
                 for s in seeds]
         assert np.array_equal(got, np.array(want).reshape(len(seeds), len(bounds)))
@@ -315,4 +318,4 @@ class TestBoundedDraws:
     @pytest.mark.parametrize("bounds", [[0], [5, 0], [2**32 - 1], [2**32], [-3]])
     def test_bound_out_of_range_raises(self, bounds):
         with pytest.raises(ValueError):
-            bounded_draws(stream_words([1], [0])[:, 0], bounds)
+            bounded_draws(stream_words([1], [0], "round")[:, 0], bounds)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlora.linalg import Matrix
+from hetlora.linalg import Matrix, seeded_rng
 from hetlora.lora import LoraPair, reconstruct, sparsity_score, zero_pad
 from hetlora.server import (
     SIMPLE,
@@ -87,6 +87,18 @@ class TestSelectClients:
     def test_validation(self):
         with pytest.raises(ValueError, match="cannot pick 6 of 5"):
             select_clients(5, 6, 0, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300),
+           seed=st.one_of(st.just(0), st.integers(0, 2**32 - 1)))
+    def test_blocks_keep_subset_bits(self, data, n, seed):
+        # a selection is Rng.subset of its (seed, "selection", round) stream,
+        # whether rounds come out of order, across 32-round blocks, or pick
+        # every client
+        m = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="m")
+        for t in (31, 32, 0, 64, 33):
+            want = seeded_rng(seed).child("selection", t).subset(n, m)
+            assert select_clients(n, m, t, seed) == want
 
 
 class TestDistribute:
