@@ -4,9 +4,10 @@ reconstruct-then-refactor).
 
 Every strategy follows the same protocol on the same task, seeds,
 selection schedule and local SGD machinery, so their metric curves are
-comparable round by round: the server selects clients and hands each a
-model, the selected clients train their models locally as one cohort (one
-local step call per round), and the server aggregates the results. A
+comparable round by round: the server selects clients and hands the
+cohort its models as one stack, the selected clients train the stack
+locally (one local step call per round), and the server aggregates the
+results; traffic is counted from the ranks handed out and returned. A
 strategy supplies only what differs: the model it hands out, its local
 step, its aggregation and its eval. Divergence ends the run with the
 partial stream flagged incomplete, naming the first client in selection
@@ -25,14 +26,14 @@ from . import server
 from .client import Clients, LocalTrainConfig, dense_local_train, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
-from .lora import LoraPair, reconstruct, refactor_svd, truncate
+from .lora import LoraPair, reconstruct, refactor_svd  # noqa: F401 - traced by bench
 from .records import RoundRecord, RunResult
 from .server import (
     SIMPLE,
     ServerState,
     aggregate,
     assign_ranks,
-    distribute,
+    distribute,  # noqa: F401 - traced by bench
     select_clients,
 )
 from .tasks import OVERFLOW_HINT, SyntheticTask, dense_loss, generate_task, loss
@@ -62,12 +63,11 @@ def _initial_pair(task: SyntheticTask, rank: int, init_std: float,
 
 
 class _Strategy:
-    """What a strategy supplies to the round loop: hand_out(k) gives client
-    k its model, local_step trains the round's cohort on the models handed
-    out, aggregate folds a round's (client, trained model) updates into the
-    server's model, evaluate gives the eval loss of that model, and ranks
-    gives every client's rank in client-id order. Clients train adapters
-    with local_train unless a strategy says otherwise."""
+    """What a strategy supplies to the round loop: round(selected, t) hands
+    the round's cohort its models, trains them with one local step call and
+    folds the results into the server's model, and returns the parameters
+    sent down and up; evaluate gives the eval loss of that model, and ranks
+    gives every client's rank in client-id order."""
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
                  lcfg: LocalTrainConfig):
@@ -76,14 +76,13 @@ class _Strategy:
         # the batch blocks read the schedule from server; only the round loop
         # looks select_clients up here, once per round
         self.clients = Clients(task, [_client_seed(run_seed, k) for k in range(n)],
-                               lambda t: server.select_clients(n, m, t, run_seed))
+                               lambda t: server.select_clients(n, m, t, run_seed),
+                               cfg.rounds)
         self.lcfg = lcfg
-        self.eval_resid = np.empty(task.eval_set.targets.array.shape)
 
-    def local_step(self, selected: list[int], models: list[LoraPair],
-                   t: int) -> list[LoraPair]:
-        return local_train(self.clients, selected, models, self.task.base.w0,
-                           self.lcfg, t)
+    def traffic(self, ranks) -> int:
+        """Parameters the adapters of these ranks carry one way."""
+        return lora_params(sum(ranks), self.task.spec.d, self.task.spec.l)
 
 
 class _FactorServer(_Strategy):
@@ -103,15 +102,19 @@ class _FactorServer(_Strategy):
         # the registry keeps the client-id order it was built in
         return tuple(self.server.client_ranks.values())
 
-    def hand_out(self, k: int) -> LoraPair:
-        return distribute(self.server, self.server.client_ranks[k])
-
-    def aggregate(self, updates: list[tuple[int, LoraPair]]) -> None:
-        self.server = aggregate(self.server, updates)
+    def round(self, selected: list[int], t: int) -> tuple[int, int]:
+        ranks = [self.server.client_ranks[k] for k in selected]
+        b, a = self.clients.hand_out(self.server.global_pair, ranks)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.lcfg, t)
+        # the updates must not view the buffers, which the next round reuses
+        b, a = b.copy(), a.copy()
+        self.server = aggregate(self.server, [
+            (k, LoraPair(b=Matrix._wrap(b[j, :, :r]), a=Matrix._wrap(a[j, :r])))
+            for j, (k, r) in enumerate(zip(selected, new_ranks))])
+        return self.traffic(ranks), self.traffic(new_ranks)
 
     def evaluate(self) -> float:
-        return loss(self.server.global_pair, self.task.base.w0, self.task.eval_set,
-                    out=self.eval_resid)
+        return loss(self.server.global_pair, self.task)
 
 
 class _DenseServer(_Strategy):
@@ -124,15 +127,8 @@ class _DenseServer(_Strategy):
         self.ranks = tuple(ranks)
         self.dense = np.zeros((task.spec.d, task.spec.l))
 
-    def _set_mean(self, updates: list[np.ndarray]) -> None:
-        acc = np.zeros_like(self.dense)
-        for u in updates:
-            acc += u / len(updates)
-        self.dense = acc
-
     def evaluate(self) -> float:
-        return dense_loss(Matrix._wrap(self.dense), self.task.base.w0,
-                          self.task.eval_set, out=self.eval_resid)
+        return dense_loss(Matrix._wrap(self.dense), self.task)
 
 
 class _FullFT(_DenseServer):
@@ -141,16 +137,13 @@ class _FullFT(_DenseServer):
     Clients receive and return the whole update, d*l parameters each way.
     """
 
-    def hand_out(self, k: int) -> np.ndarray:
-        return self.dense
-
-    def local_step(self, selected: list[int], models: list[np.ndarray],
-                   t: int) -> list[np.ndarray]:
-        return dense_local_train(self.clients, selected, models, self.task.base.w0,
-                                 self.lcfg, t)
-
-    def aggregate(self, updates: list[tuple[int, np.ndarray]]) -> None:
-        self._set_mean([u for _, u in updates])
+    def round(self, selected: list[int], t: int) -> tuple[int, int]:
+        local = self.clients.buffer("dense", (len(selected),) + self.dense.shape)
+        local[...] = self.dense
+        dense_local_train(self.clients, selected, local, self.lcfg, t)
+        # the stack is summed update by update, in cohort order
+        self.dense = np.add.reduce(local / len(local), axis=0)
+        return local.size, local.size
 
 
 class _ReconSvd(_DenseServer):
@@ -172,22 +165,16 @@ class _ReconSvd(_DenseServer):
         self.rank = max(ranks)
         self.pair = _initial_pair(task, self.rank, cfg.init_std, run_seed)
 
-    def hand_out(self, k: int) -> LoraPair:
+    def round(self, selected: list[int], t: int) -> tuple[int, int]:
         if self.pair is None:
             self.pair = refactor_svd(self.dense, self.rank)
-        return truncate(self.pair, self.ranks[k])
-
-    def aggregate(self, updates: list[tuple[int, LoraPair]]) -> None:
-        self._set_mean([reconstruct(p).array for _, p in updates])
+        ranks = [self.ranks[k] for k in selected]
+        b, a = self.clients.hand_out(self.pair, ranks)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.lcfg, t)
+        # the zero padding adds nothing to a client's product b a
+        self.dense = np.add.reduce(np.matmul(b, a) / len(b), axis=0)
         self.pair = None
-
-
-def _params(model, task: SyntheticTask) -> int:
-    """Parameters one model carries one way: r(d+l) for an adapter pair,
-    d*l for a dense update."""
-    if isinstance(model, LoraPair):
-        return lora_params(model.rank, task.spec.d, task.spec.l)
-    return model.size
+        return self.traffic(ranks), self.traffic(new_ranks)
 
 
 # overflow on the way to divergence is reported by the failure text, not
@@ -213,9 +200,7 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
         selected = select_clients(task.spec.num_clients, cfg.clients_per_round, t,
                                   run_seed)
         try:
-            received = [strategy.hand_out(k) for k in selected]
-            trained = strategy.local_step(selected, received, t)
-            strategy.aggregate(list(zip(selected, trained)))
+            down, up = strategy.round(selected, t)
             eval_loss = strategy.evaluate()
             if not math.isfinite(eval_loss):
                 raise NumericError(f"eval loss is {eval_loss}")
@@ -223,8 +208,6 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
             run.completed = False
             run.failure = f"round {t}: {exc}"
             break
-        down = sum(_params(model, task) for model in received)
-        up = sum(_params(model, task) for model in trained)
         cumulative += down + up
         run.records.append(
             RoundRecord(

@@ -5,28 +5,34 @@ A client runs a few mini-batch SGD steps on its data loss plus a
 regularizer on the tail rank block (the last ranks beyond
 max(1, floor(decay * r))), then prunes those tail ranks if the regularizer
 drove their norm strictly below the value it had in the module received
-from the server. A client keeps no rank: the pair it returns has its new
-rank, which the server's rank registry keeps, so pruned ranks never grow back.
+from the server. A client keeps no rank: local training returns its new
+rank, which the server's registry keeps, so pruned ranks never grow back.
 
 A run's clients are one Clients object: their samples as clients x n
-arrays, views of the task's pool (every client holds the task's
-samples_per_client samples), and their seeds; a client is its index. The
-clients selected in a round are trained together, as one cohort in
-stacked arrays: every step is one batched matmul per operation for the
-whole cohort, into arrays that Clients keeps from round to round.
-Adapters are zero-padded to the cohort's largest rank, and the padding
-stays exactly zero under SGD. Each client still draws its own batches
-from its own (client seed, round) stream, bit for bit one
-Generator.choice(n, batch_size, replace=False) per step, so its result
-does not depend on its place in the cohort; a run's scheduled cohorts
-draw theirs 32 rounds at a time (Clients.batches). The tails are indexed
-once, as (client, rank) pairs through which the tail norms, the
+arrays, views of the task's pool, their seeds, and a residual table, the
+base residuals x w0' - y of every sample, computed once per run. A client
+is its index.
+
+The clients selected in a round are trained together, as one cohort in
+stacked arrays: stacks in, ranks out. A strategy hands the cohort its
+adapters as one b stack (m x d x width) and one a stack (m x width x l),
+each zero-padded to the cohort's largest rank (Clients.hand_out copies
+the server's pair once and masks each client's padding); local_train trains the
+stacks in place and returns the new ranks, and dense_local_train trains a
+stack of dense updates in place. Every step is one batched matmul per
+operation for the whole cohort, into arrays that Clients keeps from round
+to round, and the padding stays exactly zero under SGD. Each client still
+draws its own batches from its own (client seed, round) stream, bit for
+bit one Generator.choice(n, batch_size, replace=False) per step, so its
+result does not depend on its place in the cohort; a run's scheduled
+cohorts draw theirs 32 rounds at a time (Clients.batches). The tails are
+indexed once, as (client, rank) pairs through which the tail norms, the
 regulariser's gradient and the prune test all read the factors. A cohort
 in which no client can have a tail (decay 1, or every rank 1) keeps no
 tail index.
 
-A step works on the factors alone: the base residuals x w0' - y of all
-the round's batch rows are computed once, and each step's gradients go
+A step works on the factors alone: a round gathers its batch rows and
+their base residuals with two np.take calls, and each step's gradients go
 through n x r and n x d products, never through w0 + b a or another d x l
 matrix. Finiteness is checked once, after the last step.
 """
@@ -38,27 +44,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Matrix, NumericError, batches_from_draws, bounded_draws,
-                     choice_bounds, stream_words)
+from .linalg import (NumericError, batches_from_draws, bounded_draws, choice_bounds,
+                     stream_words)
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
 from .tasks import SyntheticTask
 
 
 class Clients:
-    """A run's clients as arrays: client k holds inputs[k] (n x l) and
-    targets[k] (n x d), read-only views of its rows of the task's pool, and
-    seeds[k], the seed of its batch streams. schedule(t), if given, is the
-    cohort of round t. A round's arrays live in buffers (buffer)."""
+    """A run's clients as arrays: client k holds inputs[k] (n x l), a
+    read-only view of its rows of the task's pool, base_resid[k] (n x d),
+    the residuals x w0' - y of those rows, and seeds[k], the seed of its
+    batch streams. schedule(t), if given, is the cohort of round t of a
+    run of rounds 1..rounds. A round's arrays live in buffers (buffer)."""
 
-    def __init__(self, task: SyntheticTask, seeds, schedule=None):
+    def __init__(self, task: SyntheticTask, seeds, schedule=None, rounds: int = 0):
         n = task.spec.samples_per_client
         self.inputs = task.pool.inputs.array.reshape(-1, n, task.spec.l)
-        self.targets = task.pool.targets.array.reshape(-1, n, task.spec.d)
+        resid = task.pool.inputs.array @ task.base.w0.array.T
+        resid -= task.pool.targets.array
+        self.base_resid = resid.reshape(-1, n, task.spec.d)
         self.seeds = [int(s) for s in seeds]
-        self.schedule = schedule
-        # the block of batches drawn last: its key, its cohorts and their batches
-        self._drawn = self._cohorts = self._batches = None
+        self.schedule, self.rounds = schedule, rounds
+        # the block of batches drawn last: its key, first round, cohorts and batches
+        self._drawn = self._first = self._cohorts = self._batches = None
         self._buffers: dict[str, np.ndarray] = {}
 
     def round_words(self, selected, t: int) -> np.ndarray:
@@ -73,21 +82,38 @@ class Clients:
         Rng.batch_indices calls on its (seed, "round", t) stream, bit for
         bit (_draw_batches); else all of them, in order, drawing nothing.
         A cohort on the schedule takes its rows from one draw for the
-        scheduled cohorts of all 32 rounds of t's block."""
+        scheduled cohorts of the run's rounds in t's 32-round block, which
+        hashes the seeds of those cohorts' clients only."""
         n = self.inputs.shape[1]
         if n <= cfg.batch_size:
             return np.broadcast_to(np.arange(n), (len(selected), cfg.local_iters, n))
-        key = (t // 32, cfg.batch_size, cfg.local_iters)
-        if self.schedule is not None and key != self._drawn:
-            rounds = np.arange(32) + 32 * key[0]
-            self._cohorts = np.array([self.schedule(r) for r in rounds])
-            words = stream_words(self.seeds, rounds, "round")[self._cohorts,
-                                                               np.arange(32)[:, None]]
-            self._batches = _draw_batches(words, n, cfg)
-            self._drawn = key
-        if key == self._drawn and np.array_equal(self._cohorts[t % 32], selected):
-            return self._batches[t % 32]
+        if 1 <= t <= self.rounds:
+            key = (t // 32, cfg.batch_size, cfg.local_iters)
+            if key != self._drawn:
+                self._first = max(1, 32 * key[0])
+                rounds = np.arange(self._first, min(self.rounds, 32 * key[0] + 31) + 1)
+                self._cohorts = np.array([self.schedule(r) for r in rounds])
+                members, where = np.unique(self._cohorts, return_inverse=True)
+                words = stream_words(np.take(self.seeds, members), rounds, "round")
+                self._batches = _draw_batches(words[where.reshape(self._cohorts.shape),
+                                                    np.arange(len(rounds))[:, None]], n, cfg)
+                self._drawn = key
+            if np.array_equal(self._cohorts[t - self._first], selected):
+                return self._batches[t - self._first]
         return _draw_batches(self.round_words(selected, t), n, cfg)
+
+    def hand_out(self, pair: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
+        """Client j's truncation of pair to ranks[j], zero-padded to the
+        largest rank and stacked: b (m x d x width) and a (m x width x l),
+        in the "b" and "a" buffers: one copy of each factor, then one masked
+        write of zeros to every client's ranks beyond its own."""
+        width = max(ranks)
+        b = self.buffer("b", (len(ranks), pair.d, width))
+        a = self.buffer("a", (len(ranks), width, pair.l))
+        b[...], a[...] = pair.b.array[:, :width], pair.a.array[:width]
+        j, k = np.nonzero(np.arange(width) >= np.asarray(ranks)[:, None])
+        b[j, :, k] = a[j, k] = 0
+        return b, a
 
     def buffer(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
         """A contiguous float64 array of the shape, a prefix of role's one
@@ -187,24 +213,19 @@ def _draw_batches(words: np.ndarray, n: int, cfg: LocalTrainConfig) -> np.ndarra
     return batches.reshape(*words.shape[:-1], cfg.local_iters, cfg.batch_size)
 
 
-def _cohort_batches(clients: Clients, selected: list[int], w0: Matrix,
-                    cfg: LocalTrainConfig, round_index: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _cohort_batches(clients: Clients, selected: list[int], cfg: LocalTrainConfig,
+                    round_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The selected clients' mini-batches of one round (Clients.batches):
-    inputs (iters x m x n x l) and the base residuals x w0' - y of their rows
-    (iters x m x n x d), in the "xs" and "r0" buffers. The rows are gathered
-    through one flat index, and their residuals come from one matmul."""
+    inputs (iters x m x n x l) and their base residuals (iters x m x n x d),
+    in the "xs" and "r0" buffers, gathered through one flat index."""
     idx = clients.batches(selected, round_index, cfg).transpose(1, 0, 2)
     flat = idx + np.multiply(selected, clients.inputs.shape[1])[:, None]
     xs = clients.buffer("xs", flat.shape + clients.inputs.shape[2:])
-    ys = clients.buffer("ys", flat.shape + clients.targets.shape[2:])
+    r0 = clients.buffer("r0", flat.shape + clients.base_resid.shape[2:])
     # the indices are in range, and mode "clip" writes to out unbuffered
     np.take(clients.inputs.reshape(-1, xs.shape[3]), flat, axis=0, out=xs, mode="clip")
-    np.take(clients.targets.reshape(-1, ys.shape[3]), flat, axis=0, out=ys, mode="clip")
-    # a stacked matmul takes each batch's product on its own, so a client's
-    # residuals do not depend on its place in the cohort
-    r0 = np.matmul(xs, w0.array.T, out=clients.buffer("r0", ys.shape))
-    r0 -= ys
+    np.take(clients.base_resid.reshape(-1, r0.shape[3]), flat, axis=0, out=r0,
+            mode="clip")
     return xs, r0
 
 
@@ -223,15 +244,16 @@ def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
     raise NumericError(f"client {selected[np.flatnonzero(~ok)[0]]} diverged")
 
 
-def local_train(clients: Clients, selected: list[int], received: list[LoraPair],
-                w0: Matrix, cfg: LocalTrainConfig, round_index: int) -> list[LoraPair]:
-    """Run local SGD for a cohort and decide on pruning.
+def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndarray,
+                ranks: list[int], cfg: LocalTrainConfig, round_index: int) -> list[int]:
+    """Run local SGD for a cohort, in place, and decide on pruning.
 
-    Client selected[j] trains received[j], at received[j]'s rank. Returns
-    the trained pairs in cohort order, each truncated to its client's new
-    rank, and changes none of its arguments. With reg_weight 0 and decay 1 this is a
-    plain FedAvg local step: the tail is empty and the strict-decrease
-    pruning test can never fire.
+    Client selected[j] trains b[j] (d x width) and a[j] (width x l), its
+    adapter at rank ranks[j] zero-padded to the stacks' width. Returns the
+    clients' new ranks in cohort order: client j's trained adapter is the
+    leading new-rank block of b[j] and a[j]. With reg_weight 0 and decay 1
+    this is a plain FedAvg local step: the tail is empty and the
+    strict-decrease pruning test can never fire.
 
     A step takes the data-loss gradient in low-rank form. With a batch x
     (n x l), its base residuals r0 = x w0' - y, xa = x a' (n x r) and
@@ -239,25 +261,18 @@ def local_train(clients: Clients, selected: list[int], received: list[LoraPair],
     g_a = (resid b)' x: the gradients of the dense form, without forming
     w0 + b a or any other d x l matrix.
     """
-    if len(selected) != len(received):
-        raise ValueError(f"{len(selected)} clients but {len(received)} models")
-    ranks = [p.rank for p in received]
-    width = max(ranks)
-    b = np.zeros((len(received), received[0].d, width))
-    a = np.zeros((len(received), width, received[0].l))
-    for j, p in enumerate(received):
-        b[j, :, : p.rank] = p.b.array
-        a[j, : p.rank] = p.a.array
+    if len(selected) != len(b):
+        raise ValueError(f"{len(selected)} clients but {len(b)} models")
     # below rank 2 or at decay 1 no client has a tail to regularize or prune
-    has_tail = cfg.decay < 1 and width > 1
+    has_tail = cfg.decay < 1 and max(ranks) > 1
     if has_tail:
         tails = _Tails(ranks, cfg.decay)
         norms = tails.norms(b, a)
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
-    xa, rb = (clients.buffer(role, xs.shape[1:3] + (width,)) for role in ("xa", "rb"))
+    xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
+    xa, rb = (clients.buffer(role, xs.shape[1:3] + b.shape[2:]) for role in ("xa", "rb"))
     resid = clients.buffer("resid", r0.shape[1:])
     gb, ga = clients.buffer("gb", b.shape), clients.buffer("ga", a.shape)
     for step in range(cfg.local_iters):
@@ -279,39 +294,33 @@ def local_train(clients: Clients, selected: list[int], received: list[LoraPair],
         ga *= cfg.learning_rate
         a -= ga
     _raise_first_divergence(selected, b, a)
-
-    new_ranks = ranks
-    if has_tail:
-        # a client without a tail has norm 0 before and after, and 0 < 0
-        shrunk = np.multiply(*tails.norms(b, a)) < received_tail
-        new_ranks = np.where(shrunk, tails.keep, ranks).tolist()
-    return [LoraPair(b=Matrix._wrap(b[j, :, :r]), a=Matrix._wrap(a[j, :r]))
-            for j, r in enumerate(new_ranks)]
+    if not has_tail:
+        return list(ranks)
+    # a client without a tail has norm 0 before and after, and 0 < 0
+    shrunk = np.multiply(*tails.norms(b, a)) < received_tail
+    return np.where(shrunk, tails.keep, ranks).tolist()
 
 
-def dense_local_train(clients: Clients, selected: list[int],
-                      deltas: list[np.ndarray], w0: Matrix, cfg: LocalTrainConfig,
-                      round_index: int) -> list[np.ndarray]:
+def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
+                      cfg: LocalTrainConfig, round_index: int) -> None:
     """Local SGD of a cohort on dense d x l additive updates (full
-    fine-tuning): client selected[j] trains deltas[j].
+    fine-tuning), in place: client selected[j] trains deltas[j].
 
     Same batches as local_train; the loss is the plain MSE of w0 + delta,
-    with no regulariser and no rank. Returns new arrays in cohort order.
+    with no regulariser and no rank.
     """
     if len(selected) != len(deltas):
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
-    local = np.array(deltas, dtype=np.float64)
-    xs, r0 = _cohort_batches(clients, selected, w0, cfg, round_index)
+    xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
     resid = clients.buffer("resid", r0.shape[1:])
-    g_dense = clients.buffer("gdense", local.shape)
+    g_dense = clients.buffer("gdense", deltas.shape)
     for step in range(cfg.local_iters):
-        # local -= lr * (r0 + x local')' x / n, computed in place
+        # deltas -= lr * (r0 + x deltas')' x / n, computed in place
         x = xs[step]
-        np.matmul(x, local.transpose(0, 2, 1), out=resid)
+        np.matmul(x, deltas.transpose(0, 2, 1), out=resid)
         resid += r0[step]
         np.matmul(resid.transpose(0, 2, 1), x, out=g_dense)
         g_dense /= xs.shape[2]
         g_dense *= cfg.learning_rate
-        local -= g_dense
-    _raise_first_divergence(selected, local)
-    return list(local)
+        deltas -= g_dense
+    _raise_first_divergence(selected, deltas)

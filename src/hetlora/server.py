@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (batches_from_draws, bounded_draws, choice_bounds, seeded_rng,
-                     stream_words)
-from .lora import LoraPair, aggregate_pairs, sparsity_score, truncate, zero_pad
+from .linalg import (Matrix, NumericError, batches_from_draws, bounded_draws,
+                     choice_bounds, seeded_rng, stream_words)
+from .lora import LoraPair, truncate
+from .lora import aggregate_pairs, sparsity_score  # noqa: F401 - traced by bench
 
 SIMPLE = "simple"
 SPARSITY_WEIGHTED = "sparsity_weighted"
@@ -84,24 +85,24 @@ def distribute(state: ServerState, client_rank: int) -> LoraPair:
     return truncate(state.global_pair, client_rank)
 
 
-def aggregation_weights(pairs: list[LoraPair], aggregation: str) -> list[float]:
-    """Non-negative weights summing to 1 for a batch of updates.
+def aggregation_weights(b: np.ndarray, a: np.ndarray, aggregation: str) -> np.ndarray:
+    """Non-negative weights summing to 1 for a batch of updates, stacked
+    and zero-padded to one width: b is m x d x r, a is m x r x l.
 
     Sparsity weighting is proportional to each update's reconstruction
-    Frobenius norm; an all-zero-score batch falls back to uniform (the
+    Frobenius norm ||b_k a_k||, sparsity_score's trace((b'b)(aa')) for all
+    updates at once; an all-zero-score batch falls back to uniform (the
     normalizer would be 0 otherwise).
     """
-    m = len(pairs)
-    if m == 0:
-        raise ValueError("updates must be non-empty")
+    m = len(b)
     if aggregation == SIMPLE:
-        return [1.0 / m] * m
+        return np.full(m, 1.0 / m)
     if aggregation == SPARSITY_WEIGHTED:
-        scores = [sparsity_score(p) for p in pairs]
-        total = sum(scores)
-        if total <= 0:
-            return [1.0 / m] * m
-        return [s / total for s in scores]
+        btb = np.matmul(b.transpose(0, 2, 1), b)
+        aat = np.matmul(a, a.transpose(0, 2, 1))
+        scores = np.sqrt(np.maximum(np.einsum("kij,kji->k", btb, aat), 0.0))
+        total = scores.sum()
+        return np.full(m, 1.0 / m) if total <= 0 else scores / total
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
@@ -114,21 +115,33 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> Server
     every client has pruned below the old global rank the global pair
     shrinks to the new max (the discarded trailing ranks can no longer be
     distributed to anyone).
+
+    The update pairs are zero-padded once, into one stack at the batch's
+    largest rank, and the weighted stack is summed update by update, as
+    aggregate_pairs sums them, straight into the global width. Raises
+    NumericError for non-finite weights, and for a sum that overflows.
     """
-    pairs = [p for _, p in updates]
-    new_pair = aggregate_pairs(pairs, aggregation_weights(pairs, state.aggregation))
-
-    registry = dict(state.client_ranks)
-    for cid, p in updates:
-        registry[cid] = p.rank
+    if not updates:
+        raise ValueError("updates must be non-empty")
+    registry = {**state.client_ranks, **{cid: p.rank for cid, p in updates}}
+    # the registry holds every update's rank, so the global is never narrower
     top_rank = max(registry.values())
-    # the registry holds every update's rank, so the aggregate is never wider
-    if new_pair.rank < top_rank:
-        new_pair = zero_pad(new_pair, top_rank)
-
+    d, l, width = updates[0][1].d, updates[0][1].l, max(p.rank for _, p in updates)
+    b, a = np.zeros((len(updates), d, width)), np.zeros((len(updates), width, l))
+    for j, (_, p) in enumerate(updates):
+        b[j, :, : p.rank] = p.b.array
+        a[j, : p.rank] = p.a.array
+    w = aggregation_weights(b, a, state.aggregation)
+    if not np.isfinite(w).all():
+        raise NumericError("aggregation weights must be finite")
+    b_acc, a_acc = np.zeros((d, top_rank)), np.zeros((top_rank, l))
+    np.add.reduce(b * w[:, None, None], axis=0, out=b_acc[:, :width])
+    np.add.reduce(a * w[:, None, None], axis=0, out=a_acc[:width])
+    if not (np.isfinite(b_acc).all() and np.isfinite(a_acc).all()):
+        raise NumericError("aggregated factors are not finite")
     return replace(
         state,
-        global_pair=new_pair,
+        global_pair=LoraPair(b=Matrix._wrap(b_acc), a=Matrix._wrap(a_acc)),
         round_index=state.round_index + 1,
         client_ranks=registry,
     )

@@ -105,6 +105,7 @@ class SyntheticTask:
     clients: tuple[ClientDataset, ...]
     complexities: tuple[int, ...]
     eval_set: ClientDataset  # full input distribution, noiseless targets
+    eval_gram: Matrix  # X'X of the eval inputs, l x l
 
 
 def _resolve_complexities(spec: SyntheticTaskSpec, rng: Rng) -> tuple[int, ...]:
@@ -172,31 +173,24 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
                       for x, y in zip(xs, ys)),
         complexities=complexities,
         eval_set=ClientDataset(inputs=Matrix._wrap(ex), targets=Matrix._wrap(ey)),
+        eval_gram=Matrix._wrap(ex.T @ ex),
     )
 
 
-def _mean_half_squared(x: np.ndarray, w: np.ndarray, y: np.ndarray,
-                       out: np.ndarray | None) -> float:
-    """0.5 * mean over rows of ||w x_i - y_i||^2, with the n x d residual in
-    out, or in one temporary if out is None."""
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    resid = np.matmul(x, w.T, out=out)
-    resid -= y
-    resid *= resid
-    return float(0.5 * np.sum(resid) / x.shape[0])
+def dense_loss(delta: Matrix, task: SyntheticTask) -> float:
+    """The held-out loss of the adapted model w0 + delta: the mean over the
+    eval set of 0.5 * ||(w0 + delta) x - y||^2.
+
+    The eval targets are noiseless, (w0 + delta*) x, so the residual of a
+    sample is E x with E = delta - delta*, and the loss is
+    0.5 / n * sum((E G) * E) with G = X'X, the l x l Gram matrix of the n
+    eval inputs (task.eval_gram): no n x d residual is formed. A
+    non-finite delta gives a non-finite loss.
+    """
+    e = delta.array - task.target_delta.array
+    return float(0.5 * np.sum((e @ task.eval_gram.array) * e) / task.spec.eval_samples)
 
 
-def dense_loss(delta: Matrix, w0: Matrix, batch: ClientDataset,
-               out: np.ndarray | None = None) -> float:
-    """Mean over the batch of 0.5 * ||(w0 + delta) x - y||^2; out as in loss."""
-    return _mean_half_squared(batch.inputs.array, w0.array + delta.array,
-                              batch.targets.array, out)
-
-
-def loss(p: LoraPair, w0: Matrix, batch: ClientDataset,
-         out: np.ndarray | None = None) -> float:
-    """Mean squared-error loss of the adapted model w0 + b @ a on the batch;
-    out, if given, takes the residual (the shape of batch.targets)."""
-    return _mean_half_squared(batch.inputs.array, w0.array + p.b.array @ p.a.array,
-                              batch.targets.array, out)
+def loss(p: LoraPair, task: SyntheticTask) -> float:
+    """The held-out loss of the adapted model w0 + b @ a, as dense_loss."""
+    return dense_loss(Matrix._wrap(p.b.array @ p.a.array), task)

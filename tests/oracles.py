@@ -7,7 +7,25 @@ from the stacked cohort code they are compared with.
 import numpy as np
 
 from hetlora.client import _add_reg_grad, _Tails, tail_block_norm
-from hetlora.tasks import loss
+
+
+def dense_batch_loss(delta, w0, batch) -> float:
+    """0.5 * mean over the batch of ||(w0 + delta) x_i - y_i||^2, from the
+    n x d residual of the batch; delta is an array, w0 a Matrix."""
+    x = batch.inputs.array
+    resid = x @ (w0.array + delta).T - batch.targets.array
+    return float(0.5 * np.sum(resid * resid) / x.shape[0])
+
+
+def batch_loss(p, w0, batch) -> float:
+    """The same loss of the adapted model w0 + b a."""
+    return dense_batch_loss(p.b.array @ p.a.array, w0, batch)
+
+
+def base_residuals(data, w0):
+    """x w0' - y of every sample of a client's dataset, one row each: the
+    client's rows of the residual table local training reads."""
+    return data.inputs.array @ w0.T - data.targets.array
 
 
 def dense_grads(b, a, w0, x, y):
@@ -22,25 +40,26 @@ def dense_grads(b, a, w0, x, y):
     return g_dense @ a.T, b.T @ g_dense
 
 
-def lowrank_grads(b, a, w0, x, y):
+def lowrank_grads(b, a, x, r0):
     """The same gradients in low-rank form, as local training takes them:
-    with xa = x a' and resid = (x w0' - y + xa b') / n,
+    with the base residuals r0 = x w0' - y of the batch rows (rows of
+    base_residuals), xa = x a' and resid = (r0 + xa b') / n,
     g_b = resid' xa and g_a = (resid b)' x.
     """
     xa = x @ a.T
-    resid = (x @ w0.T - y + xa @ b.T) / len(x)
+    resid = (r0 + xa @ b.T) / len(x)
     return resid.T @ xa, (resid @ b).T @ x
 
 
 def grad(p, w0, batch):
-    """Gradients of tasks.loss with respect to the two factors, as arrays."""
+    """Gradients of batch_loss with respect to the two factors, as arrays."""
     return dense_grads(p.b.array, p.a.array, w0.array, batch.inputs.array,
                        batch.targets.array)
 
 
 def regularized_loss(p, w0, batch, cfg) -> float:
     """The local objective: data loss plus the weighted tail-block norm."""
-    return loss(p, w0, batch) + cfg.reg_weight * tail_block_norm(p, cfg.decay)
+    return batch_loss(p, w0, batch) + cfg.reg_weight * tail_block_norm(p, cfg.decay)
 
 
 def stack(pairs, width=None):

@@ -43,6 +43,7 @@ from hetlora.records import (
 )
 from hetlora.tasks import generate_task, loss
 from oracles import (
+    base_residuals,
     dense_grads,
     grad,
     lowrank_grads,
@@ -188,7 +189,9 @@ class TestCriterion3HomloraReduction:
         # the engine at r_min=r_max=r, no regularizer, decay 1, simple
         # averaging must be byte-identical to a plainly written FedAvg over
         # the two factors with the low-rank gradient formula, and agree with
-        # the same FedAvg on the dense gradient formula to rounding
+        # the same FedAvg on the dense gradient formula to rounding; like the
+        # engine, the reference computes each client's base residuals
+        # x w0' - y once, over all its samples
         cfg = dataclasses.replace(default_cfg(), rounds=10)
         spec = dataclasses.replace(cfg.task, seed=0)
         task = generate_task(spec)
@@ -201,13 +204,13 @@ class TestCriterion3HomloraReduction:
         d, l = spec.d, spec.l
         m = cfg.clients_per_round
 
-        def fedavg(grads):
+        def fedavg(dense):
             init_rng = seeded_rng(0).child("init")
             b_glob = np.zeros((d, r))
             a_glob = init_rng.gaussian(r, l, std=cfg.init_std).array.copy()
             pair = LoraPair(Matrix(b_glob.copy()), Matrix(a_glob.copy()))
             ref = RunResult(seed=0, strategy=f"homlora_r{r}",
-                            initial_eval_loss=loss(pair, w0, task.eval_set))
+                            initial_eval_loss=loss(pair, task))
             per_dir = r * (d + l) * m
             cumulative = 0
             for t in range(1, cfg.rounds + 1):
@@ -220,10 +223,12 @@ class TestCriterion3HomloraReduction:
                     b = b_glob.copy()
                     a = a_glob.copy()
                     data = task.clients[k]
+                    r0 = base_residuals(data, w0.array)
                     for _ in range(cfg.local_iters):
                         idx = rng.batch_indices(data.size, cfg.batch_size)
-                        gb, ga = grads(b, a, w0.array, data.inputs.array[idx],
-                                       data.targets.array[idx])
+                        x = data.inputs.array[idx]
+                        gb, ga = (dense_grads(b, a, w0.array, x, data.targets.array[idx])
+                                  if dense else lowrank_grads(b, a, x, r0[idx]))
                         b -= cfg.learning_rate * gb
                         a -= cfg.learning_rate * ga
                     b_acc[:, :r] += (1.0 / m) * b
@@ -233,7 +238,7 @@ class TestCriterion3HomloraReduction:
                 pair = LoraPair(Matrix(b_glob.copy()), Matrix(a_glob.copy()))
                 ref.records.append(RoundRecord(
                     round_index=t,
-                    eval_loss=loss(pair, w0, task.eval_set),
+                    eval_loss=loss(pair, task),
                     client_ranks=(r,) * spec.num_clients,
                     down_params=per_dir,
                     up_params=per_dir,
@@ -242,8 +247,8 @@ class TestCriterion3HomloraReduction:
                 ))
             return ref
 
-        exact = to_jsonl_lines(engine) == to_jsonl_lines(fedavg(lowrank_grads))
-        dense = fedavg(dense_grads)
+        exact = to_jsonl_lines(engine) == to_jsonl_lines(fedavg(False))
+        dense = fedavg(True)
         worst = max(abs(e.eval_loss - f.eval_loss) / f.eval_loss
                     for e, f in zip(engine.records, dense.records))
         close = (len(engine.records) == len(dense.records) == cfg.rounds

@@ -7,11 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hetlora import baselines, lora, server
+from hetlora import baselines, client, lora, server
 from hetlora.baselines import lora_params, run_strategy
 from hetlora.config import ExperimentConfig, load_config
-from hetlora.linalg import Matrix
-from hetlora.lora import LoraPair
 from hetlora.records import read_jsonl, to_jsonl_lines, write_jsonl
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 
@@ -215,6 +213,53 @@ class TestRoundLoop:
         assert run.completed and len(run.records) == 40
         assert builds == []
 
+    def test_a_short_run_draws_its_rounds_only(self, monkeypatch):
+        # a 5-round run hashes the batch streams of rounds 1..5, and writes
+        # the first 5 records of a 40-round run, whose first block draws
+        # rounds 1..31
+        cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=5)
+        task = generate_task(dataclasses.replace(cfg.task, seed=0))
+        counters = []
+        real = client.stream_words
+
+        def counting(seeds, rounds, key):
+            counters.append(list(rounds))
+            return real(seeds, rounds, key)
+
+        monkeypatch.setattr(client, "stream_words", counting)
+        short = run_strategy(cfg, 0, task)
+        assert counters == [[1, 2, 3, 4, 5]]
+        long = run_strategy(dataclasses.replace(cfg, rounds=40), 0, task)
+        assert counters[1:] == [list(range(1, 32)), list(range(32, 41))]
+        long.records = long.records[:5]
+        assert to_jsonl_lines(short) == to_jsonl_lines(long)
+
+    def test_updates_own_their_memory(self, monkeypatch):
+        # the tracer keeps every round's updates until the run ends: a
+        # second round, on another cohort of the same width, so on the same
+        # buffers, leaves the first round's pairs as they were; a pair at
+        # the full cohort width would otherwise view a buffer
+        cfg = tiny_cfg()
+        task = generate_task(SPEC)
+        kept = []
+        real = baselines.aggregate
+
+        def keeping(state, updates):
+            kept.append([(k, p, p.b.array.copy(), p.a.array.copy()) for k, p in updates])
+            return real(state, updates)
+
+        monkeypatch.setattr(baselines, "aggregate", keeping)
+        strategy = baselines._FactorServer(cfg, task, 0, (3,) * SPEC.num_clients,
+                                           baselines.LocalTrainConfig(learning_rate=0.2),
+                                           cfg.aggregation)
+        strategy.round([0, 2, 5, 7], 1)
+        strategy.round([1, 3, 4, 9], 2)
+        assert [k for k, *_ in kept[0]] == [0, 2, 5, 7]
+        for _, p, b, a in kept[0]:
+            assert np.array_equal(p.b.array, b) and np.array_equal(p.a.array, a)
+            assert not any(np.shares_memory(x, buf) for x in (p.b.array, p.a.array)
+                           for buf in strategy.clients._buffers.values())
+
     def test_hetlora_never_refactors(self, monkeypatch):
         monkeypatch.setattr(lora, "svd", None)  # any call would raise
         assert run_strategy(tiny_cfg(), 0, generate_task(SPEC)).completed
@@ -233,13 +278,13 @@ class TestRoundLoop:
                                                                  tmp_path):
         # every client returns finite factors of 1e308, and unit weights
         # make their sum overflow in round 1
-        def huge(clients, selected, received, w0, cfg, round_index):
-            return [LoraPair(Matrix(np.full((p.d, p.rank), 1e308)),
-                             Matrix(np.full((p.rank, p.l), 1e308))) for p in received]
+        def huge(clients, selected, b, a, ranks, cfg, round_index):
+            b[...] = a[...] = 1e308
+            return ranks
 
         monkeypatch.setattr(baselines, "local_train", huge)
         monkeypatch.setattr(server, "aggregation_weights",
-                            lambda pairs, aggregation: [1.0] * len(pairs))
+                            lambda b, a, aggregation: np.ones(len(b)))
         run = run_strategy(tiny_cfg(), 0, generate_task(SPEC))
         assert not run.completed and run.records == []
         assert run.failure == "round 1: aggregated factors are not finite"

@@ -49,7 +49,7 @@ def test_plain_fedavg_replay_matches_homlora_run():
     assert checks.check_replay(run, replayed) == []
 
 
-@pytest.mark.parametrize("strategy", ["hetlora", "full_ft"])
+@pytest.mark.parametrize("strategy", ["hetlora", "homlora", "full_ft", "recon_svd"])
 def test_output_checks_pass_on_a_traced_run(strategy):
     # what bench/run.py checks after a traced run: the initial loss, every
     # aggregation, and every recorded eval loss against the traced model
@@ -67,7 +67,13 @@ def test_output_checks_pass_on_a_traced_run(strategy):
         models[key[2]] = after.global_pair.b.array @ after.global_pair.a.array
     models.update((key[2], delta) for key, delta in tracer.dense_evals)
     # a dense run's initial eval is traced too, as round 0
-    assert sorted(models) == ([0, 1, 2, 3] if strategy == "full_ft" else [1, 2, 3])
+    dense = strategy in ("full_ft", "recon_svd")
+    assert sorted(models) == ([0, 1, 2, 3] if dense else [1, 2, 3])
+    # one selection a round; one aggregation a round for factor strategies,
+    # and one dense eval per eval for dense ones
+    assert sum(tracer.calls_by_strategy("server.select_clients").values()) == 3
+    assert len(tracer.aggregates) == (0 if dense else 3)
+    assert len(tracer.dense_evals) == (4 if dense else 0)
     for rec in run.records:
         assert checks.check_eval_loss(rec.eval_loss, models[rec.round_index], task,
                                       str(rec.round_index)) == []

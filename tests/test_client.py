@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetlora import client as client_module
 from hetlora.client import (
     Clients,
     LocalTrainConfig,
@@ -20,8 +21,11 @@ from hetlora.client import (
 from hetlora.linalg import Matrix, NumericError, _key_part, seeded_rng
 from hetlora.lora import LoraPair, truncate
 from hetlora.server import select_clients
-from hetlora.tasks import SyntheticTaskSpec, dense_loss, generate_task, loss
+from hetlora.tasks import SyntheticTaskSpec, generate_task
 from oracles import (
+    base_residuals,
+    batch_loss,
+    dense_batch_loss,
     dense_grads,
     grad,
     lowrank_grads,
@@ -45,33 +49,51 @@ def random_pair(seed, rank=4, scale=0.2):
     )
 
 
+def train(clients, selected, pairs, cfg, round_index):
+    """local_train of a cohort on the stack of these pairs: the trained
+    pairs at their new ranks, in cohort order."""
+    b, a = stack(pairs)
+    ranks = local_train(clients, selected, b, a, [p.rank for p in pairs], cfg,
+                        round_index)
+    return [LoraPair(Matrix(b[j, :, :r]), Matrix(a[j, :r])) for j, r in enumerate(ranks)]
+
+
+def dense_train(clients, selected, deltas, cfg, round_index):
+    """dense_local_train of a cohort on the stack of these updates."""
+    local = np.array(deltas, dtype=np.float64)
+    dense_local_train(clients, selected, local, cfg, round_index)
+    return list(local)
+
+
 def train_one(k, received, cfg, round_index=0):
     """local_train of client k of CLIENTS on a cohort of one: the trained
     pair, at its new rank."""
-    [out] = local_train(CLIENTS, [k], [received], TASK.base.w0, cfg, round_index)
+    [out] = train(CLIENTS, [k], [received], cfg, round_index)
     return out
 
 
 def dense_one(k, delta, cfg, round_index=0):
-    [out] = dense_local_train(CLIENTS, [k], [delta], TASK.base.w0, cfg, round_index)
+    [out] = dense_train(CLIENTS, [k], [delta], cfg, round_index)
     return out
 
 
-def hand_rolled_sgd(k, received, cfg, grads, round_index=0, keep=None,
+def hand_rolled_sgd(k, received, cfg, dense=False, round_index=0, keep=None,
                     task=TASK, clients=CLIENTS):
     """Client k's SGD from `received`, written out apart from local_train,
-    on the task's dataset of client k and the seed clients gives it:
-    `grads` gives the data-loss gradients of a batch; with `keep`, the tail
-    regulariser acts on the ranks from `keep` on. Returns the trained
-    factors at full rank."""
+    on the task's dataset of client k and the seed clients gives it, with
+    the data-loss gradients of oracles.lowrank_grads, or with `dense` of
+    oracles.dense_grads; with `keep`, the tail regulariser acts on the
+    ranks from `keep` on. Returns the trained factors at full rank."""
     rng = seeded_rng(clients.seeds[k]).child("round", round_index)
     b = received.b.array.copy()
     a = received.a.array.copy()
     data = task.clients[k]
+    r0 = base_residuals(data, task.base.w0.array)
     for _ in range(cfg.local_iters):
         idx = rng.batch_indices(data.size, cfg.batch_size)
-        gb, ga = grads(b, a, task.base.w0.array, data.inputs.array[idx],
-                       data.targets.array[idx])
+        x = data.inputs.array[idx]
+        gb, ga = (dense_grads(b, a, task.base.w0.array, x, data.targets.array[idx])
+                  if dense else lowrank_grads(b, a, x, r0[idx]))
         if keep is not None:
             nb, na = np.linalg.norm(b[:, keep:]), np.linalg.norm(a[keep:, :])
             gb[:, keep:] += cfg.reg_weight * (na / nb) * b[:, keep:]
@@ -94,14 +116,15 @@ def first_diverging_iters(train, cfg, limit):
 
 class TestClients:
     def test_arrays_view_the_task_pool(self):
-        # client k's rows are the task's dataset of client k, read-only
-        # views of the pool, not copies
+        # client k's inputs are the task's dataset of client k, read-only
+        # views of the pool, not copies; its residual rows are x w0' - y of
+        # those samples, as one client's product gives them
         for k, data in enumerate(TASK.clients):
-            for got, want in ((CLIENTS.inputs[k], data.inputs.array),
-                              (CLIENTS.targets[k], data.targets.array)):
-                assert np.array_equal(got, want) and not got.flags.writeable
+            got = CLIENTS.inputs[k]
+            assert np.array_equal(got, data.inputs.array) and not got.flags.writeable
+            assert np.array_equal(CLIENTS.base_resid[k],
+                                  base_residuals(data, TASK.base.w0.array))
         assert np.shares_memory(CLIENTS.inputs, TASK.pool.inputs.array)
-        assert np.shares_memory(CLIENTS.targets, TASK.pool.targets.array)
 
     def test_round_words_out_of_order_and_across_blocks(self):
         # one object asked for rounds out of order, on both sides of the
@@ -151,7 +174,7 @@ class TestRegularizedObjective:
         cfg = LocalTrainConfig(reg_weight=0.0, decay=0.5)
         p = random_pair(3)
         c = TASK.clients[0]
-        assert regularized_loss(p, TASK.base.w0, c, cfg) == loss(p, TASK.base.w0, c)
+        assert regularized_loss(p, TASK.base.w0, c, cfg) == batch_loss(p, TASK.base.w0, c)
         gb, ga = stacked_reg_grad([p, random_pair(4, rank=2)], cfg.decay, 0.0)
         assert not gb.any() and not ga.any()
 
@@ -211,9 +234,9 @@ class TestRegularizedObjective:
 
 class TestLocalTrain:
     def test_one_model_per_client(self):
+        b, a = stack([random_pair(1)])
         with pytest.raises(ValueError, match="2 clients but 1 models"):
-            local_train(CLIENTS, [0, 1], [random_pair(1)], TASK.base.w0,
-                        LocalTrainConfig(), 0)
+            local_train(CLIENTS, [0, 1], b, a, [4], LocalTrainConfig(), 0)
 
     def test_deterministic(self):
         cfg = LocalTrainConfig(learning_rate=0.1, reg_weight=0.01, decay=0.5)
@@ -239,19 +262,19 @@ class TestLocalTrain:
         out = train_one(2, received, cfg, round_index=5)
         assert out.rank == received.rank
 
-        b, a = hand_rolled_sgd(2, received, cfg, lowrank_grads, round_index=5)
+        b, a = hand_rolled_sgd(2, received, cfg, round_index=5)
         assert np.array_equal(out.b.array, b)
         assert np.array_equal(out.a.array, a)
-        b, a = hand_rolled_sgd(2, received, cfg, dense_grads, round_index=5)
+        b, a = hand_rolled_sgd(2, received, cfg, dense=True, round_index=5)
         np.testing.assert_allclose(out.b.array, b, rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.a.array, a, rtol=1e-12, atol=0)
 
     def test_training_reduces_loss(self):
         cfg = LocalTrainConfig(local_iters=20, batch_size=16, learning_rate=0.2)
         received = random_pair(2, scale=0.05)
-        before = loss(received, TASK.base.w0, TASK.clients[3])
+        before = batch_loss(received, TASK.base.w0, TASK.clients[3])
         out = train_one(3, received, cfg)
-        after = loss(out, TASK.base.w0, TASK.clients[3])
+        after = batch_loss(out, TASK.base.w0, TASK.clients[3])
         assert after < before
 
     def test_pure_across_a_prune(self):
@@ -262,8 +285,8 @@ class TestLocalTrain:
         selected = [0, 1]
         received = [random_pair(7, scale=0.1), random_pair(12, scale=0.1)]
         before = [(p.b.array.copy(), p.a.array.copy()) for p in received]
-        first = local_train(CLIENTS, selected, received, TASK.base.w0, cfg, 0)
-        second = local_train(CLIENTS, selected, received, TASK.base.w0, cfg, 0)
+        first = train(CLIENTS, selected, received, cfg, 0)
+        second = train(CLIENTS, selected, received, cfg, 0)
         assert first[0].rank == 2
         for p, q in zip(first, second):
             assert p.rank == q.rank
@@ -316,10 +339,10 @@ class TestLocalTrain:
         # arithmetic with truncation undone: the pruned result must be the
         # leading block of a rank-4 training trajectory, i.e. training then
         # truncating, never retraining at the smaller rank
-        b, a = hand_rolled_sgd(0, received, cfg_prune, lowrank_grads, keep=2)
+        b, a = hand_rolled_sgd(0, received, cfg_prune, keep=2)
         assert np.array_equal(out.b.array, b[:, :2])
         assert np.array_equal(out.a.array, a[:2, :])
-        b, a = hand_rolled_sgd(0, received, cfg_prune, dense_grads, keep=2)
+        b, a = hand_rolled_sgd(0, received, cfg_prune, dense=True, keep=2)
         np.testing.assert_allclose(out.b.array, b[:, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.a.array, a[:2, :], rtol=1e-12, atol=0)
 
@@ -352,12 +375,13 @@ class TestLocalTrain:
 class TestDenseLocalTrain:
     def test_one_model_per_client(self):
         with pytest.raises(ValueError, match="1 clients but 2 models"):
-            dense_local_train(CLIENTS, [0], [np.zeros((SPEC.d, SPEC.l))] * 2,
-                              TASK.base.w0, LocalTrainConfig(), 0)
+            dense_local_train(CLIENTS, [0], np.zeros((2, SPEC.d, SPEC.l)),
+                              LocalTrainConfig(), 0)
 
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
-        # gradient of tasks.dense_loss, checked by central differences
+        # gradient of the batch MSE (oracles.dense_batch_loss), checked by
+        # central differences
         data = TASK.clients[2]
         w0 = TASK.base.w0
         lr = 0.05
@@ -369,8 +393,8 @@ class TestDenseLocalTrain:
         eps = 1e-6
         for _ in range(5):
             dd = rng.standard_normal(delta.shape)
-            fd = (dense_loss(Matrix(delta + eps * dd), w0, data)
-                  - dense_loss(Matrix(delta - eps * dd), w0, data)) / (2 * eps)
+            fd = (dense_batch_loss(delta + eps * dd, w0, data)
+                  - dense_batch_loss(delta - eps * dd, w0, data)) / (2 * eps)
             analytic = float(np.sum(g * dd))
             assert abs(fd - analytic) < 1e-5 * max(1.0, abs(analytic))
 
@@ -404,7 +428,7 @@ class TestCohort:
     def train(self, order):
         """The pairs clients order train in round 2, in cohort order."""
         pairs = [random_pair(70 + k, rank=self.RANKS[k], scale=0.1) for k in order]
-        return local_train(CLIENTS, list(order), pairs, TASK.base.w0, self.CFG, 2)
+        return train(CLIENTS, list(order), pairs, self.CFG, 2)
 
     def test_permuting_a_cohort_is_bit_identical(self):
         by_order = []
@@ -420,9 +444,8 @@ class TestCohort:
     def test_permuting_a_dense_cohort_is_bit_identical(self):
         cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.1)
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(4)]
-        out = dense_local_train(CLIENTS, [0, 1, 2, 3], deltas, TASK.base.w0, cfg, 1)
-        back = dense_local_train(CLIENTS, [3, 2, 1, 0], deltas[::-1], TASK.base.w0, cfg,
-                                 1)
+        out = dense_train(CLIENTS, [0, 1, 2, 3], deltas, cfg, 1)
+        back = dense_train(CLIENTS, [3, 2, 1, 0], deltas[::-1], cfg, 1)
         for k in range(4):
             assert np.array_equal(out[k], back[3 - k])
 
@@ -447,7 +470,7 @@ class TestCohort:
         assert iters[3] < iters[1] <= cfg.local_iters
 
         with pytest.raises(NumericError) as exc_info:
-            local_train(CLIENTS, [0, 1, 2, 3], pairs, TASK.base.w0, cfg, 0)
+            train(CLIENTS, [0, 1, 2, 3], pairs, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
@@ -460,32 +483,32 @@ class TestCohort:
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
         with pytest.raises(NumericError) as exc_info:
-            dense_local_train(CLIENTS, [0, 1, 2, 3], deltas, TASK.base.w0, cfg, 0)
+            dense_train(CLIENTS, [0, 1, 2, 3], deltas, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
 
 class TestBuffers:
     """A round's arrays live in its Clients' buffers; no call sees what an
-    earlier one left there, and no returned value shares their memory."""
+    earlier one left there."""
 
     CFG = LocalTrainConfig(local_iters=3, batch_size=8, learning_rate=0.2,
                            reg_weight=0.3, decay=0.7)
 
     def calls(self):
-        """local_train, dense_local_train, then local_train on wider and
-        again on narrower cohorts, each as f(clients) -> returned arrays."""
+        """Hand-out and local_train, dense_local_train, then both again on
+        wider and on narrower cohorts, each as f(clients) -> arrays."""
         def lora(cohort, ranks, t):
-            pairs = [random_pair(90 + k, rank=r) for k, r in zip(cohort, ranks)]
+            pair = random_pair(90 + t, rank=max(ranks))
 
             def call(c):
-                out = local_train(c, cohort, pairs, TASK.base.w0, self.CFG, t)
-                return [x for p in out for x in (p.b.array, p.a.array)]
+                b, a = c.hand_out(pair, ranks)
+                new = local_train(c, cohort, b, a, ranks, self.CFG, t)
+                return [b.copy(), a.copy(), np.array(new)]
             return call
 
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(3)]
         return [lora([1, 3], [2, 1], 5),
-                lambda c: dense_local_train(c, [2, 0, 3], deltas, TASK.base.w0,
-                                            self.CFG, 6),
+                lambda c: dense_train(c, [2, 0, 3], deltas, self.CFG, 6),
                 lora([0, 1, 2, 3], [4, 3, 2, 4], 7),
                 lora([2, 0], [1, 2], 40)]
 
@@ -496,18 +519,23 @@ class TestBuffers:
             want = call(Clients(TASK, CLIENTS.seeds))
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert not any(np.shares_memory(g, buf) for g in got
-                           for buf in clients._buffers.values())
-        assert set(clients._buffers) == {"xs", "ys", "r0", "xa", "rb", "resid", "gb",
-                                         "ga", "gdense"}
+        assert set(clients._buffers) == {"b", "a", "xs", "r0", "xa", "rb", "resid",
+                                         "gb", "ga", "gdense"}
+
+    def test_hand_out_truncates_and_zero_pads(self):
+        pair = random_pair(3, rank=4)
+        ranks = [2, 4, 1]
+        b, a = CLIENTS.hand_out(pair, ranks)
+        want_b, want_a = stack([truncate(pair, r) for r in ranks])
+        assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
     def test_a_cohort_off_the_schedule_gets_the_block_path_s_batches(self):
         def schedule(t):
             return select_clients(SPEC.num_clients, 2, t, seed=3)
 
         cfg = LocalTrainConfig(local_iters=4, batch_size=5)
-        for t in (31, 32, 0, 64):
-            scheduled = Clients(TASK, CLIENTS.seeds, schedule)
+        for t in (31, 32, 1, 64):
+            scheduled = Clients(TASK, CLIENTS.seeds, schedule, rounds=70)
             cohort = schedule(t)
             block = scheduled.batches(cohort, t, cfg)
             assert scheduled._drawn == (t // 32, 5, 4)
@@ -519,6 +547,58 @@ class TestBuffers:
             for step in range(cfg.local_iters):
                 assert np.array_equal(block[0, step],
                                       rng.batch_indices(SPEC.samples_per_client, 5))
+
+    def test_a_block_draws_only_the_run_s_rounds(self, monkeypatch):
+        # rounds run from 1 to the run's last: a 5-round run draws rounds
+        # 1..5, and a 70-round run's last block rounds 64..70; a round
+        # outside the run, such as 0, is drawn alone
+        drawn = []
+        real = client_module.stream_words
+
+        def counting(seeds, counters, key):
+            drawn.append((len(seeds), list(counters)))
+            return real(seeds, counters, key)
+
+        def schedule(t):
+            return select_clients(SPEC.num_clients, 2, t, seed=3)
+
+        monkeypatch.setattr(client_module, "stream_words", counting)
+        cfg = LocalTrainConfig(local_iters=2, batch_size=5)
+        for rounds, t, want in ((5, 3, [1, 2, 3, 4, 5]), (70, 65, list(range(64, 71))),
+                                (70, 0, [0])):
+            drawn.clear()
+            got = Clients(TASK, CLIENTS.seeds, schedule, rounds).batches(
+                schedule(t), t, cfg)
+            assert [counters for _, counters in drawn] == [want]
+            alone = Clients(TASK, CLIENTS.seeds).batches(schedule(t), t, cfg)
+            assert np.array_equal(got, alone)
+
+    def test_a_block_hashes_its_cohorts_clients_only(self, monkeypatch):
+        # 1,000 clients, 3 a round: a block hashes the seeds of at most
+        # 32 * 3 clients, and its batches are those each cohort draws alone
+        spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=1000,
+                                 samples_per_client=12, noise_std=0.0,
+                                 client_complexity=1, seed=1, eval_samples=2)
+        task = generate_task(spec)
+        seeds = range(5000, 6000)
+        hashed = []
+        real = client_module.stream_words
+
+        def counting(seeds, counters, key):
+            hashed.append(len(seeds))
+            return real(seeds, counters, key)
+
+        def schedule(t):
+            return select_clients(spec.num_clients, 3, t, seed=9)
+
+        monkeypatch.setattr(client_module, "stream_words", counting)
+        cfg = LocalTrainConfig(local_iters=2, batch_size=5)
+        clients = Clients(task, seeds, schedule, rounds=64)
+        for t in (1, 31, 32, 64):
+            hashed.clear()
+            got = clients.batches(schedule(t), t, cfg)
+            assert np.array_equal(got, Clients(task, seeds).batches(schedule(t), t, cfg))
+            assert 0 < hashed[0] <= 32 * 3
 
 
 # tasks whose clients hold fewer samples than a batch of 8, as many, and more
@@ -546,13 +626,19 @@ class TestCohortBatches:
         selected = list(range(clients))[::-1]
         cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
         idx = population.batches(selected, round_index, cfg)
-        xs, _ = _cohort_batches(population, selected, task.base.w0, cfg, round_index)
+        xs, r0 = _cohort_batches(population, selected, cfg, round_index)
         for j, k in enumerate(selected):
             rng = seeded_rng(seed + k).child("round", round_index)
+            data = task.clients[k]
             for step in range(local_iters):
                 want = rng.batch_indices(size, batch_size)
                 assert np.array_equal(idx[j, step], want)
-                assert np.array_equal(xs[step, j], task.clients[k].inputs.array[want])
+                assert np.array_equal(xs[step, j], data.inputs.array[want])
+                # the table's product over the whole pool may round a
+                # one-client product differently in the last bit
+                np.testing.assert_allclose(
+                    r0[step, j], base_residuals(data, task.base.w0.array)[want],
+                    rtol=1e-13, atol=1e-15)
 
 
 class TestLowRankStep:
@@ -582,10 +668,10 @@ class TestLowRankStep:
 
         task = TASKS_BY_SIZE[samples]
         population = Clients(task, range(1000, 1006))
-        out = local_train(population, cohort, received, task.base.w0, cfg, round_index)
+        out = train(population, cohort, received, cfg, round_index)
         for k, p, got in zip(cohort, received, out):
             keep = kept_rank(p.rank, decay)
-            b, a = hand_rolled_sgd(k, p, cfg, dense_grads, round_index,
+            b, a = hand_rolled_sgd(k, p, cfg, True, round_index,
                                    keep=keep if keep < p.rank else None,
                                    task=task, clients=population)
             want = LoraPair(Matrix(b), Matrix(a))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetlora.linalg import Matrix, seeded_rng
-from hetlora.lora import LoraPair, reconstruct, sparsity_score, zero_pad
+from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, zero_pad
 from hetlora.server import (
     SIMPLE,
     SPARSITY_WEIGHTED,
@@ -18,6 +18,7 @@ from hetlora.server import (
     distribute,
     select_clients,
 )
+from oracles import stack
 
 D, L = 8, 6
 
@@ -117,31 +118,37 @@ class TestDistribute:
             distribute(make_state(rank=4), 5)
 
 
+def weights(pairs, aggregation):
+    """aggregation_weights of the pairs' padded stack, as a list."""
+    return aggregation_weights(*stack(pairs), aggregation).tolist()
+
+
 class TestAggregationWeights:
     def test_simple_is_uniform(self):
         pairs = [random_pair(i, 2) for i in range(4)]
-        assert aggregation_weights(pairs, SIMPLE) == [0.25] * 4
+        assert weights(pairs, SIMPLE) == [0.25] * 4
 
     def test_sparsity_proportional_to_reconstruction_norm(self):
-        pairs = [random_pair(i, 3) for i in range(3)]
-        w = aggregation_weights(pairs, SPARSITY_WEIGHTED)
+        # mixed ranks: the padding adds nothing to a score
+        pairs = [random_pair(i, 1 + i) for i in range(3)]
+        w = weights(pairs, SPARSITY_WEIGHTED)
         scores = [sparsity_score(p) for p in pairs]
         want = [s / sum(scores) for s in scores]
-        assert np.allclose(w, want, atol=1e-12)
+        assert np.allclose(w, want, rtol=1e-14, atol=0)
 
     def test_zero_batch_falls_back_to_uniform(self):
         zeros = [LoraPair(Matrix.zeros(D, 2), Matrix.zeros(2, L))] * 3
-        assert aggregation_weights(zeros, SPARSITY_WEIGHTED) == [1 / 3] * 3
+        assert weights(zeros, SPARSITY_WEIGHTED) == [1 / 3] * 3
 
     def test_zero_update_gets_zero_weight(self):
         live = random_pair(0, 2)
         dead = LoraPair(Matrix.zeros(D, 2), Matrix.zeros(2, L))
-        w = aggregation_weights([live, dead], SPARSITY_WEIGHTED)
+        w = weights([live, dead], SPARSITY_WEIGHTED)
         assert w[1] == 0.0 and abs(w[0] - 1.0) < 1e-12
 
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError):
-            aggregation_weights([random_pair(0, 2)], "median")
+            weights([random_pair(0, 2)], "median")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
@@ -149,7 +156,7 @@ class TestAggregationWeights:
            st.sampled_from([SIMPLE, SPARSITY_WEIGHTED]))
     def test_weights_form_a_simplex(self, seed, m, aggregation):
         pairs = [random_pair(seed + i, 1 + (seed + i) % 3) for i in range(m)]
-        w = aggregation_weights(pairs, aggregation)
+        w = weights(pairs, aggregation)
         assert all(x >= 0 for x in w)
         assert abs(sum(w) - 1.0) < 1e-12
 
@@ -195,6 +202,27 @@ class TestAggregate:
         a_want += w2 * p2.a.array
         assert np.allclose(new.global_pair.b.array, b_want, atol=1e-15)
         assert np.allclose(new.global_pair.a.array, a_want, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           st.sampled_from([SIMPLE, SPARSITY_WEIGHTED]))
+    def test_equals_the_protocol_definitions(self, seed, ranks, aggregation):
+        # aggregate_pairs with sparsity_score's weights, zero-padded to the
+        # registry's largest rank: bit for bit under simple averaging, to
+        # rounding under the batched scores
+        state = make_state(rank=3, aggregation=aggregation, num_clients=8)
+        pairs = [random_pair(seed + j, r) for j, r in enumerate(ranks)]
+        new = aggregate(state, list(enumerate(pairs)))
+        scores = [sparsity_score(p) for p in pairs]
+        w = ([1 / len(pairs)] * len(pairs) if aggregation == SIMPLE
+             else [x / sum(scores) for x in scores])
+        want = zero_pad(aggregate_pairs(pairs, w), max(new.client_ranks.values()))
+        for got, ref in ((new.global_pair.b.array, want.b.array),
+                         (new.global_pair.a.array, want.a.array)):
+            if aggregation == SIMPLE:
+                assert np.array_equal(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
 
     def test_simple_average_of_identical_pairs_is_identity(self):
         state = make_state(rank=3, aggregation=SIMPLE)

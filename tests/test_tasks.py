@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetlora.linalg import Matrix, svd
 from hetlora.lora import LoraPair, refactor_svd
@@ -14,7 +16,7 @@ from hetlora.tasks import (
     generate_task,
     loss,
 )
-from oracles import grad
+from oracles import batch_loss, dense_batch_loss, grad
 
 SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=6,
                          samples_per_client=12, noise_std=0.05, seed=3)
@@ -131,13 +133,13 @@ class TestGeneration:
         # a zero adapter's held-out loss estimates 0.5 * ||target||^2
         t = generate_task(dataclasses.replace(SPEC, eval_samples=4096))
         zero = LoraPair(Matrix.zeros(SPEC.d, 1), Matrix.zeros(1, SPEC.l))
-        got = loss(zero, t.base.w0, t.eval_set)
+        got = loss(zero, t)
         assert abs(got - 0.5 * SPEC.target_norm**2) < 0.01
 
     def test_exact_recovery_gives_zero_eval_loss(self):
         t = generate_task(SPEC)
         star = refactor_svd(t.target_delta.array, SPEC.true_rank)
-        assert loss(star, t.base.w0, t.eval_set) < 1e-12
+        assert loss(star, t) < 1e-12
 
     def test_noiseless_targets_match_model(self):
         spec = dataclasses.replace(SPEC, noise_std=0.0)
@@ -156,9 +158,9 @@ class TestGeneration:
         resid_target = c.targets.array - c.inputs.array @ t.base.w0.array.T
         delta_opt = (np.linalg.pinv(c.inputs.array) @ resid_target).T
         assert np.linalg.matrix_rank(delta_opt, tol=1e-10) == 1
-        full_fit = dense_loss(Matrix(delta_opt), t.base.w0, c)
+        full_fit = dense_batch_loss(delta_opt, t.base.w0, c)
         rank1 = refactor_svd(delta_opt, 1)
-        assert abs(loss(rank1, t.base.w0, c) - full_fit) < 1e-10
+        assert abs(batch_loss(rank1, t.base.w0, c) - full_fit) < 1e-10
 
 
 class TestLossGrad:
@@ -171,13 +173,13 @@ class TestLossGrad:
         )
 
     def test_loss_matches_per_sample_loop(self):
-        c = self.task.clients[0]
+        c = self.task.eval_set
         w = self.task.base.w0.array + self.pair.b.array @ self.pair.a.array
         total = 0.0
         for i in range(c.size):
             r = w @ c.inputs.array[i] - c.targets.array[i]
             total += 0.5 * float(r @ r)
-        assert abs(loss(self.pair, self.task.base.w0, c) - total / c.size) < 1e-10
+        assert abs(loss(self.pair, self.task) - total / c.size) < 1e-10
 
     def test_factor_grad_finite_difference(self):
         c = self.task.clients[1]
@@ -192,14 +194,48 @@ class TestLossGrad:
                             Matrix(self.pair.a.array + eps * da))
             minus = LoraPair(Matrix(self.pair.b.array - eps * db),
                              Matrix(self.pair.a.array - eps * da))
-            fd = (loss(plus, w0, c) - loss(minus, w0, c)) / (2 * eps)
+            fd = (batch_loss(plus, w0, c) - batch_loss(minus, w0, c)) / (2 * eps)
             analytic = float(np.sum(gb * db) + np.sum(ga * da))
             assert abs(fd - analytic) < 1e-5 * max(1.0, abs(analytic))
 
-    def test_empty_batch_rejected(self):
-        empty = ClientDataset(inputs=Matrix._wrap(np.zeros((0, SPEC.l))),
-                              targets=Matrix._wrap(np.zeros((0, SPEC.d))))
-        with pytest.raises(ValueError, match="non-empty"):
-            loss(self.pair, self.task.base.w0, empty)
-        with pytest.raises(ValueError, match="non-empty"):
-            dense_loss(Matrix(np.zeros((SPEC.d, SPEC.l))), self.task.base.w0, empty)
+
+class TestEvalLoss:
+    """loss and dense_loss take the held-out loss through the eval set's
+    Gram matrix; they must equal the direct residual form."""
+
+    TASK = generate_task(SPEC)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, SPEC.l),
+           scale=st.floats(1e-3, 10.0))
+    def test_equals_the_direct_residual_form(self, seed, rank, scale):
+        rng = np.random.default_rng(seed)
+        p = LoraPair(Matrix(rng.standard_normal((SPEC.d, rank)) * scale),
+                     Matrix(rng.standard_normal((rank, SPEC.l))))
+        delta = p.b.array @ p.a.array
+        want = dense_batch_loss(delta, self.TASK.base.w0, self.TASK.eval_set)
+        assert loss(p, self.TASK) == pytest.approx(want, rel=1e-12, abs=0)
+        assert dense_loss(Matrix(delta), self.TASK) == pytest.approx(want, rel=1e-12,
+                                                                     abs=0)
+
+    def test_zero_update_gives_half_mean_target_norm(self):
+        x = self.TASK.eval_set.inputs.array
+        want = 0.5 * np.mean(np.sum((x @ self.TASK.target_delta.array.T) ** 2, axis=1))
+        zero = Matrix.zeros(SPEC.d, SPEC.l)
+        assert dense_loss(zero, self.TASK) == pytest.approx(want, rel=1e-12, abs=0)
+        assert loss(LoraPair(Matrix.zeros(SPEC.d, 1), Matrix.zeros(1, SPEC.l)),
+                    self.TASK) == dense_loss(zero, self.TASK)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_update_gives_non_finite_loss(self, value):
+        # a diverging run must still end on its eval loss (finite matrices
+        # refuse such values, so the test wraps its arrays as the engine does)
+        delta = np.zeros((SPEC.d, SPEC.l))
+        delta[3, 5] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = dense_loss(Matrix._wrap(delta), self.TASK)
+            b = np.zeros((SPEC.d, 1))
+            b[3, 0] = value
+            factored = loss(LoraPair(Matrix._wrap(b), Matrix(np.ones((1, SPEC.l)))),
+                            self.TASK)
+        assert not np.isfinite(got) and not np.isfinite(factored)
