@@ -222,11 +222,7 @@ def cmd_report(args) -> int:
     # absolute params
     full = [row for row in rows if row["strategy"] == "full_ft"]
     full_comm = full[0]["comm_to_target"] if len(full) == 1 else None
-    header = (
-        f"{'label':<20}{'strategy':<16}{'final loss':<24}"
-        f"{'rounds-to-target':<18}{'comm ratio vs full':<18}"
-    )
-    print(header)
+    table = [("label", "strategy", "final loss", "rounds-to-target", "comm ratio vs full")]
     for row in rows:
         if row["comm_to_target"] is None:
             ratio = "X"
@@ -234,11 +230,13 @@ def cmd_report(args) -> int:
             ratio = f"{row['comm_to_target'] / full_comm:.4g}"
         else:
             ratio = f"{row['comm_to_target']:.4g} params"
-        print(
-            f"{row['label']:<20}{row['strategy']:<16}"
-            f"{row['final_mean']:.6g} ± {row['final_std']:.3g}"
-            f"{'':<4}{row['rounds_to_target']:<18}{ratio:<18}"
-        )
+        table.append((row["label"], row["strategy"],
+                      f"{row['final_mean']:.6g} ± {row['final_std']:.3g}",
+                      row["rounds_to_target"], ratio))
+    # each column as wide as its widest cell, two spaces apart
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     if args.csv:
         out = Path(args.csv)
         write_csv(out, ["label", "strategy", "final_eval_loss_mean",

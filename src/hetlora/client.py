@@ -23,13 +23,13 @@ stack of dense updates in place. Every step is one batched matmul per
 operation for the whole cohort, into arrays that Clients keeps from round
 to round, and the padding stays exactly zero under SGD. Each client still
 draws its own batches from its own (client seed, round) stream, bit for
-bit one Generator.choice(n, batch_size, replace=False) per step, so its
-result does not depend on its place in the cohort; a run's scheduled
-cohorts draw theirs 32 rounds at a time (Clients.batches). The tails are
-indexed once, as (client, rank) pairs through which the tail norms, the
-regulariser's gradient and the prune test all read the factors. A cohort
-in which no client can have a tail (decay 1, or every rank 1) keeps no
-tail index.
+bit one Generator.choice(n, batch_size, replace=False) per step
+(linalg.choices), so its result does not depend on its place in the
+cohort; a run's scheduled cohorts draw theirs 32 rounds at a time
+(Clients.batches). The tails are indexed once, as (client, rank) pairs
+through which the tail norms, the regulariser's gradient and the prune
+test all read the factors. A cohort in which no client can have a tail
+(decay 1, or every rank 1) keeps no tail index.
 
 A step works on the factors alone: a round gathers its batch rows and
 their base residuals with two np.take calls, and each step's gradients go
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (NumericError, batches_from_draws, bounded_draws, choice_bounds,
-                     stream_words)
+from .linalg import NumericError, choices, stream_words
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
 from .tasks import SyntheticTask
@@ -70,37 +69,33 @@ class Clients:
         self._drawn = self._first = self._cohorts = self._batches = None
         self._buffers: dict[str, np.ndarray] = {}
 
-    def round_words(self, selected, t: int) -> np.ndarray:
-        """The seed words of the (seeds[k], "round", t) streams of the
-        clients k in selected, one row each."""
-        return stream_words(np.take(self.seeds, selected), [t], "round")[:, 0]
-
     def batches(self, selected: list[int], t: int, cfg: LocalTrainConfig) -> np.ndarray:
         """The rows of each selected client's mini-batches of round t in its
-        own samples, m x local_iters x min(batch_size, n): with more than
-        batch_size samples, those of local_iters successive
-        Rng.batch_indices calls on its (seed, "round", t) stream, bit for
-        bit (_draw_batches); else all of them, in order, drawing nothing.
+        own samples, m x local_iters x min(batch_size, n): those of
+        local_iters successive Rng.batch_indices calls on its (seed,
+        "round", t) stream, bit for bit (linalg.choices), which are all of
+        them, in order, without a draw, if it has no more than batch_size.
         A cohort on the schedule takes its rows from one draw for the
         scheduled cohorts of the run's rounds in t's 32-round block, which
         hashes the seeds of those cohorts' clients only."""
-        n = self.inputs.shape[1]
-        if n <= cfg.batch_size:
-            return np.broadcast_to(np.arange(n), (len(selected), cfg.local_iters, n))
+        n, size, iters = self.inputs.shape[1], cfg.batch_size, cfg.local_iters
         if 1 <= t <= self.rounds:
-            key = (t // 32, cfg.batch_size, cfg.local_iters)
+            key = (t // 32, size, iters)
             if key != self._drawn:
                 self._first = max(1, 32 * key[0])
                 rounds = np.arange(self._first, min(self.rounds, 32 * key[0] + 31) + 1)
                 self._cohorts = np.array([self.schedule(r) for r in rounds])
                 members, where = np.unique(self._cohorts, return_inverse=True)
                 words = stream_words(np.take(self.seeds, members), rounds, "round")
-                self._batches = _draw_batches(words[where.reshape(self._cohorts.shape),
-                                                    np.arange(len(rounds))[:, None]], n, cfg)
+                words = words[where.reshape(self._cohorts.shape),
+                              np.arange(len(rounds))[:, None]].reshape(-1, 4)
+                self._batches = choices(words, n, size, iters).reshape(
+                    *self._cohorts.shape, iters, -1)
                 self._drawn = key
             if np.array_equal(self._cohorts[t - self._first], selected):
                 return self._batches[t - self._first]
-        return _draw_batches(self.round_words(selected, t), n, cfg)
+        words = stream_words(np.take(self.seeds, selected), [t], "round")[:, 0]
+        return choices(words, n, size, iters)
 
     def hand_out(self, pair: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
         """Client j's truncation of pair to ranks[j], zero-padded to the
@@ -200,17 +195,6 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails,
     j, k = tails.client, tails.rank
     gb[j, :, k] += tails.rows[0] * cb[j, None]
     ga[j, k, :] += tails.rows[1] * ca[j, None]
-
-
-def _draw_batches(words: np.ndarray, n: int, cfg: LocalTrainConfig) -> np.ndarray:
-    """The batches of local_iters Rng.batch_indices(n, batch_size) calls on
-    the stream seeded by each row of words, words.shape[:-1] x local_iters x
-    batch_size, through bounded_draws and batches_from_draws."""
-    draws = bounded_draws(words.reshape(-1, 4),
-                          choice_bounds(n, cfg.batch_size, cfg.local_iters))
-    batches = batches_from_draws(draws.reshape(-1, draws.shape[1] // cfg.local_iters),
-                                 n, cfg.batch_size)
-    return batches.reshape(*words.shape[:-1], cfg.local_iters, cfg.batch_size)
 
 
 def _cohort_batches(clients: Clients, selected: list[int], cfg: LocalTrainConfig,

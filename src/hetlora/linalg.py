@@ -2,11 +2,12 @@
 
 Matrices are held in the read-only :class:`Matrix`, and all randomness
 comes from :class:`Rng` streams, which keeps determinism and bit-stability
-easy to audit; stream_words and bounded_draws take the bounded draws of
-many streams of one key at once, bit for bit (a run's batches and client
-selections). A bad dimension raises ValueError. Finiteness is checked
-where values enter the program or change (see README), not on every
-Matrix, and a non-finite value raises NumericError.
+easy to audit; choices makes the Generator.choice calls of many streams
+of one key at once, bit for bit, on their seed words (stream_words) and
+bounded draws (bounded_draws): a run's batches and client selections. A
+bad dimension raises ValueError. Finiteness is checked where values
+enter the program or change (see README), not on every Matrix, and a
+non-finite value raises NumericError.
 """
 
 from __future__ import annotations
@@ -164,58 +165,6 @@ class Rng:
         return self._gen.choice(n, size, replace=False)
 
 
-def _tail_shuffle(n: int, size: int) -> bool:
-    # Generator.choice shuffles the tail of range(n) in place instead of
-    # running Floyd's algorithm when the batch is a large share of a large n
-    return n > 10000 and size > n // 50
-
-
-@functools.cache
-def choice_bounds(n: int, size: int, count: int) -> np.ndarray:
-    """Inclusive upper bounds of the bounded draws that `count` calls of
-    Generator.choice(n, size, replace=False), size < n, make, in order.
-
-    One call is Floyd's algorithm, one draw in [0, j] for each j in
-    [n - size, n), then a Fisher-Yates pass over the size picks, one draw
-    in [0, i] for i = size - 1 down to 1. For a tail shuffle it is the
-    Fisher-Yates pass over range(n) alone, for i = n - 1 down to n - size.
-    """
-    if _tail_shuffle(n, size):
-        one = np.arange(n - 1, n - size - 1, -1)
-    else:
-        one = np.concatenate([np.arange(n - size, n), np.arange(size - 1, 0, -1)])
-    bounds = np.tile(one, count)
-    bounds.setflags(write=False)
-    return bounds
-
-
-def batches_from_draws(draws: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The batches (rows x size) that Generator.choice(n, size,
-    replace=False) returns for each row of draws, a row being the bounded
-    draws of one call, in [0, choice_bounds(n, size, 1)]: its Floyd pass
-    and its swap pass, each step taken for all rows at once.
-    """
-    rows = np.arange(len(draws))
-    if _tail_shuffle(n, size):
-        picks = np.tile(np.arange(n), (len(draws), 1))
-        swaps = draws
-    else:
-        # Floyd: the draw for j is kept unless already picked, else j is
-        picks = draws[:, :size].copy()
-        for t in range(1, size):
-            taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
-            picks[taken, t] = n - size + t
-        swaps = draws[:, size:]
-    last = picks.shape[1] - 1
-    for t in range(swaps.shape[1]):
-        # swap position last - t with the drawn position at or below it
-        j = swaps[:, t]
-        drawn = picks[rows, j]
-        picks[rows, j] = picks[:, last - t]
-        picks[:, last - t] = drawn
-    return picks[:, picks.shape[1] - size:]
-
-
 _M32, _SHIFT = 0xFFFFFFFF, np.uint32(16)
 # SeedSequence's j-th hash of a word xors init * mult**j into it and then
 # multiplies it by the next power (numpy/random/bit_generator.pyx): A for
@@ -303,6 +252,46 @@ def bounded_draws(words: np.ndarray, bounds) -> np.ndarray:
     for j in np.flatnonzero(((product & _M32) < excl).any(axis=1)):
         draws[j] = np.random.Generator(pcg64(words[j])).integers(0, bounds, endpoint=True)
     return draws
+
+
+def choices(words: np.ndarray, n: int, size: int, count: int) -> np.ndarray:
+    """count successive Generator.choice(n, size, replace=False) calls on
+    the stream each row of words seeds (bounded_draws), bit for bit: rows x
+    count x min(size, n). With size >= n every call is range(n), in order,
+    and draws nothing, as Rng.batch_indices.
+
+    One call is Floyd's algorithm, one draw in [0, j] for each j in
+    [n - size, n), then a Fisher-Yates pass over the size picks, one draw
+    in [0, i] for i = size - 1 down to 1. When the batch is a large share
+    of a large n, choice shuffles the tail of range(n) in place instead:
+    one draw in [0, i] for i = n - 1 down to n - size. Each step is taken
+    for every call of every row at once.
+    """
+    if size >= n:
+        return np.broadcast_to(np.arange(n), (len(words), count, n))
+    tail_shuffle = n > 10000 and size > n // 50
+    if tail_shuffle:
+        one = np.arange(n - 1, n - size - 1, -1)
+    else:
+        one = np.concatenate([np.arange(n - size, n), np.arange(size - 1, 0, -1)])
+    draws = bounded_draws(words, np.tile(one, count)).reshape(len(words) * count, -1)
+    calls = np.arange(len(draws))
+    if tail_shuffle:
+        picks, swaps = np.tile(np.arange(n), (len(draws), 1)), draws
+    else:
+        # Floyd: the draw for j is kept unless already picked, else j is
+        picks, swaps = draws[:, :size], draws[:, size:]
+        for t in range(1, size):
+            taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+            picks[taken, t] = n - size + t
+    last = picks.shape[1] - 1
+    for t in range(swaps.shape[1]):
+        # swap position last - t with the drawn position at or below it
+        j = swaps[:, t]
+        drawn = picks[calls, j]
+        picks[calls, j] = picks[:, last - t]
+        picks[:, last - t] = drawn
+    return picks[:, last + 1 - size:].reshape(len(words), count, size)
 
 
 def seeded_rng(seed: int) -> Rng:

@@ -4,7 +4,8 @@ truncation, and aggregation of heterogeneous-rank adapters.
 The server keeps one global adapter pair whose rank always equals the
 maximum current rank across all registered clients, so distribution can
 always truncate down to any client's rank. Selection is drawn for 32
-rounds at a time, with the bits of one Rng.subset per round.
+rounds at a time by linalg.choices, with the bits of one Rng.subset per
+round.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (Matrix, NumericError, batches_from_draws, bounded_draws,
-                     choice_bounds, seeded_rng, stream_words)
+from .linalg import Matrix, NumericError, choices, seeded_rng, stream_words
 from .lora import LoraPair, truncate
 from .lora import aggregate_pairs, sparsity_score  # noqa: F401 - traced by bench
 
@@ -61,11 +61,11 @@ def select_clients(num_clients: int, num_selected: int, round_index: int,
                    seed: int) -> list[int]:
     """Uniform sample without replacement, deterministic per (seed, round):
     Rng.subset of the (seed, "selection", round) stream, bit for bit, for
-    seeds and rounds below 2**32, drawn 32 rounds at a time."""
+    seeds and rounds below 2**32, drawn 32 rounds at a time. Selecting
+    every client draws nothing."""
+    # choices would select every client for num_selected > num_clients
     if not 1 <= num_selected <= num_clients:
         raise ValueError(f"cannot pick {num_selected} of {num_clients}")
-    if num_selected == num_clients:
-        return list(range(num_clients))
     block = _selection_block(num_clients, num_selected, round_index // 32, seed)
     return list(block[round_index % 32])
 
@@ -74,9 +74,9 @@ def select_clients(num_clients: int, num_selected: int, round_index: int,
 def _selection_block(n: int, m: int, block: int, seed: int) -> tuple[tuple, ...]:
     # one Generator.choice(n, m, replace=False) per round of the block, in
     # one pass over the rounds' streams, each row then sorted as subset does
+    # (np.sort: a full draw is a read-only broadcast)
     words = stream_words([seed], np.arange(32) + 32 * block, "selection")[0]
-    picks = batches_from_draws(bounded_draws(words, choice_bounds(n, m, 1)), n, m)
-    picks.sort(axis=1)
+    picks = np.sort(choices(words, n, m, 1)[:, 0], axis=1)
     return tuple(map(tuple, picks.tolist()))
 
 

@@ -1,6 +1,8 @@
 """Tests for the protocol runners and their shared accounting."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -233,6 +235,22 @@ class TestRoundLoop:
         assert counters[1:] == [list(range(1, 32)), list(range(32, 41))]
         long.records = long.records[:5]
         assert to_jsonl_lines(short) == to_jsonl_lines(long)
+
+    def test_default_hetlora_run_integer_record(self):
+        # every round of the default hetlora run on seed 0, across six edges
+        # of the 32-round blocks its selections and batches are drawn in.
+        # Ranks and traffic are integers, so the pin does not depend on the
+        # BLAS, and the traffic carries each round's selection.
+        run = run_strategy(load_config("default"), 0)
+        assert run.completed and len(run.records) == 200
+        digest = hashlib.sha256()
+        for r in run.records:
+            digest.update(json.dumps([list(r.client_ranks), r.down_params, r.up_params,
+                                      r.cumulative_params]).encode())
+        assert digest.hexdigest() == (
+            "c31739cd09be3d1d35214e0af86e047720aaac9d3a79a97f1972cc638143f92c")
+        assert run.records[-1].cumulative_params == 1_905_984
+        assert sum(run.records[-1].client_ranks) == 460
 
     def test_updates_own_their_memory(self, monkeypatch):
         # the tracer keeps every round's updates until the run ends: a

@@ -18,7 +18,7 @@ from hetlora.client import (
     local_train,
     tail_block_norm,
 )
-from hetlora.linalg import Matrix, NumericError, _key_part, seeded_rng
+from hetlora.linalg import Matrix, NumericError, seeded_rng
 from hetlora.lora import LoraPair, truncate
 from hetlora.server import select_clients
 from hetlora.tasks import SyntheticTaskSpec, generate_task
@@ -125,17 +125,6 @@ class TestClients:
             assert np.array_equal(CLIENTS.base_resid[k],
                                   base_residuals(data, TASK.base.w0.array))
         assert np.shares_memory(CLIENTS.inputs, TASK.pool.inputs.array)
-
-    def test_round_words_out_of_order_and_across_blocks(self):
-        # one object asked for rounds out of order, on both sides of the
-        # edges of Clients.batches' 32-round blocks
-        seeds = [7, 2**32 - 1, 0, 12345]
-        clients = Clients(TASK, seeds)
-        selected = [3, 0, 1]
-        for t in (31, 32, 0, 64, 33):
-            want = [np.random.SeedSequence([seeds[k], _key_part("round"), t])
-                    .generate_state(4, np.uint64) for k in selected]
-            assert np.array_equal(clients.round_words(selected, t), want)
 
 
 class TestKeptRankAndTailNorm:

@@ -22,6 +22,7 @@ from hetlora import baselines, cli, config, harness
 from hetlora.cli import build_parser, main
 from hetlora.config import (
     LEARNING_RATE_GRID,
+    STRATEGY_TAGS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -233,6 +234,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             tiny_cfg(threads=0)
 
+    def test_every_field_has_bad_values(self):
+        assert set(BAD_VALUES) == set(config._SCHEMA)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bad_field_values_name_the_field(self, data):
@@ -286,6 +290,18 @@ BAD_VALUES = {
     "seeds": st.one_of(st.integers(max_value=-1),
                        st.integers(min_value=2**32)).map(lambda seed: (0, seed)),
     "out_dir": st.just(""),
+    "strategy": st.text().filter(lambda s: s not in STRATEGY_TAGS),
+    # TINY_TEXT has 10 clients
+    "clients_per_round": st.one_of(st.integers(max_value=0), st.integers(min_value=11)),
+    "threads": st.integers(max_value=0),
+    # TINY_TEXT's task is 12 x 8
+    "task.true_rank": st.one_of(st.integers(max_value=0), st.integers(min_value=9)),
+    # TINY_TEXT's true_rank is 4
+    "task.client_complexity": st.one_of(st.integers(max_value=0),
+                                        st.integers(min_value=5)),
+    "task.eval_samples": st.integers(max_value=0),
+    "task.target_spectrum_decay": st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), _NON_FINITE),
 }
 
 # values that LocalTrainConfig, assign_ranks or ServerState once refused
@@ -1184,6 +1200,21 @@ class TestCli:
         assert [tuple(line.split()[:2]) for line in table] == want
         rows = csv_rows(report_csv, csv.DictReader)
         assert [(r["label"], r["strategy"]) for r in rows] == want
+
+    def test_report_table_columns_line_up(self, tmp_path, capsys):
+        # a label longer than any fixed column, and a short one: every cell
+        # is padded to its column and the columns stay apart
+        streams = {"a_rather_long_variant_name_x": fake_run(strategy="full_ft"),
+                   "het": fake_run(losses=(0.08, 0.07))}
+        for label, run in streams.items():
+            write_jsonl([run], tmp_path / label / "records.jsonl")
+        assert main(["report", str(tmp_path)]) == 0
+        header, *table = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in table] == [
+            [label, run.strategy] for label, run in streams.items()]
+        at = header.index("rounds-to-target")
+        assert [line[at - 1:].split()[0] for line in table] == ["2", "X"]
+        assert all(line[at - 1] == " " != line[at] for line in table)
 
     def test_report_rejected_stream_exit_code(self, tmp_path, capsys):
         for n, (edit, why) in enumerate([({"v": 99}, "version"),

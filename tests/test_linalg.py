@@ -9,9 +9,8 @@ from hetlora.linalg import (
     Matrix,
     NumericError,
     _key_part,
-    batches_from_draws,
     bounded_draws,
-    choice_bounds,
+    choices,
     seeded_rng,
     stream_words,
     svd,
@@ -211,29 +210,37 @@ def choice_generator(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
 
 
+def choice_calls(seed, n, size, count):
+    """count successive Generator.choice(n, size, replace=False) calls on a
+    fresh choice_generator(seed), each range(n) if size >= n, and the
+    generator after them."""
+    gen = choice_generator(seed)
+    return [gen.choice(n, size, replace=False) if size < n else np.arange(n)
+            for _ in range(count)], gen
+
+
 class TestBatchSampler:
-    """The draws of count Generator.choice(n, size, replace=False) calls are
-    bounded integers in [0, choice_bounds(n, size, count)], and
-    batches_from_draws turns them into index sets. Those must be choice's,
-    bit for bit, from a generator left in the state choice leaves it in."""
+    """choices makes count successive Generator.choice(n, size,
+    replace=False) calls on the stream each row of words seeds, bit for bit;
+    for size >= n each call is range(n), in order, as Rng.batch_indices
+    gives it. Rng.batch_indices leaves its generator where choice does."""
 
     def assert_matches_choice(self, seed, n, size, count):
-        want_gen = choice_generator(seed)
-        want = [want_gen.choice(n, size, replace=False) for _ in range(count)]
+        want, want_gen = choice_calls(seed, n, size, count)
         one = seeded_rng(seed)
         assert all(np.array_equal(one.batch_indices(n, size), w) for w in want)
         assert one._gen.bit_generator.state == want_gen.bit_generator.state
-        many = choice_generator(seed)
-        draws = many.integers(0, choice_bounds(n, size, count), endpoint=True)
-        got = batches_from_draws(draws.reshape(count, -1), n, size)
-        assert np.array_equal(got, np.array(want))
-        assert many.bit_generator.state == want_gen.bit_generator.state
+        # two rows, so that a mix-up of rows and calls shows
+        words = [np.random.SeedSequence([s]).generate_state(4, np.uint64)
+                 for s in (seed, seed + 1)]
+        got = choices(np.array(words), n, size, count)
+        assert np.array_equal(got, [want, choice_calls(seed + 1, n, size, count)[0]])
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**63), n=st.integers(2, 60), count=st.integers(1, 5),
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(2, 60), count=st.integers(1, 5),
            data=st.data())
-    def test_floyd_batches_are_generator_choice(self, seed, n, count, data):
-        self.assert_matches_choice(seed, n, data.draw(st.integers(1, n - 1)), count)
+    def test_batches_are_generator_choice(self, seed, n, count, data):
+        self.assert_matches_choice(seed, n, data.draw(st.integers(1, n + 2)), count)
 
     @pytest.mark.parametrize("n,size", [(10001, 200), (10001, 201), (20000, 401)])
     def test_large_batches_are_generator_choice(self, n, size):
