@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import server
-from .client import Clients, LocalTrainConfig, dense_local_train, local_train
+from .client import Clients, dense_local_train, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd  # noqa: F401 - traced by bench
@@ -67,18 +67,17 @@ class _Strategy:
     the round's cohort its models, trains them with one local step call and
     folds the results into the server's model, and returns the parameters
     sent down and up; evaluate gives the eval loss of that model, and ranks
-    gives every client's rank in client-id order."""
+    gives every client's rank in client-id order. It is built from the run's
+    config, as run_strategy fixes it, and derives its ranks from it."""
 
-    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                 lcfg: LocalTrainConfig):
-        self.task = task
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
+        self.cfg, self.task = cfg, task
         n, m = task.spec.num_clients, cfg.clients_per_round
         # the batch blocks read the schedule from server; only the round loop
         # looks select_clients up here, once per round
         self.clients = Clients(task, [_client_seed(run_seed, k) for k in range(n)],
                                lambda t: server.select_clients(n, m, t, run_seed),
                                cfg.rounds)
-        self.lcfg = lcfg
 
     def traffic(self, ranks) -> int:
         """Parameters the adapters of these ranks carry one way."""
@@ -90,12 +89,14 @@ class _FactorServer(_Strategy):
     registry of client ranks, hands out truncations at the registry's ranks,
     and averages the returned factors, whose ranks update the registry."""
 
-    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                 ranks, lcfg: LocalTrainConfig, aggregation: str):
-        super().__init__(cfg, task, run_seed, lcfg)
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
+        super().__init__(cfg, task, run_seed)
+        ranks = assign_ranks(task.spec.num_clients, cfg.r_min, cfg.r_max,
+                             cfg.rank_alpha, run_seed)
         self.server = ServerState(
             global_pair=_initial_pair(task, max(ranks), cfg.init_std, run_seed),
-            round_index=0, aggregation=aggregation, client_ranks=dict(enumerate(ranks)))
+            round_index=0, aggregation=cfg.aggregation,
+            client_ranks=dict(enumerate(ranks)))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -105,7 +106,7 @@ class _FactorServer(_Strategy):
     def round(self, selected: list[int], t: int) -> tuple[int, int]:
         ranks = [self.server.client_ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.server.global_pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.lcfg, t)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, t)
         # the updates must not view the buffers, which the next round reuses
         b, a = b.copy(), a.copy()
         self.server = aggregate(self.server, [
@@ -119,12 +120,12 @@ class _FactorServer(_Strategy):
 
 class _DenseServer(_Strategy):
     """The server keeps a dense d x l update and replaces it each round by
-    the plain mean of the clients' dense updates. Client ranks are fixed."""
+    the plain mean of the clients' dense updates. Client ranks are fixed, at
+    0 for clients without an adapter."""
 
-    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                 ranks, lcfg: LocalTrainConfig):
-        super().__init__(cfg, task, run_seed, lcfg)
-        self.ranks = tuple(ranks)
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
+        super().__init__(cfg, task, run_seed)
+        self.ranks = (0,) * task.spec.num_clients
         self.dense = np.zeros((task.spec.d, task.spec.l))
 
     def evaluate(self) -> float:
@@ -140,7 +141,7 @@ class _FullFT(_DenseServer):
     def round(self, selected: list[int], t: int) -> tuple[int, int]:
         local = self.clients.buffer("dense", (len(selected),) + self.dense.shape)
         local[...] = self.dense
-        dense_local_train(self.clients, selected, local, self.lcfg, t)
+        dense_local_train(self.clients, selected, local, self.cfg, t)
         # the stack is summed update by update, in cohort order
         self.dense = np.add.reduce(local / len(local), axis=0)
         return local.size, local.size
@@ -159,29 +160,33 @@ class _ReconSvd(_DenseServer):
     initial assignment.
     """
 
-    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                 ranks, lcfg: LocalTrainConfig):
-        super().__init__(cfg, task, run_seed, ranks, lcfg)
-        self.rank = max(ranks)
-        self.pair = _initial_pair(task, self.rank, cfg.init_std, run_seed)
+    def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
+        super().__init__(cfg, task, run_seed)
+        self.ranks = assign_ranks(task.spec.num_clients, cfg.r_min, cfg.r_max,
+                                  cfg.rank_alpha, run_seed)
+        self.pair = _initial_pair(task, max(self.ranks), cfg.init_std, run_seed)
 
     def round(self, selected: list[int], t: int) -> tuple[int, int]:
         if self.pair is None:
-            self.pair = refactor_svd(self.dense, self.rank)
+            self.pair = refactor_svd(self.dense, max(self.ranks))
         ranks = [self.ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.lcfg, t)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, t)
         # the zero padding adds nothing to a client's product b a
         self.dense = np.add.reduce(np.matmul(b, a) / len(b), axis=0)
         self.pair = None
         return self.traffic(ranks), self.traffic(new_ranks)
 
 
+# each strategy tag's class, built from the config run_strategy fixes for it
+_STRATEGIES = {"hetlora": _FactorServer, "homlora": _FactorServer,
+               "full_ft": _FullFT, "recon_svd": _ReconSvd}
+
+
 # overflow on the way to divergence is reported by the failure text, not
 # by numpy warnings on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
-                strategy: _Strategy) -> RunResult:
+def _run_rounds(strategy: _Strategy, run_seed: int) -> RunResult:
     """The round loop every strategy shares.
 
     A non-finite initial eval loss is a ConfigError, raised before round 1.
@@ -189,6 +194,7 @@ def _run_rounds(cfg: ExperimentConfig, task: SyntheticTask, run_seed: int,
     a non-finite eval loss ends the run as incomplete; the round it
     happened in is not recorded.
     """
+    cfg, task = strategy.cfg, strategy.task
     initial = strategy.evaluate()
     if not math.isfinite(initial):
         raise ConfigError(f"seed {run_seed}: initial eval loss is {initial}; "
@@ -232,22 +238,10 @@ def run_strategy(cfg: ExperimentConfig, run_seed: int,
             task = generate_task(replace(cfg.task, seed=run_seed))
         except ValueError as exc:
             raise ConfigError(f"seed {run_seed}: {exc}") from None
-    n = task.spec.num_clients
-    plain = LocalTrainConfig(local_iters=cfg.local_iters, batch_size=cfg.batch_size,
-                             learning_rate=cfg.learning_rate)
-    if cfg.strategy in ("hetlora", "recon_svd"):
-        ranks = assign_ranks(n, cfg.r_min, cfg.r_max, cfg.rank_alpha, run_seed)
-    if cfg.strategy == "hetlora":
-        lcfg = replace(plain, reg_weight=cfg.reg_weight, decay=cfg.decay)
-        strategy = _FactorServer(cfg, task, run_seed, ranks, lcfg, cfg.aggregation)
-    elif cfg.strategy == "homlora":
-        # hetlora with every rank fixed, no regulariser, no pruning and
-        # plain averaging
-        strategy = _FactorServer(cfg, task, run_seed, (cfg.homlora_rank,) * n, plain,
-                                 SIMPLE)
-    elif cfg.strategy == "full_ft":
-        # dense clients have no adapter rank and record 0
-        strategy = _FullFT(cfg, task, run_seed, (0,) * n, plain)
-    else:
-        strategy = _ReconSvd(cfg, task, run_seed, ranks, plain)
-    return _run_rounds(cfg, task, run_seed, strategy)
+    # homlora is hetlora with every client at one rank (rank_alpha 1, which
+    # no rank refuses) and plain FedAvg; no comparison regularises or prunes
+    r, plain = cfg.homlora_rank, dict(reg_weight=0.0, decay=1.0)
+    fixed = {"hetlora": {}, "full_ft": plain, "recon_svd": plain,
+             "homlora": dict(plain, r_min=r, r_max=r, rank_alpha=1.0, aggregation=SIMPLE)}
+    cfg = replace(cfg, **fixed[cfg.strategy])
+    return _run_rounds(_STRATEGIES[cfg.strategy](cfg, task, run_seed), run_seed)

@@ -40,10 +40,10 @@ matrix. Finiteness is checked once, after the last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .linalg import NumericError, choices, stream_words
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
 from .lora import LoraPair
@@ -69,7 +69,7 @@ class Clients:
         self._drawn = self._first = self._cohorts = self._batches = None
         self._buffers: dict[str, np.ndarray] = {}
 
-    def batches(self, selected: list[int], t: int, cfg: LocalTrainConfig) -> np.ndarray:
+    def batches(self, selected: list[int], t: int, cfg: ExperimentConfig) -> np.ndarray:
         """The rows of each selected client's mini-batches of round t in its
         own samples, m x local_iters x min(batch_size, n): those of
         local_iters successive Rng.batch_indices calls on its (seed,
@@ -119,15 +119,6 @@ class Clients:
         return self._buffers[role][:size].reshape(shape)
 
 
-@dataclass(frozen=True)
-class LocalTrainConfig:
-    local_iters: int = 5
-    batch_size: int = 8
-    learning_rate: float = 0.01
-    reg_weight: float = 0.0  # weight of the tail-block norm product
-    decay: float = 1.0  # fraction of ranks kept by one pruning event, in (0, 1]
-
-
 def kept_rank(rank: int, decay: float) -> int:
     """Ranks surviving one pruning event: max(1, floor(decay * rank))."""
     return max(1, math.floor(decay * rank))
@@ -157,18 +148,18 @@ class _Tails:
         self.client = np.repeat(np.arange(len(ranks)), np.subtract(ranks, self.keep))
         self.rank = np.concatenate([np.arange(k, r) for k, r in zip(self.keep, ranks)])
 
-    def norms(self, b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def norms(self, b: np.ndarray, a: np.ndarray) -> tuple[tuple, tuple]:
         """Frobenius norms of each client's tail columns of b and tail rows
-        of a, 0 for a client without a tail.
+        of a, 0 for a client without a tail, and the tail rows gathered:
+        ((b norms, a norms), (b rows, a rows)).
 
         Each tail rank is reduced by the dot product np.linalg.norm uses,
         and a client's ranks are summed before the square root: a one-rank
         tail has tail_block_norm's bits, a wider one agrees to rounding.
-        The tail rows gathered are kept, for _add_reg_grad.
         """
         j, k = self.client, self.rank
-        self.rows = b[j, :, k], a[j, k]
-        return self._norms(self.rows[0]), self._norms(self.rows[1])
+        rows = b[j, :, k], a[j, k]
+        return (self._norms(rows[0]), self._norms(rows[1])), rows
 
     def _norms(self, rows: np.ndarray) -> np.ndarray:
         # a stack of 1 x n times n x 1 products is one dot product per row
@@ -177,11 +168,11 @@ class _Tails:
         return np.sqrt(np.bincount(self.client, sq, minlength=len(self.keep)))
 
 
-def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails,
-                  norms: tuple[np.ndarray, np.ndarray], reg_weight: float) -> None:
+def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails, norms: tuple,
+                  rows: tuple, reg_weight: float) -> None:
     """In-place gradient of reg_weight * ||b_tail|| * ||a_tail|| for every
-    client of a stacked cohort, given the tail norms tails.norms(b, a) of
-    its factors b and a, and the tail rows that call gathered.
+    client of a stacked cohort, given the tail norms and the tail rows
+    that tails.norms(b, a) returns for its factors b and a.
 
     Subgradient 0 is used for a factor whose tail norm is 0 (the product of
     norms is non-differentiable there), which keeps fully-shrunk tails stable.
@@ -193,11 +184,11 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails,
     # only the tail entries change; the stacks are indexed in three
     # dimensions because a flat view of a non-contiguous stack is a copy
     j, k = tails.client, tails.rank
-    gb[j, :, k] += tails.rows[0] * cb[j, None]
-    ga[j, k, :] += tails.rows[1] * ca[j, None]
+    gb[j, :, k] += rows[0] * cb[j, None]
+    ga[j, k, :] += rows[1] * ca[j, None]
 
 
-def _cohort_batches(clients: Clients, selected: list[int], cfg: LocalTrainConfig,
+def _cohort_batches(clients: Clients, selected: list[int], cfg: ExperimentConfig,
                     round_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The selected clients' mini-batches of one round (Clients.batches):
     inputs (iters x m x n x l) and their base residuals (iters x m x n x d),
@@ -229,7 +220,7 @@ def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
 
 
 def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndarray,
-                ranks: list[int], cfg: LocalTrainConfig, round_index: int) -> list[int]:
+                ranks: list[int], cfg: ExperimentConfig, round_index: int) -> list[int]:
     """Run local SGD for a cohort, in place, and decide on pruning.
 
     Client selected[j] trains b[j] (d x width) and a[j] (width x l), its
@@ -251,7 +242,7 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
     has_tail = cfg.decay < 1 and max(ranks) > 1
     if has_tail:
         tails = _Tails(ranks, cfg.decay)
-        norms = tails.norms(b, a)
+        norms, rows = tails.norms(b, a)
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
@@ -271,8 +262,8 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
         if regularize:
             # step 0 regularizes the received factors, whose norms are known
             if step:
-                norms = tails.norms(b, a)
-            _add_reg_grad(gb, ga, tails, norms, cfg.reg_weight)
+                norms, rows = tails.norms(b, a)
+            _add_reg_grad(gb, ga, tails, norms, rows, cfg.reg_weight)
         gb *= cfg.learning_rate
         b -= gb
         ga *= cfg.learning_rate
@@ -281,12 +272,12 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
     if not has_tail:
         return list(ranks)
     # a client without a tail has norm 0 before and after, and 0 < 0
-    shrunk = np.multiply(*tails.norms(b, a)) < received_tail
+    shrunk = np.multiply(*tails.norms(b, a)[0]) < received_tail
     return np.where(shrunk, tails.keep, ranks).tolist()
 
 
 def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
-                      cfg: LocalTrainConfig, round_index: int) -> None:
+                      cfg: ExperimentConfig, round_index: int) -> None:
     """Local SGD of a cohort on dense d x l additive updates (full
     fine-tuning), in place: client selected[j] trains deltas[j].
 

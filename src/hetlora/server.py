@@ -42,6 +42,8 @@ def assign_ranks(num_clients: int, r_min: int, r_max: int, alpha: float,
     uniform.
     """
     weights = rank_weights(r_min, r_max, alpha)
+    if r_min == r_max:  # one rank: nothing to draw
+        return (r_min,) * num_clients
     rng = seeded_rng(seed).child("rank-assignment")
     return tuple(r_min + rng.sample_discrete(weights) for _ in range(num_clients))
 

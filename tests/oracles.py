@@ -7,6 +7,17 @@ from the stacked cohort code they are compared with.
 import numpy as np
 
 from hetlora.client import _add_reg_grad, _Tails, tail_block_norm
+from hetlora.config import ExperimentConfig
+
+
+def local_config(spec, **settings) -> ExperimentConfig:
+    """A run config on the task spec, for local training: a plain FedAvg
+    step (no regulariser, decay 1) at learning rate 0.01 unless `settings`
+    say otherwise. Ranks and cohort size, which local training does not
+    read, are the smallest the config takes."""
+    plain = dict(r_min=1, r_max=1, homlora_rank=1, clients_per_round=1,
+                 learning_rate=0.01, reg_weight=0.0, decay=1.0)
+    return ExperimentConfig(task=spec, **{**plain, **settings})
 
 
 def dense_batch_loss(delta, w0, batch) -> float:
@@ -85,5 +96,5 @@ def stacked_reg_grad(pairs, decay, reg_weight, base=None):
         gb[j, :, : p.rank] = pb
         ga[j, : p.rank] = pa
     tails = _Tails([p.rank for p in pairs], decay)
-    _add_reg_grad(gb, ga, tails, tails.norms(b, a), reg_weight)
+    _add_reg_grad(gb, ga, tails, *tails.norms(b, a), reg_weight)
     return gb, ga

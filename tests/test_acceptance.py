@@ -23,7 +23,6 @@ import pytest
 
 from hetlora.baselines import _client_seed, lora_params, run_strategy
 from hetlora.cli import main
-from hetlora.client import LocalTrainConfig
 from hetlora.config import LEARNING_RATE_GRID, load_config
 from hetlora.harness import run_experiment, select_learning_rate
 from hetlora.linalg import Matrix, seeded_rng, svd
@@ -46,6 +45,7 @@ from oracles import (
     base_residuals,
     dense_grads,
     grad,
+    local_config,
     lowrank_grads,
     regularized_loss,
     stacked_reg_grad,
@@ -155,7 +155,8 @@ class TestCriterion2Gradients:
         for state_idx in range(10):
             rank = int(rng.integers(2, 7))
             p = random_pair(rng, spec.d, spec.l, rank, scale=0.4)
-            cfg = LocalTrainConfig(
+            cfg = local_config(
+                spec,
                 reg_weight=float(rng.uniform(0.01, 0.2)),
                 decay=float(rng.uniform(0.4, 0.9)),
             )

@@ -11,7 +11,7 @@ import pytest
 
 from hetlora import baselines, client, lora, server
 from hetlora.baselines import lora_params, run_strategy
-from hetlora.config import ExperimentConfig, load_config
+from hetlora.config import STRATEGY_TAGS, ExperimentConfig, load_config
 from hetlora.records import read_jsonl, to_jsonl_lines, write_jsonl
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 
@@ -144,6 +144,27 @@ class TestEngineBehavior:
             dataclasses.replace(cfg, strategy="homlora", homlora_rank=2), 0
         ).strategy == "homlora_r2"
 
+    def test_strategy_table_has_every_tag(self):
+        assert sorted(baselines._STRATEGIES) == sorted(STRATEGY_TAGS)
+
+    @pytest.mark.parametrize("strategy", ["hetlora", "homlora", "full_ft", "recon_svd"])
+    def test_comparison_strategies_ignore_hetlora_settings(self, strategy):
+        # the comparison strategies fix the regulariser, pruning and
+        # averaging, and homlora and full_ft the ranks too: changing those
+        # settings, one at a time or all at once, leaves their streams byte
+        # for byte, where it changes every hetlora stream. rank_alpha -1000
+        # is valid on [1, 4] and [2, 3], but 3^-1001 underflows to 0, so it
+        # would be refused on homlora's one rank
+        cfg = tiny_cfg(strategy=strategy, rounds=8, homlora_rank=3)
+        changes = dict(reg_weight=0.5, decay=0.5, aggregation="simple")
+        if strategy != "recon_svd":
+            changes.update(r_min=2, r_max=3, rank_alpha=-1000.0)
+        task = generate_task(SPEC)
+        want = to_jsonl_lines(run_strategy(cfg, 0, task))
+        for change in [{k: v} for k, v in changes.items()] + [changes]:
+            got = run_strategy(dataclasses.replace(cfg, **change), 0, task)
+            assert (to_jsonl_lines(got) == want) == (strategy != "hetlora"), change
+
 
 class TestRecovery:
     def test_full_ft_recovers_noiseless_target(self):
@@ -257,7 +278,7 @@ class TestRoundLoop:
         # second round, on another cohort of the same width, so on the same
         # buffers, leaves the first round's pairs as they were; a pair at
         # the full cohort width would otherwise view a buffer
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(r_min=3, r_max=3, reg_weight=0.0, decay=1.0)
         task = generate_task(SPEC)
         kept = []
         real = baselines.aggregate
@@ -267,9 +288,7 @@ class TestRoundLoop:
             return real(state, updates)
 
         monkeypatch.setattr(baselines, "aggregate", keeping)
-        strategy = baselines._FactorServer(cfg, task, 0, (3,) * SPEC.num_clients,
-                                           baselines.LocalTrainConfig(learning_rate=0.2),
-                                           cfg.aggregation)
+        strategy = baselines._FactorServer(cfg, task, 0)
         strategy.round([0, 2, 5, 7], 1)
         strategy.round([1, 3, 4, 9], 2)
         assert [k for k, *_ in kept[0]] == [0, 2, 5, 7]

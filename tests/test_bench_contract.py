@@ -4,9 +4,11 @@ selections and mini-batches step by step; its other checks read the
 simulator's tasks, server states and eval models through `.array`. A
 refactor that drops or renames a traced name, changes a type the checks
 read, or moves a stream away from the replay, fails here, in the unit
-suite, rather than in a benchmark run. The bench modules are loaded
+suite, rather than in a benchmark run; so does an import kept alive for a
+name the tracer no longer wraps. The bench modules are loaded
 read-only, from their files."""
 
+import ast
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -36,6 +38,33 @@ def test_every_traced_name_resolves():
     missing = [f"{owner}.{attr}" for owner, attr, _ in traced
                if owner not in OWNERS or not callable(getattr(OWNERS[owner], attr, None))]
     assert missing == []
+
+
+def keep_alive_imports(source):
+    """The names a module imports on a `# noqa: F401` line and never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if "noqa: F401" in lines[alias.lineno - 1]}
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_keep_alive_imports_are_traced_names():
+    # a name imported only for the tracer to wrap must be wrapped at that
+    # module: once TRACED drops it, the import is dead and is named here
+    traced = {(owner, attr) for owner, attr, _ in load_bench("tracing").TRACED}
+    src = Path(client.__file__).parent
+    kept = [(path.stem, name) for path in sorted(src.glob("*.py"))
+            for name in keep_alive_imports(path.read_text(encoding="utf-8"))]
+    assert [f"{m}.{n}" for m, n in kept if (m, n) not in traced] == []
+
+
+def test_keep_alive_imports_skips_used_and_unmarked_names():
+    source = ("from a import x, y  # noqa: F401\n"
+              "from b import (\n    z,  # noqa: F401\n    v,\n)\n"
+              "from c import w\nprint(y, w)\n")
+    assert keep_alive_imports(source) == ["x", "z"]
 
 
 def test_plain_fedavg_replay_matches_homlora_run():

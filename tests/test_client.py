@@ -1,6 +1,7 @@
 """Tests for local training and the rank self-pruning rule."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from hetlora import client as client_module
 from hetlora.client import (
     Clients,
-    LocalTrainConfig,
     _cohort_batches,
     _Tails,
     dense_local_train,
@@ -28,6 +28,7 @@ from oracles import (
     dense_batch_loss,
     dense_grads,
     grad,
+    local_config,
     lowrank_grads,
     regularized_loss,
     stack,
@@ -160,7 +161,7 @@ class TestKeptRankAndTailNorm:
 
 class TestRegularizedObjective:
     def test_reduces_to_plain_loss_without_reg(self):
-        cfg = LocalTrainConfig(reg_weight=0.0, decay=0.5)
+        cfg = local_config(SPEC, reg_weight=0.0, decay=0.5)
         p = random_pair(3)
         c = TASK.clients[0]
         assert regularized_loss(p, TASK.base.w0, c, cfg) == batch_loss(p, TASK.base.w0, c)
@@ -171,7 +172,7 @@ class TestRegularizedObjective:
         # the training step's gradient (data + stacked regularizer) against
         # central differences of the regularized objective, for a cohort of
         # six pairs of mixed rank
-        cfg = LocalTrainConfig(reg_weight=0.05, decay=0.5)
+        cfg = local_config(SPEC, reg_weight=0.05, decay=0.5)
         c = TASK.clients[1]
         w0 = TASK.base.w0
         rng = np.random.default_rng(41)
@@ -212,7 +213,7 @@ class TestRegularizedObjective:
         for decay, ranks in ((0.99, (1, 2, 5, 3, 1, 4)), (0.5, (1, 2, 5, 3, 6, 4))):
             pairs = [random_pair(60 + k, rank=r) for k, r in enumerate(ranks)]
             b, a = stack(pairs)
-            nb, na = _Tails(ranks, decay).norms(b, a)
+            (nb, na), _ = _Tails(ranks, decay).norms(b, a)
             want = [tail_block_norm(p, decay) for p in pairs]
             if decay == 0.99:
                 assert (nb * na).tolist() == want
@@ -225,10 +226,10 @@ class TestLocalTrain:
     def test_one_model_per_client(self):
         b, a = stack([random_pair(1)])
         with pytest.raises(ValueError, match="2 clients but 1 models"):
-            local_train(CLIENTS, [0, 1], b, a, [4], LocalTrainConfig(), 0)
+            local_train(CLIENTS, [0, 1], b, a, [4], local_config(SPEC), 0)
 
     def test_deterministic(self):
-        cfg = LocalTrainConfig(learning_rate=0.1, reg_weight=0.01, decay=0.5)
+        cfg = local_config(SPEC, learning_rate=0.1, reg_weight=0.01, decay=0.5)
         out1 = train_one(0, random_pair(1), cfg, round_index=3)
         out2 = train_one(0, random_pair(1), cfg, round_index=3)
         assert out1.rank == out2.rank
@@ -236,7 +237,7 @@ class TestLocalTrain:
         assert np.array_equal(out1.a.array, out2.a.array)
 
     def test_round_index_changes_batches(self):
-        cfg = LocalTrainConfig(learning_rate=0.1)
+        cfg = local_config(SPEC, learning_rate=0.1)
         out1 = train_one(0, random_pair(1), cfg, round_index=0)
         out2 = train_one(0, random_pair(1), cfg, round_index=1)
         assert not np.array_equal(out1.b.array, out2.b.array)
@@ -245,8 +246,8 @@ class TestLocalTrain:
         # byte-level agreement with an independently written SGD loop on the
         # low-rank gradient formula, and agreement to rounding with the same
         # loop on the dense formula
-        cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.15,
-                               reg_weight=0.0, decay=1.0)
+        cfg = local_config(SPEC, local_iters=4, batch_size=6, learning_rate=0.15,
+                           reg_weight=0.0, decay=1.0)
         received = random_pair(11)
         out = train_one(2, received, cfg, round_index=5)
         assert out.rank == received.rank
@@ -259,7 +260,7 @@ class TestLocalTrain:
         np.testing.assert_allclose(out.a.array, a, rtol=1e-12, atol=0)
 
     def test_training_reduces_loss(self):
-        cfg = LocalTrainConfig(local_iters=20, batch_size=16, learning_rate=0.2)
+        cfg = local_config(SPEC, local_iters=20, batch_size=16, learning_rate=0.2)
         received = random_pair(2, scale=0.05)
         before = batch_loss(received, TASK.base.w0, TASK.clients[3])
         out = train_one(3, received, cfg)
@@ -269,8 +270,8 @@ class TestLocalTrain:
     def test_pure_across_a_prune(self):
         # the same arguments, in a round where client 0 prunes, give the same
         # pairs twice and are left as they were
-        cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.05,
-                               reg_weight=1.0, decay=0.5)
+        cfg = local_config(SPEC, local_iters=10, batch_size=8, learning_rate=0.05,
+                           reg_weight=1.0, decay=0.5)
         selected = [0, 1]
         received = [random_pair(7, scale=0.1), random_pair(12, scale=0.1)]
         before = [(p.b.array.copy(), p.a.array.copy()) for p in received]
@@ -287,7 +288,7 @@ class TestLocalTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_numeric_error(self):
-        cfg = LocalTrainConfig(local_iters=50, learning_rate=1e6)
+        cfg = local_config(SPEC, local_iters=50, learning_rate=1e6)
         with pytest.raises(NumericError) as exc_info:
             train_one(0, random_pair(1), cfg)
         assert str(exc_info.value) == "client 0 diverged"
@@ -295,16 +296,17 @@ class TestLocalTrain:
     def test_prunes_when_regularizer_shrinks_tail(self):
         # a strong regularizer on a weak tail must trigger pruning and
         # return the pair at the smaller rank
-        cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.05,
-                               reg_weight=1.0, decay=0.5)
+        cfg = local_config(SPEC, local_iters=10, batch_size=8, learning_rate=0.05,
+                           reg_weight=1.0, decay=0.5)
         received = random_pair(7, rank=4, scale=0.1)
         out = train_one(0, received, cfg)
         assert out.rank == kept_rank(4, 0.5) == 2
 
     def test_no_prune_when_received_tail_is_zero(self):
         # strict decrease: a tail that starts at exactly zero cannot shrink
-        cfg = LocalTrainConfig(local_iters=3, learning_rate=0.0,
-                               reg_weight=1.0, decay=0.5)
+        # the config refuses learning rate 0, so the settings are a namespace
+        cfg = SimpleNamespace(local_iters=3, batch_size=8, learning_rate=0.0,
+                              reg_weight=1.0, decay=0.5)
         base = random_pair(8, rank=2)
         b = np.hstack([base.b.array[:, :2], np.zeros((SPEC.d, 2))])
         a = np.vstack([base.a.array[:2, :], np.zeros((2, SPEC.l))])
@@ -313,14 +315,14 @@ class TestLocalTrain:
         assert out.rank == 4
 
     def test_no_prune_when_decay_is_one(self):
-        cfg = LocalTrainConfig(local_iters=5, learning_rate=0.1,
-                               reg_weight=1.0, decay=1.0)
+        cfg = local_config(SPEC, local_iters=5, learning_rate=0.1,
+                           reg_weight=1.0, decay=1.0)
         assert train_one(0, random_pair(9), cfg).rank == 4
 
     def test_pruned_output_is_truncation_of_trained_pair(self):
-        cfg_prune = LocalTrainConfig(local_iters=10, batch_size=8,
-                                     learning_rate=0.05, reg_weight=1.0,
-                                     decay=0.5)
+        cfg_prune = local_config(SPEC, local_iters=10, batch_size=8,
+                                 learning_rate=0.05, reg_weight=1.0,
+                                 decay=0.5)
         received = random_pair(7, rank=4, scale=0.1)
         out = train_one(0, received, cfg_prune)
         assert out.rank == 2
@@ -338,8 +340,8 @@ class TestLocalTrain:
     def test_rank_is_monotone_under_repeated_training(self):
         # simulate several rounds against a fixed-ish server pair: the
         # client's rank sequence never increases
-        cfg = LocalTrainConfig(local_iters=5, batch_size=8, learning_rate=0.1,
-                               reg_weight=0.3, decay=0.7)
+        cfg = local_config(SPEC, local_iters=5, batch_size=8, learning_rate=0.1,
+                           reg_weight=0.3, decay=0.7)
         received = random_pair(21, rank=4, scale=0.1)
         seen = [received.rank]
         for t in range(12):
@@ -351,8 +353,8 @@ class TestLocalTrain:
         # a client whose data needs only rank 1 sheds capacity when
         # repeatedly trained with a tail regularizer in a tiny single-client
         # federation loop
-        cfg = LocalTrainConfig(local_iters=5, batch_size=8, learning_rate=0.2,
-                               reg_weight=0.05, decay=0.7)
+        cfg = local_config(SPEC, local_iters=5, batch_size=8, learning_rate=0.2,
+                           reg_weight=0.05, decay=0.7)
         pair = random_pair(33, rank=4, scale=0.1)
         for t in range(60):
             pair = train_one(0, pair, cfg, round_index=t)  # a complexity 1 client
@@ -365,7 +367,7 @@ class TestDenseLocalTrain:
     def test_one_model_per_client(self):
         with pytest.raises(ValueError, match="1 clients but 2 models"):
             dense_local_train(CLIENTS, [0], np.zeros((2, SPEC.d, SPEC.l)),
-                              LocalTrainConfig(), 0)
+                              local_config(SPEC), 0)
 
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
@@ -374,7 +376,7 @@ class TestDenseLocalTrain:
         data = TASK.clients[2]
         w0 = TASK.base.w0
         lr = 0.05
-        cfg = LocalTrainConfig(local_iters=1, batch_size=data.size, learning_rate=lr)
+        cfg = local_config(SPEC, local_iters=1, batch_size=data.size, learning_rate=lr)
         delta = np.random.default_rng(29).standard_normal((SPEC.d, SPEC.l)) * 0.2
         stepped = dense_one(2, delta, cfg, round_index=3)
         g = (delta - stepped) / lr
@@ -390,7 +392,7 @@ class TestDenseLocalTrain:
     def test_batches_depend_on_client_and_round_only(self):
         # same (client seed, round): identical bytes; another round: other
         # batches; the received update is never modified in place
-        cfg = LocalTrainConfig(local_iters=3, batch_size=5, learning_rate=0.1)
+        cfg = local_config(SPEC, local_iters=3, batch_size=5, learning_rate=0.1)
         delta = np.zeros((SPEC.d, SPEC.l))
         one = dense_one(1, delta, cfg, round_index=4)
         two = dense_one(1, delta, cfg, round_index=4)
@@ -400,7 +402,7 @@ class TestDenseLocalTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_divergence_raises_numeric_error(self):
-        cfg = LocalTrainConfig(local_iters=50, learning_rate=1e8)
+        cfg = local_config(SPEC, local_iters=50, learning_rate=1e8)
         with pytest.raises(NumericError) as e:
             dense_one(0, np.zeros((SPEC.d, SPEC.l)), cfg)
         assert str(e.value) == "client 0 diverged"
@@ -410,8 +412,8 @@ class TestCohort:
     """A round's cohort is trained in one stack; each client's result must
     be what it gets trained on its own."""
 
-    CFG = LocalTrainConfig(local_iters=8, batch_size=8, learning_rate=0.2,
-                           reg_weight=0.3, decay=0.7)
+    CFG = local_config(SPEC, local_iters=8, batch_size=8, learning_rate=0.2,
+                       reg_weight=0.3, decay=0.7)
     RANKS = (1, 4, 2, 3)
 
     def train(self, order):
@@ -431,7 +433,7 @@ class TestCohort:
             assert np.array_equal(p.a.array, p2.a.array)
 
     def test_permuting_a_dense_cohort_is_bit_identical(self):
-        cfg = LocalTrainConfig(local_iters=4, batch_size=6, learning_rate=0.1)
+        cfg = local_config(SPEC, local_iters=4, batch_size=6, learning_rate=0.1)
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(4)]
         out = dense_train(CLIENTS, [0, 1, 2, 3], deltas, cfg, 1)
         back = dense_train(CLIENTS, [3, 2, 1, 0], deltas[::-1], cfg, 1)
@@ -451,7 +453,7 @@ class TestCohort:
     def test_first_diverging_client_in_cohort_order_is_named(self):
         # alone, the 2nd client takes more local steps to diverge than the
         # 4th; a one-at-a-time loop stops at the 2nd, and so must the cohort
-        cfg = LocalTrainConfig(local_iters=10, batch_size=8, learning_rate=0.5)
+        cfg = local_config(SPEC, local_iters=10, batch_size=8, learning_rate=0.5)
         pairs = [random_pair(1, rank=3, scale=x) for x in (0.1, 3.0, 0.1, 1e60)]
         iters = {k: first_diverging_iters(lambda c: train_one(k, p, c), cfg, 10)
                  for k, p in enumerate(pairs)}
@@ -464,7 +466,7 @@ class TestCohort:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_first_diverging_dense_client_in_cohort_order_is_named(self):
-        cfg = LocalTrainConfig(local_iters=30, learning_rate=1e8)
+        cfg = local_config(SPEC, local_iters=30, learning_rate=1e8)
         scales = (0.0, 1e100, 0.0, 1e200)
         deltas = [np.full((SPEC.d, SPEC.l), x) for x in scales]
         iters = {k: first_diverging_iters(lambda c: dense_one(k, delta, c), cfg, 30)
@@ -480,8 +482,8 @@ class TestBuffers:
     """A round's arrays live in its Clients' buffers; no call sees what an
     earlier one left there."""
 
-    CFG = LocalTrainConfig(local_iters=3, batch_size=8, learning_rate=0.2,
-                           reg_weight=0.3, decay=0.7)
+    CFG = local_config(SPEC, local_iters=3, batch_size=8, learning_rate=0.2,
+                       reg_weight=0.3, decay=0.7)
 
     def calls(self):
         """Hand-out and local_train, dense_local_train, then both again on
@@ -522,7 +524,7 @@ class TestBuffers:
         def schedule(t):
             return select_clients(SPEC.num_clients, 2, t, seed=3)
 
-        cfg = LocalTrainConfig(local_iters=4, batch_size=5)
+        cfg = local_config(SPEC, local_iters=4, batch_size=5)
         for t in (31, 32, 1, 64):
             scheduled = Clients(TASK, CLIENTS.seeds, schedule, rounds=70)
             cohort = schedule(t)
@@ -552,7 +554,7 @@ class TestBuffers:
             return select_clients(SPEC.num_clients, 2, t, seed=3)
 
         monkeypatch.setattr(client_module, "stream_words", counting)
-        cfg = LocalTrainConfig(local_iters=2, batch_size=5)
+        cfg = local_config(SPEC, local_iters=2, batch_size=5)
         for rounds, t, want in ((5, 3, [1, 2, 3, 4, 5]), (70, 65, list(range(64, 71))),
                                 (70, 0, [0])):
             drawn.clear()
@@ -581,7 +583,7 @@ class TestBuffers:
             return select_clients(spec.num_clients, 3, t, seed=9)
 
         monkeypatch.setattr(client_module, "stream_words", counting)
-        cfg = LocalTrainConfig(local_iters=2, batch_size=5)
+        cfg = local_config(spec, local_iters=2, batch_size=5)
         clients = Clients(task, seeds, schedule, rounds=64)
         for t in (1, 31, 32, 64):
             hashed.clear()
@@ -613,7 +615,7 @@ class TestCohortBatches:
         task = generate_task(spec)
         population = Clients(task, range(seed, seed + clients))
         selected = list(range(clients))[::-1]
-        cfg = LocalTrainConfig(local_iters=local_iters, batch_size=batch_size)
+        cfg = local_config(spec, local_iters=local_iters, batch_size=batch_size)
         idx = population.batches(selected, round_index, cfg)
         xs, r0 = _cohort_batches(population, selected, cfg, round_index)
         for j, k in enumerate(selected):
@@ -646,9 +648,9 @@ class TestLowRankStep:
     def test_stacked_round_matches_dense_form_per_client(
             self, samples, order, size, ranks, seed, round_index, learning_rate,
             reg_weight, decay, local_iters):
-        cfg = LocalTrainConfig(local_iters=local_iters, batch_size=8,
-                               learning_rate=learning_rate, reg_weight=reg_weight,
-                               decay=decay)
+        cfg = local_config(SPEC, local_iters=local_iters, batch_size=8,
+                           learning_rate=learning_rate, reg_weight=reg_weight,
+                           decay=decay)
         rng = np.random.default_rng(seed)
         cohort = order[:size]
         received = [LoraPair(Matrix(rng.standard_normal((SPEC.d, ranks[k])) * 0.2),

@@ -304,8 +304,9 @@ BAD_VALUES = {
         st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), _NON_FINITE),
 }
 
-# values that LocalTrainConfig, assign_ranks or ServerState once refused
-# again, and the task dimensions; the config is now their one refusal
+# values that a separate local-training config, assign_ranks or ServerState
+# once refused again, and the task dimensions; the config is now their one
+# refusal
 ONE_REFUSAL = [
     ("local_iters", 0, "local_iters must be >= 1"),
     ("decay", 0, "decay 0.0 must be in (0, 1]"),

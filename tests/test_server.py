@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetlora import server
 from hetlora.linalg import Matrix, seeded_rng
 from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, zero_pad
 from hetlora.server import (
@@ -57,6 +58,11 @@ class TestAssignRanks:
         ranks = assign_ranks(4000, 1, 4, 1.0, seed=0)
         freqs = np.bincount(ranks, minlength=5)[1:5] / 4000
         assert np.max(np.abs(freqs - 0.25)) < 0.03
+
+    def test_one_rank_draws_nothing(self, monkeypatch):
+        # homlora's ranks: every client at the one rank, and no stream built
+        monkeypatch.setattr(server, "seeded_rng", None)
+        assert assign_ranks(5, 3, 3, 0.1, seed=0) == (3,) * 5
 
     def test_frequencies_match_power_law(self):
         # pmf proportional to r^(alpha-1); loose frequency check
