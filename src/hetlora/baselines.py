@@ -12,10 +12,18 @@ strategy supplies only what differs: the model it hands out, its local
 step, its aggregation and its eval. Divergence ends the run with the
 partial stream flagged incomplete, naming the first client in selection
 order that diverged.
+
+What a run derives from its task spec and seed alone is built once per
+process: run_strategy takes a generated task from a cache of the last 4
+(spec, seed) pairs, and the selection and batch blocks come from the
+server's and the clients' caches, so a sweep's strategies on one seed
+share them. Each cached value is read-only and has the bits a cold run
+computes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -31,12 +39,14 @@ from .records import RoundRecord, RunResult
 from .server import (
     SIMPLE,
     ServerState,
+    Updates,
     aggregate,
     assign_ranks,
     distribute,  # noqa: F401 - traced by bench
     select_clients,
 )
-from .tasks import OVERFLOW_HINT, SyntheticTask, dense_loss, generate_task, loss
+from .tasks import (OVERFLOW_HINT, SyntheticTask, SyntheticTaskSpec, dense_loss,
+                    generate_task, loss)
 
 
 def lora_params(rank: int, d: int, l: int) -> int:
@@ -107,11 +117,7 @@ class _FactorServer(_Strategy):
         ranks = [self.server.client_ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.server.global_pair, ranks)
         new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, t)
-        # the updates must not view the buffers, which the next round reuses
-        b, a = b.copy(), a.copy()
-        self.server = aggregate(self.server, [
-            (k, LoraPair(b=Matrix._wrap(b[j, :, :r]), a=Matrix._wrap(a[j, :r])))
-            for j, (k, r) in enumerate(zip(selected, new_ranks))])
+        self.server = aggregate(self.server, Updates.trained(selected, b, a, new_ranks))
         return self.traffic(ranks), self.traffic(new_ranks)
 
     def evaluate(self) -> float:
@@ -229,13 +235,21 @@ def _run_rounds(strategy: _Strategy, run_seed: int) -> RunResult:
     return run
 
 
+@functools.lru_cache(maxsize=4)
+def _shared_task(spec: SyntheticTaskSpec) -> SyntheticTask:
+    # a task is a pure function of its spec, and its arrays are read-only;
+    # generate_task is looked up here at each miss, where a tracer wraps it
+    return generate_task(spec)
+
+
 def run_strategy(cfg: ExperimentConfig, run_seed: int,
                  task: SyntheticTask | None = None) -> RunResult:
-    """Run cfg.strategy on one seed, on the task supplied or else on one
-    generated with the run seed (a ConfigError if it cannot be)."""
+    """Run cfg.strategy on one seed, on the task supplied or else on the
+    one generated with the run seed (a ConfigError if it cannot be), which
+    the process's runs on the same task spec and seed share."""
     if task is None:
         try:
-            task = generate_task(replace(cfg.task, seed=run_seed))
+            task = _shared_task(replace(cfg.task, seed=run_seed))
         except ValueError as exc:
             raise ConfigError(f"seed {run_seed}: {exc}") from None
     # homlora is hetlora with every client at one rank (rank_alpha 1, which

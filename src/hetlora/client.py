@@ -25,11 +25,13 @@ to round, and the padding stays exactly zero under SGD. Each client still
 draws its own batches from its own (client seed, round) stream, bit for
 bit one Generator.choice(n, batch_size, replace=False) per step
 (linalg.choices), so its result does not depend on its place in the
-cohort; a run's scheduled cohorts draw theirs 32 rounds at a time
-(Clients.batches). The tails are indexed once, as (client, rank) pairs
-through which the tail norms, the regulariser's gradient and the prune
-test all read the factors. A cohort in which no client can have a tail
-(decay 1, or every rank 1) keeps no tail index.
+cohort. The scheduled cohorts of a 32-round block draw theirs at once,
+and the process keeps the last 32 blocks drawn, read-only, for every run
+that draws the same block (Clients.batches): a run of another strategy
+on the same seed draws no batch. The tails are indexed once, as
+(client, rank) pairs through which the tail norms, the regulariser's
+gradient and the prune test all read the factors. A cohort in which no
+client can have a tail (decay 1, or every rank 1) keeps no tail index.
 
 A step works on the factors alone: a round gathers its batch rows and
 their base residuals with two np.take calls, and each step's gradients go
@@ -39,6 +41,7 @@ matrix. Finiteness is checked once, after the last step.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,7 +49,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .linalg import NumericError, choices, stream_words
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
-from .lora import LoraPair
+from .lora import LoraPair, zero_beyond_ranks
 from .tasks import SyntheticTask
 
 
@@ -75,22 +78,21 @@ class Clients:
         local_iters successive Rng.batch_indices calls on its (seed,
         "round", t) stream, bit for bit (linalg.choices), which are all of
         them, in order, without a draw, if it has no more than batch_size.
-        A cohort on the schedule takes its rows from one draw for the
-        scheduled cohorts of the run's rounds in t's 32-round block, which
-        hashes the seeds of those cohorts' clients only."""
+        A cohort on the schedule takes its rows from the block of the
+        scheduled cohorts of the run's rounds in t's 32-round block
+        (_batch_block), which every run in the process that draws the same
+        block shares."""
         n, size, iters = self.inputs.shape[1], cfg.batch_size, cfg.local_iters
         if 1 <= t <= self.rounds:
             key = (t // 32, size, iters)
             if key != self._drawn:
                 self._first = max(1, 32 * key[0])
-                rounds = np.arange(self._first, min(self.rounds, 32 * key[0] + 31) + 1)
-                self._cohorts = np.array([self.schedule(r) for r in rounds])
-                members, where = np.unique(self._cohorts, return_inverse=True)
-                words = stream_words(np.take(self.seeds, members), rounds, "round")
-                words = words[where.reshape(self._cohorts.shape),
-                              np.arange(len(rounds))[:, None]].reshape(-1, 4)
-                self._batches = choices(words, n, size, iters).reshape(
-                    *self._cohorts.shape, iters, -1)
+                last = min(self.rounds, 32 * key[0] + 31)
+                self._cohorts = np.array([self.schedule(r)
+                                          for r in range(self._first, last + 1)])
+                slots = np.take(self.seeds, self._cohorts)
+                self._batches = _batch_block(slots.tobytes(), slots.shape[1], self._first,
+                                             last, n, size, iters)
                 self._drawn = key
             if np.array_equal(self._cohorts[t - self._first], selected):
                 return self._batches[t - self._first]
@@ -106,8 +108,7 @@ class Clients:
         b = self.buffer("b", (len(ranks), pair.d, width))
         a = self.buffer("a", (len(ranks), width, pair.l))
         b[...], a[...] = pair.b.array[:, :width], pair.a.array[:width]
-        j, k = np.nonzero(np.arange(width) >= np.asarray(ranks)[:, None])
-        b[j, :, k] = a[j, k] = 0
+        zero_beyond_ranks(b, a, ranks)
         return b, a
 
     def buffer(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,6 +118,25 @@ class Clients:
         if role not in self._buffers or self._buffers[role].size < size:
             self._buffers[role] = np.empty(size)
         return self._buffers[role][:size].reshape(shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _batch_block(seeds: bytes, m: int, first: int, last: int, n: int, size: int,
+                 iters: int) -> np.ndarray:
+    """The batches of rounds first..last for cohorts of m clients whose
+    seeds, round by round, `seeds` holds (int64 bytes): rounds x m x iters x
+    min(size, n), as Clients.batches gives them. Each distinct seed's
+    streams are hashed once. The block is read-only and in the smallest
+    unsigned type that holds n - 1 (uint8 up to 256 samples a client)."""
+    slots = np.frombuffer(seeds, np.int64).reshape(-1, m)
+    rounds = np.arange(first, last + 1)
+    members, where = np.unique(slots, return_inverse=True)
+    words = stream_words(members, rounds, "round")
+    words = words[where.reshape(slots.shape), np.arange(len(rounds))[:, None]]
+    block = choices(words.reshape(-1, 4), n, size, iters).astype(np.min_scalar_type(n - 1))
+    block = block.reshape(*slots.shape, iters, -1)
+    block.setflags(write=False)
+    return block
 
 
 def kept_rank(rank: int, decay: float) -> int:

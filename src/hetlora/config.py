@@ -32,7 +32,7 @@ class ExperimentConfig:
     task: SyntheticTaskSpec
     strategy: str = "hetlora"
     homlora_rank: int = 8  # used only by the homlora strategy
-    r_min: int = 2
+    r_min: int = 2  # r_min, r_max and rank_alpha: hetlora and recon_svd only
     r_max: int = 16
     rank_alpha: float = 0.1  # power-law skew of the initial rank assignment
     aggregation: str = "sparsity_weighted"
@@ -51,12 +51,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGY_TAGS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if not 1 <= self.r_min <= self.r_max <= min(self.task.d, self.task.l):
+        # a strategy's ranks are checked only where it reads them: hetlora
+        # and recon_svd draw from [r_min, r_max] by rank_alpha, homlora runs
+        # at homlora_rank, and full_ft has no rank
+        drawn = self.strategy in ("hetlora", "recon_svd")
+        if drawn and not 1 <= self.r_min <= self.r_max <= min(self.task.d, self.task.l):
             raise ConfigError(
                 f"rank range r_min {self.r_min}, r_max {self.r_max} invalid for "
                 f"{self.task.d}x{self.task.l}: need 1 <= r_min <= r_max <= min(d, l)"
             )
-        if not 1 <= self.homlora_rank <= min(self.task.d, self.task.l):
+        if (self.strategy == "homlora"
+                and not 1 <= self.homlora_rank <= min(self.task.d, self.task.l)):
             raise ConfigError(f"homlora_rank {self.homlora_rank} out of range")
         if not 1 <= self.clients_per_round <= self.task.num_clients:
             raise ConfigError(
@@ -92,10 +97,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} {value} must be finite and > 0")
-        try:
-            rank_weights(self.r_min, self.r_max, self.rank_alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if drawn:
+            try:
+                rank_weights(self.r_min, self.r_max, self.rank_alpha)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def tag(self) -> str:

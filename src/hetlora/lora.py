@@ -1,7 +1,8 @@
 """Low-rank adapter pairs and the structural transforms the protocol needs.
 
 An adapter is the factor pair (b: d x r, a: r x l) whose product is the
-additive update to a frozen d x l base weight. All functions here are pure;
+additive update to a frozen d x l base weight. All functions here are pure
+but zero_beyond_ranks, which masks stacked factors in place;
 truncation/padding act on the factor rank dimension only.
 """
 
@@ -62,6 +63,13 @@ def zero_pad(p: LoraPair, r_target: int) -> LoraPair:
     b = np.hstack([p.b.array, np.zeros((p.d, extra))])
     a = np.vstack([p.a.array, np.zeros((extra, p.l))])
     return LoraPair(b=Matrix._wrap(b), a=Matrix._wrap(a))
+
+
+def zero_beyond_ranks(b: np.ndarray, a: np.ndarray, ranks) -> None:
+    """Zero, in place, each adapter's ranks beyond its own in stacked
+    factors: b[j, :, ranks[j]:] and a[j, ranks[j]:], in one masked write."""
+    j, k = np.nonzero(np.arange(b.shape[2]) >= np.asarray(ranks)[:, None])
+    b[j, :, k] = a[j, k] = 0
 
 
 def reconstruct(p: LoraPair) -> Matrix:

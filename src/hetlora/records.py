@@ -108,7 +108,7 @@ def _typed(value, want) -> bool:
     if want is float:
         return isinstance(value, (int, float))
     if want is tuple:
-        return isinstance(value, list) and all(_typed(v, int) for v in value)
+        return isinstance(value, list) and all(type(v) is int for v in value)
     return isinstance(value, want)
 
 

@@ -5,7 +5,9 @@ The server keeps one global adapter pair whose rank always equals the
 maximum current rank across all registered clients, so distribution can
 always truncate down to any client's rank. Selection is drawn for 32
 rounds at a time by linalg.choices, with the bits of one Rng.subset per
-round.
+round, and the process keeps the last 32 blocks drawn for every run on
+the same seed and cohort size. A round's updates reach aggregate as the
+cohort's trained stacks (Updates), which it weights and sums as they are.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import Matrix, NumericError, choices, seeded_rng, stream_words
-from .lora import LoraPair, truncate
+from .lora import LoraPair, truncate, zero_beyond_ranks
 from .lora import aggregate_pairs, sparsity_score  # noqa: F401 - traced by bench
 
 SIMPLE = "simple"
@@ -72,7 +74,7 @@ def select_clients(num_clients: int, num_selected: int, round_index: int,
     return list(block[round_index % 32])
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=32)
 def _selection_block(n: int, m: int, block: int, seed: int) -> tuple[tuple, ...]:
     # one Generator.choice(n, m, replace=False) per round of the block, in
     # one pass over the rounds' streams, each row then sorted as subset does
@@ -85,6 +87,50 @@ def _selection_block(n: int, m: int, block: int, seed: int) -> tuple[tuple, ...]
 def distribute(state: ServerState, client_rank: int) -> LoraPair:
     """Truncate the global pair down to the client's current rank."""
     return truncate(state.global_pair, client_rank)
+
+
+@dataclass(frozen=True)
+class Updates:
+    """A round's trained adapters as the cohort's stacks: client ids[j]
+    returns b[j] (d x width) and a[j] (width x l) at rank ranks[j], zero
+    beyond it, and width is the largest of the ranks. Iterates as (client
+    id, LoraPair) pairs, each pair truncated to its client's rank."""
+
+    ids: list[int]
+    b: np.ndarray
+    a: np.ndarray
+    ranks: list[int]
+
+    @classmethod
+    def trained(cls, ids, b: np.ndarray, a: np.ndarray, ranks) -> Updates:
+        """The updates of a cohort that trained the stacks b and a and kept
+        ranks[j] each: one copy of each stack trimmed to the largest kept
+        rank, so that no update views a buffer the next round reuses, then
+        one masked write of zeros to every client's ranks beyond its own."""
+        width = max(ranks)
+        b, a = b[:, :, :width].copy(), a[:, :width].copy()
+        zero_beyond_ranks(b, a, ranks)
+        return cls(list(ids), b, a, list(ranks))
+
+    @classmethod
+    def of_pairs(cls, updates) -> Updates:
+        """(client id, LoraPair) updates as stacks, each pair zero-padded
+        to the largest rank."""
+        ids, pairs = zip(*updates)
+        ranks = [p.rank for p in pairs]
+        b = np.zeros((len(pairs), pairs[0].d, max(ranks)))
+        a = np.zeros((len(pairs), max(ranks), pairs[0].l))
+        for j, p in enumerate(pairs):
+            b[j, :, : p.rank], a[j, : p.rank] = p.b.array, p.a.array
+        return cls(list(ids), b, a, ranks)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        for j, (k, r) in enumerate(zip(self.ids, self.ranks)):
+            yield k, LoraPair(b=Matrix._wrap(self.b[j, :, :r]),
+                              a=Matrix._wrap(self.a[j, :r]))
 
 
 def aggregation_weights(b: np.ndarray, a: np.ndarray, aggregation: str) -> np.ndarray:
@@ -108,7 +154,8 @@ def aggregation_weights(b: np.ndarray, a: np.ndarray, aggregation: str) -> np.nd
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
-def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> ServerState:
+def aggregate(state: ServerState,
+              updates: Updates | list[tuple[int, LoraPair]]) -> ServerState:
     """Fold a round of client updates into a new server state.
 
     The registry is updated with the submitting clients' (possibly pruned)
@@ -118,27 +165,26 @@ def aggregate(state: ServerState, updates: list[tuple[int, LoraPair]]) -> Server
     shrinks to the new max (the discarded trailing ranks can no longer be
     distributed to anyone).
 
-    The update pairs are zero-padded once, into one stack at the batch's
-    largest rank, and the weighted stack is summed update by update, as
-    aggregate_pairs sums them, straight into the global width. Raises
-    NumericError for non-finite weights, and for a sum that overflows.
+    The updates come as the cohort's stacks (Updates); a list of (client
+    id, LoraPair) pairs is stacked first (Updates.of_pairs). The weighted
+    stack is summed update by update, as aggregate_pairs sums the pairs,
+    straight into the global width. Raises NumericError for non-finite
+    weights, and for a sum that overflows.
     """
     if not updates:
         raise ValueError("updates must be non-empty")
-    registry = {**state.client_ranks, **{cid: p.rank for cid, p in updates}}
+    if not isinstance(updates, Updates):
+        updates = Updates.of_pairs(updates)
+    registry = {**state.client_ranks, **dict(zip(updates.ids, updates.ranks))}
     # the registry holds every update's rank, so the global is never narrower
     top_rank = max(registry.values())
-    d, l, width = updates[0][1].d, updates[0][1].l, max(p.rank for _, p in updates)
-    b, a = np.zeros((len(updates), d, width)), np.zeros((len(updates), width, l))
-    for j, (_, p) in enumerate(updates):
-        b[j, :, : p.rank] = p.b.array
-        a[j, : p.rank] = p.a.array
+    b, a = updates.b, updates.a
     w = aggregation_weights(b, a, state.aggregation)
     if not np.isfinite(w).all():
         raise NumericError("aggregation weights must be finite")
-    b_acc, a_acc = np.zeros((d, top_rank)), np.zeros((top_rank, l))
-    np.add.reduce(b * w[:, None, None], axis=0, out=b_acc[:, :width])
-    np.add.reduce(a * w[:, None, None], axis=0, out=a_acc[:width])
+    b_acc, a_acc = np.zeros((b.shape[1], top_rank)), np.zeros((top_rank, a.shape[2]))
+    np.add.reduce(b * w[:, None, None], axis=0, out=b_acc[:, :b.shape[2]])
+    np.add.reduce(a * w[:, None, None], axis=0, out=a_acc[:a.shape[1]])
     if not (np.isfinite(b_acc).all() and np.isfinite(a_acc).all()):
         raise NumericError("aggregated factors are not finite")
     return replace(

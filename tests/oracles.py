@@ -8,6 +8,7 @@ import numpy as np
 
 from hetlora.client import _add_reg_grad, _Tails, tail_block_norm
 from hetlora.config import ExperimentConfig
+from hetlora.server import Updates
 
 
 def local_config(spec, **settings) -> ExperimentConfig:
@@ -15,7 +16,7 @@ def local_config(spec, **settings) -> ExperimentConfig:
     step (no regulariser, decay 1) at learning rate 0.01 unless `settings`
     say otherwise. Ranks and cohort size, which local training does not
     read, are the smallest the config takes."""
-    plain = dict(r_min=1, r_max=1, homlora_rank=1, clients_per_round=1,
+    plain = dict(r_min=1, r_max=1, clients_per_round=1,
                  learning_rate=0.01, reg_weight=0.0, decay=1.0)
     return ExperimentConfig(task=spec, **{**plain, **settings})
 
@@ -83,6 +84,13 @@ def stack(pairs, width=None):
         b[j, :, : p.rank] = p.b.array
         a[j, : p.rank] = p.a.array
     return b, a
+
+
+def updates(pairs):
+    """(client id, LoraPair) updates as the stacks server.aggregate takes:
+    each pair zero-padded to the largest rank (stack)."""
+    ids, adapters = zip(*pairs)
+    return Updates(list(ids), *stack(adapters), [p.rank for p in adapters])
 
 
 def stacked_reg_grad(pairs, decay, reg_weight, base=None):

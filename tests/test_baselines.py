@@ -196,6 +196,84 @@ class TestRecovery:
         assert r2.final_eval_loss < r1.final_eval_loss
 
 
+class TestSharedCaches:
+    """A process shares each (task spec, seed)'s task, and each block of
+    selections and batches, across its runs; a cached value has the bits a
+    cold run computes."""
+
+    CFG = dataclasses.replace(load_config("default"), rounds=40)
+    VARIANTS = (CFG, homlora(CFG, 2), dataclasses.replace(CFG, strategy="full_ft"))
+
+    def test_cold_and_warm_caches_write_the_same_bytes(self, cold_caches):
+        def cold(cfg):
+            cold_caches()
+            return to_jsonl_lines(run_strategy(cfg, 0))
+
+        want = [cold(cfg) for cfg in self.VARIANTS]
+        for order in (self.VARIANTS, self.VARIANTS[::-1]):
+            cold_caches()
+            got = {cfg.tag: to_jsonl_lines(run_strategy(cfg, 0)) for cfg in order}
+            assert [got[cfg.tag] for cfg in self.VARIANTS] == want
+
+    def test_a_second_run_on_a_seed_draws_nothing_and_builds_no_task(
+            self, cold_caches, monkeypatch):
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls.append(f"{module.__name__}.{name}")
+                return real(*args)
+            monkeypatch.setattr(module, name, call)
+
+        for module, name in ((client, "choices"), (server, "choices"),
+                             (baselines, "generate_task")):
+            counting(module, name)
+        run_strategy(self.CFG, 0)
+        assert set(calls) == {"hetlora.client.choices", "hetlora.server.choices",
+                              "hetlora.baselines.generate_task"}
+        calls.clear()
+        for cfg in self.VARIANTS:
+            run_strategy(cfg, 0)
+        assert calls == []
+
+    def test_cached_values_are_read_only(self, cold_caches):
+        strategy = baselines._FactorServer(
+            self.CFG, baselines._shared_task(dataclasses.replace(self.CFG.task, seed=0)), 0)
+        task = strategy.task
+        for m in (task.base.w0, task.target_delta, task.pool.inputs, task.pool.targets,
+                  task.clients[0].inputs, task.eval_set.targets, task.eval_gram):
+            with pytest.raises(ValueError, match="read-only"):
+                m.array[0, 0] = 0.0
+        cohort = server.select_clients(task.spec.num_clients, self.CFG.clients_per_round,
+                                       1, 0)
+        rows = strategy.clients.batches(cohort, 1, self.CFG)
+        assert rows.dtype == np.uint8 and rows.shape == (10, 5, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0, 0] = 0
+        assert client._batch_block.cache_info().currsize == 1
+
+    def test_a_short_run_does_not_serve_a_long_one(self, cold_caches):
+        # a 20-round run draws a first block of rounds 1..20 only, which a
+        # 200-round run, whose first block is 1..31, must not take
+        cfg = load_config("default")
+        cold = to_jsonl_lines(run_strategy(cfg, 0))
+        cold_caches()
+        run_strategy(dataclasses.replace(cfg, rounds=20), 0)
+        assert to_jsonl_lines(run_strategy(cfg, 0)) == cold
+
+    def test_each_cache_stays_within_its_size(self, cold_caches):
+        # one-round runs on 40 seeds: 40 tasks, 40 selection blocks and 40
+        # batch blocks
+        for seed in range(40):
+            run_strategy(tiny_cfg(rounds=1), seed)
+        for cache in (baselines._shared_task, client._batch_block,
+                      server._selection_block):
+            info = cache.cache_info()
+            assert info.misses > info.maxsize >= info.currsize
+
+
 class TestRoundLoop:
     def test_recon_svd_refactors_once_per_round(self, monkeypatch):
         # round 1 hands out the factored init; every later round makes one
@@ -213,6 +291,7 @@ class TestRoundLoop:
         assert run.completed and len(run.records) == cfg.rounds
         assert calls == [max(run.records[0].client_ranks)] * (cfg.rounds - 1)
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_no_round_builds_a_seed_sequence(self, monkeypatch):
         # selection and batch streams both come from seed words computed 32
         # rounds at a time, so no round builds a SeedSequence, also across
@@ -236,6 +315,7 @@ class TestRoundLoop:
         assert run.completed and len(run.records) == 40
         assert builds == []
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_a_short_run_draws_its_rounds_only(self, monkeypatch):
         # a 5-round run hashes the batch streams of rounds 1..5, and writes
         # the first 5 records of a 40-round run, whose first block draws

@@ -539,6 +539,7 @@ class TestBuffers:
                 assert np.array_equal(block[0, step],
                                       rng.batch_indices(SPEC.samples_per_client, 5))
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_a_block_draws_only_the_run_s_rounds(self, monkeypatch):
         # rounds run from 1 to the run's last: a 5-round run draws rounds
         # 1..5, and a 70-round run's last block rounds 64..70; a round
@@ -564,6 +565,7 @@ class TestBuffers:
             alone = Clients(TASK, CLIENTS.seeds).batches(schedule(t), t, cfg)
             assert np.array_equal(got, alone)
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_a_block_hashes_its_cohorts_clients_only(self, monkeypatch):
         # 1,000 clients, 3 a round: a block hashes the seeds of at most
         # 32 * 3 clients, and its batches are those each cohort draws alone

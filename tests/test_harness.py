@@ -234,6 +234,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             tiny_cfg(threads=0)
 
+    def test_each_strategy_checks_only_the_ranks_it_reads(self):
+        # on a 3 x 2 task r_max 16, homlora_rank 8 and a rank_alpha whose
+        # weights overflow are out of range; only a strategy that reads a
+        # setting refuses it
+        small = dataclasses.replace(tiny_cfg().task, d=3, l=2, true_rank=1,
+                                    client_complexity=1)
+
+        def cfg(strategy, **ranks):
+            bad = dict(r_min=1, r_max=16, homlora_rank=8, rank_alpha=1e6)
+            return tiny_cfg(task=small, strategy=strategy, **{**bad, **ranks})
+
+        assert cfg("full_ft").r_max == 16
+        assert cfg("homlora", homlora_rank=2).rank_alpha == 1e6
+        for strategy in ("hetlora", "recon_svd"):
+            assert cfg(strategy, r_max=2, rank_alpha=0.5).homlora_rank == 8
+            with pytest.raises(ConfigError, match="r_max"):
+                cfg(strategy, rank_alpha=0.5)
+            with pytest.raises(ConfigError, match="rank_alpha"):
+                cfg(strategy, r_max=2)
+        with pytest.raises(ConfigError, match="homlora_rank"):
+            cfg("homlora")
+
     def test_every_field_has_bad_values(self):
         assert set(BAD_VALUES) == set(config._SCHEMA)
 
@@ -245,6 +267,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as e:
             if name.startswith("task."):
                 parse_config_text(set_key(TINY_TEXT, name, repr(value)))
+            elif name == "homlora_rank":  # only homlora reads it
+                tiny_cfg(strategy="homlora", homlora_rank=value)
             else:
                 tiny_cfg(**{name: value})
         assert name.removeprefix("task.") in str(e.value)
@@ -466,7 +490,8 @@ class TestRecords:
     # TestCli::test_report_rejected_stream_exit_code
     @pytest.mark.parametrize("line,field,value", [
         (0, "seed", "0"), (0, "initial_eval_loss", None), (0, "completed", 1),
-        (0, "failure", 3), (1, "client_ranks", [2, 3.5]), (2, "round", True),
+        (0, "failure", 3), (1, "client_ranks", [2, 3.5]), (1, "client_ranks", [2, True]),
+        (2, "round", True),
         (2, "up_params", 9.0),
     ])
     def test_read_rejects_field_of_wrong_type(self, tmp_path, line, field, value):

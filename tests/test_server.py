@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 
 from hetlora import server
 from hetlora.linalg import Matrix, seeded_rng
-from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, zero_pad
+from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, truncate, zero_pad
 from hetlora.server import (
     SIMPLE,
     SPARSITY_WEIGHTED,
     ServerState,
+    Updates,
     aggregate,
     aggregation_weights,
     assign_ranks,
     distribute,
     select_clients,
 )
-from oracles import stack
+from oracles import stack, updates
 
 D, L = 8, 6
 
@@ -170,8 +171,7 @@ class TestAggregationWeights:
 class TestAggregate:
     def test_round_index_increments_and_registry_updates(self):
         state = make_state(rank=4)
-        updates = [(0, random_pair(1, 2)), (3, random_pair(2, 4))]
-        new = aggregate(state, updates)
+        new = aggregate(state, updates([(0, random_pair(1, 2)), (3, random_pair(2, 4))]))
         assert new.round_index == 1
         assert new.client_ranks[0] == 2
         assert new.client_ranks[3] == 4
@@ -181,8 +181,7 @@ class TestAggregate:
         # an unselected client still holds rank 4, so the global must stay
         # at 4 even when everyone in the batch has pruned to 2
         state = make_state(rank=4)
-        updates = [(0, random_pair(1, 2)), (1, random_pair(2, 2))]
-        new = aggregate(state, updates)
+        new = aggregate(state, updates([(0, random_pair(1, 2)), (1, random_pair(2, 2))]))
         assert new.global_pair.rank == 4
         # the padding is genuine zeros beyond the batch max
         assert np.all(new.global_pair.b.array[:, 2:] == 0)
@@ -190,14 +189,13 @@ class TestAggregate:
 
     def test_global_shrinks_when_every_client_pruned(self):
         state = make_state(rank=4, num_clients=2)
-        updates = [(0, random_pair(1, 2)), (1, random_pair(2, 3))]
-        new = aggregate(state, updates)
+        new = aggregate(state, updates([(0, random_pair(1, 2)), (1, random_pair(2, 3))]))
         assert new.global_pair.rank == 3
 
     def test_matches_manual_weighted_padding(self):
         state = make_state(rank=4, aggregation=SPARSITY_WEIGHTED)
         p1, p2 = random_pair(5, 2), random_pair(6, 4)
-        new = aggregate(state, [(0, p1), (1, p2)])
+        new = aggregate(state, updates([(0, p1), (1, p2)]))
         s1, s2 = sparsity_score(p1), sparsity_score(p2)
         w1, w2 = s1 / (s1 + s2), s2 / (s1 + s2)
         b_want = np.zeros((D, 4))
@@ -218,7 +216,7 @@ class TestAggregate:
         # rounding under the batched scores
         state = make_state(rank=3, aggregation=aggregation, num_clients=8)
         pairs = [random_pair(seed + j, r) for j, r in enumerate(ranks)]
-        new = aggregate(state, list(enumerate(pairs)))
+        new = aggregate(state, updates(list(enumerate(pairs))))
         scores = [sparsity_score(p) for p in pairs]
         w = ([1 / len(pairs)] * len(pairs) if aggregation == SIMPLE
              else [x / sum(scores) for x in scores])
@@ -233,7 +231,7 @@ class TestAggregate:
     def test_simple_average_of_identical_pairs_is_identity(self):
         state = make_state(rank=3, aggregation=SIMPLE)
         p = random_pair(7, 3)
-        new = aggregate(state, [(0, p), (1, p), (2, p)])
+        new = aggregate(state, updates([(0, p), (1, p), (2, p)]))
         assert np.allclose(new.global_pair.b.array, p.b.array, atol=1e-12)
         assert np.allclose(new.global_pair.a.array, p.a.array, atol=1e-12)
 
@@ -241,9 +239,9 @@ class TestAggregate:
         live = random_pair(8, 3)
         dead = LoraPair(Matrix.zeros(D, 3), Matrix.zeros(3, L))
         simple = aggregate(make_state(rank=3, aggregation=SIMPLE),
-                           [(0, live), (1, dead)])
+                           updates([(0, live), (1, dead)]))
         weighted = aggregate(make_state(rank=3, aggregation=SPARSITY_WEIGHTED),
-                             [(0, live), (1, dead)])
+                             updates([(0, live), (1, dead)]))
         # sparsity weighting ignores the dead update entirely
         assert np.allclose(weighted.global_pair.b.array, live.b.array, atol=1e-12)
         # simple averaging halves the surviving factors
@@ -251,11 +249,56 @@ class TestAggregate:
                            atol=1e-12)
 
     def test_empty_updates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty"):
+            aggregate(make_state(),
+                      Updates([], np.zeros((0, D, 1)), np.zeros((0, 1, L)), []))
+        with pytest.raises(ValueError, match="non-empty"):
             aggregate(make_state(), [])
 
     def test_unknown_aggregation_rejected_at_aggregation(self):
         # ServerState takes any name; folding the first round refuses it
         state = make_state(aggregation="geometric")
         with pytest.raises(ValueError, match="geometric"):
-            aggregate(state, [(0, random_pair(0, 4))])
+            aggregate(state, updates([(0, random_pair(0, 4))]))
+
+    @pytest.mark.parametrize("aggregation", [SIMPLE, SPARSITY_WEIGHTED])
+    def test_a_pruned_client_s_dropped_ranks_do_not_reach_the_global(self, aggregation):
+        # clients trained at width 4 and kept ranks 3, 1 and 3: the round's
+        # updates are trimmed to rank 3, and client 1's trained ranks 1..3,
+        # which are not zero, are zeroed, so the global pair is
+        # aggregate_pairs of the truncated pairs
+        state = make_state(rank=4, aggregation=aggregation, num_clients=4)
+        trained = [random_pair(20 + j, 4) for j in range(3)]
+        ids, ranks = [0, 1, 3], [3, 1, 3]
+        b, a = stack(trained)
+        got = Updates.trained(ids, b, a, ranks)
+        assert got.b.shape == (3, D, 3) and got.a.shape == (3, 3, L)
+        assert not (np.shares_memory(got.b, b) or np.shares_memory(got.a, a))
+        kept = [truncate(p, r) for p, r in zip(trained, ranks)]
+        assert [k for k, _ in got] == ids
+        for (_, p), q in zip(got, kept):
+            assert np.array_equal(p.b.array, q.b.array)
+            assert np.array_equal(p.a.array, q.a.array)
+        new = aggregate(state, got)
+        assert new.client_ranks == {0: 3, 1: 1, 2: 4, 3: 3}
+        scores = [sparsity_score(p) for p in kept]
+        w = [1 / 3] * 3 if aggregation == SIMPLE else [x / sum(scores) for x in scores]
+        want = zero_pad(aggregate_pairs(kept, w), 4)
+        for got_f, ref in ((new.global_pair.b.array, want.b.array),
+                           (new.global_pair.a.array, want.a.array)):
+            np.testing.assert_allclose(got_f, ref, rtol=1e-13, atol=1e-15)
+        # trimmed but not masked, client 1's ranks 1..3 would reach it
+        unmasked = Updates(ids, b[:, :, :3].copy(), a[:, :3].copy(), ranks)
+        assert not np.allclose(aggregate(state, unmasked).global_pair.b.array,
+                               want.b.array)
+
+    def test_a_pair_list_folds_as_its_stacks(self):
+        # a caller holding (client id, LoraPair) pairs gets the state the
+        # stacked updates give, bit for bit
+        state = make_state(rank=4, num_clients=6)
+        pairs = [(4, random_pair(30, 2)), (0, random_pair(31, 4)), (5, random_pair(32, 1))]
+        by_list, by_stack = aggregate(state, pairs), aggregate(state, updates(pairs))
+        assert by_list.client_ranks == by_stack.client_ranks
+        assert list(by_list.client_ranks) == list(by_stack.client_ranks)
+        assert np.array_equal(by_list.global_pair.b.array, by_stack.global_pair.b.array)
+        assert np.array_equal(by_list.global_pair.a.array, by_stack.global_pair.a.array)
