@@ -35,7 +35,7 @@ from .client import Clients, dense_local_train, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd  # noqa: F401 - traced by bench
-from .records import RoundRecord, RunResult
+from .records import RunResult
 from .server import (
     SIMPLE,
     ServerState,
@@ -145,8 +145,7 @@ class _FullFT(_DenseServer):
     """
 
     def round(self, selected: list[int], t: int) -> tuple[int, int]:
-        local = self.clients.buffer("dense", (len(selected),) + self.dense.shape)
-        local[...] = self.dense
+        local = np.repeat(self.dense[None], len(selected), axis=0)
         dense_local_train(self.clients, selected, local, self.cfg, t)
         # the stack is summed update by update, in cohort order
         self.dense = np.add.reduce(local / len(local), axis=0)
@@ -221,17 +220,9 @@ def _run_rounds(strategy: _Strategy, run_seed: int) -> RunResult:
             run.failure = f"round {t}: {exc}"
             break
         cumulative += down + up
-        run.records.append(
-            RoundRecord(
-                round_index=t,
-                eval_loss=eval_loss,
-                client_ranks=strategy.ranks,
-                down_params=down,
-                up_params=up,
-                cumulative_params=cumulative,
-                wall_clock=time.perf_counter() - start,
-            )
-        )
+        run.add_round(round_index=t, eval_loss=eval_loss, client_ranks=strategy.ranks,
+                      down_params=down, up_params=up, cumulative_params=cumulative,
+                      wall_clock=time.perf_counter() - start)
     return run
 
 

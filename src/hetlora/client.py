@@ -20,8 +20,9 @@ each zero-padded to the cohort's largest rank (Clients.hand_out copies
 the server's pair once and masks each client's padding); local_train trains the
 stacks in place and returns the new ranks, and dense_local_train trains a
 stack of dense updates in place. Every step is one batched matmul per
-operation for the whole cohort, into arrays that Clients keeps from round
-to round, and the padding stays exactly zero under SGD. Each client still
+operation for the whole cohort, and the padding stays exactly zero under
+SGD. Each round allocates its own stacks, batches and products, so the
+trained stacks can go to the server as they are. Each client still
 draws its own batches from its own (client seed, round) stream, bit for
 bit one Generator.choice(n, batch_size, replace=False) per step
 (linalg.choices), so its result does not depend on its place in the
@@ -58,7 +59,7 @@ class Clients:
     read-only view of its rows of the task's pool, base_resid[k] (n x d),
     the residuals x w0' - y of those rows, and seeds[k], the seed of its
     batch streams. schedule(t), if given, is the cohort of round t of a
-    run of rounds 1..rounds. A round's arrays live in buffers (buffer)."""
+    run of rounds 1..rounds."""
 
     def __init__(self, task: SyntheticTask, seeds, schedule=None, rounds: int = 0):
         n = task.spec.samples_per_client
@@ -70,7 +71,6 @@ class Clients:
         self.schedule, self.rounds = schedule, rounds
         # the block of batches drawn last: its key, first round, cohorts and batches
         self._drawn = self._first = self._cohorts = self._batches = None
-        self._buffers: dict[str, np.ndarray] = {}
 
     def batches(self, selected: list[int], t: int, cfg: ExperimentConfig) -> np.ndarray:
         """The rows of each selected client's mini-batches of round t in its
@@ -101,23 +101,14 @@ class Clients:
 
     def hand_out(self, pair: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
         """Client j's truncation of pair to ranks[j], zero-padded to the
-        largest rank and stacked: b (m x d x width) and a (m x width x l),
-        in the "b" and "a" buffers: one copy of each factor, then one masked
-        write of zeros to every client's ranks beyond its own."""
+        largest rank and stacked, in new arrays: b (m x d x width) and a
+        (m x width x l), one np.repeat of each truncated factor, then one
+        masked write of zeros to every client's ranks beyond its own."""
         width = max(ranks)
-        b = self.buffer("b", (len(ranks), pair.d, width))
-        a = self.buffer("a", (len(ranks), width, pair.l))
-        b[...], a[...] = pair.b.array[:, :width], pair.a.array[:width]
+        b = np.repeat(pair.b.array[None, :, :width], len(ranks), axis=0)
+        a = np.repeat(pair.a.array[None, :width], len(ranks), axis=0)
         zero_beyond_ranks(b, a, ranks)
         return b, a
-
-    def buffer(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A contiguous float64 array of the shape, a prefix of role's one
-        buffer; its values last until role is asked for again."""
-        size = math.prod(shape)
-        if role not in self._buffers or self._buffers[role].size < size:
-            self._buffers[role] = np.empty(size)
-        return self._buffers[role][:size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -212,16 +203,11 @@ def _cohort_batches(clients: Clients, selected: list[int], cfg: ExperimentConfig
                     round_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The selected clients' mini-batches of one round (Clients.batches):
     inputs (iters x m x n x l) and their base residuals (iters x m x n x d),
-    in the "xs" and "r0" buffers, gathered through one flat index."""
+    gathered through one flat index."""
     idx = clients.batches(selected, round_index, cfg).transpose(1, 0, 2)
     flat = idx + np.multiply(selected, clients.inputs.shape[1])[:, None]
-    xs = clients.buffer("xs", flat.shape + clients.inputs.shape[2:])
-    r0 = clients.buffer("r0", flat.shape + clients.base_resid.shape[2:])
-    # the indices are in range, and mode "clip" writes to out unbuffered
-    np.take(clients.inputs.reshape(-1, xs.shape[3]), flat, axis=0, out=xs, mode="clip")
-    np.take(clients.base_resid.reshape(-1, r0.shape[3]), flat, axis=0, out=r0,
-            mode="clip")
-    return xs, r0
+    return tuple(np.take(rows.reshape(-1, rows.shape[2]), flat, axis=0)
+                 for rows in (clients.inputs, clients.base_resid))
 
 
 def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
@@ -267,18 +253,14 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
     regularize = cfg.reg_weight > 0 and has_tail
 
     xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
-    xa, rb = (clients.buffer(role, xs.shape[1:3] + b.shape[2:]) for role in ("xa", "rb"))
-    resid = clients.buffer("resid", r0.shape[1:])
-    gb, ga = clients.buffer("gb", b.shape), clients.buffer("ga", a.shape)
     for step in range(cfg.local_iters):
         x = xs[step]
-        np.matmul(x, a.transpose(0, 2, 1), out=xa)
-        np.matmul(xa, b.transpose(0, 2, 1), out=resid)
+        xa = x @ a.transpose(0, 2, 1)
+        resid = xa @ b.transpose(0, 2, 1)
         resid += r0[step]
         resid /= xs.shape[2]
-        np.matmul(resid.transpose(0, 2, 1), xa, out=gb)
-        np.matmul(resid, b, out=rb)
-        np.matmul(rb.transpose(0, 2, 1), x, out=ga)
+        gb = resid.transpose(0, 2, 1) @ xa
+        ga = (resid @ b).transpose(0, 2, 1) @ x
         if regularize:
             # step 0 regularizes the received factors, whose norms are known
             if step:
@@ -307,14 +289,12 @@ def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
     if len(selected) != len(deltas):
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
     xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
-    resid = clients.buffer("resid", r0.shape[1:])
-    g_dense = clients.buffer("gdense", deltas.shape)
     for step in range(cfg.local_iters):
-        # deltas -= lr * (r0 + x deltas')' x / n, computed in place
+        # deltas -= lr * (r0 + x deltas')' x / n
         x = xs[step]
-        np.matmul(x, deltas.transpose(0, 2, 1), out=resid)
+        resid = x @ deltas.transpose(0, 2, 1)
         resid += r0[step]
-        np.matmul(resid.transpose(0, 2, 1), x, out=g_dense)
+        g_dense = resid.transpose(0, 2, 1) @ x
         g_dense /= xs.shape[2]
         g_dense *= cfg.learning_rate
         deltas -= g_dense

@@ -67,7 +67,10 @@ def zero_pad(p: LoraPair, r_target: int) -> LoraPair:
 
 def zero_beyond_ranks(b: np.ndarray, a: np.ndarray, ranks) -> None:
     """Zero, in place, each adapter's ranks beyond its own in stacked
-    factors: b[j, :, ranks[j]:] and a[j, ranks[j]:], in one masked write."""
+    factors: b[j, :, ranks[j]:] and a[j, ranks[j]:], in one masked write
+    (none when every adapter fills the stacks' width)."""
+    if min(ranks) >= b.shape[2]:
+        return
     j, k = np.nonzero(np.arange(b.shape[2]) >= np.asarray(ranks)[:, None])
     b[j, :, k] = a[j, k] = 0
 

@@ -20,7 +20,7 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     round_index: int  # 1-based
     eval_loss: float
@@ -39,6 +39,13 @@ class RunResult:
     records: list[RoundRecord] = field(default_factory=list)
     completed: bool = True
     failure: str | None = None
+
+    def add_round(self, **fields) -> None:
+        """Append a RoundRecord of these fields. Consecutive records share
+        one client_ranks tuple while the ranks stay the same."""
+        if self.records and self.records[-1].client_ranks == fields["client_ranks"]:
+            fields["client_ranks"] = self.records[-1].client_ranks
+        self.records.append(RoundRecord(**fields))
 
     @property
     def final_eval_loss(self) -> float:
@@ -172,7 +179,7 @@ def read_jsonl(path: Path) -> list[RunResult]:
                     f"{path}:{lineno}: round {values['round_index']} where round "
                     f"{expected} was expected"
                 )
-            runs[-1].records.append(RoundRecord(**values, wall_clock=0.0))
+            runs[-1].add_round(**values, wall_clock=0.0)
     if not runs:
         raise ValueError(f"{path}: no runs found")
     return runs

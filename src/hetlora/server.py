@@ -104,11 +104,11 @@ class Updates:
     @classmethod
     def trained(cls, ids, b: np.ndarray, a: np.ndarray, ranks) -> Updates:
         """The updates of a cohort that trained the stacks b and a and kept
-        ranks[j] each: one copy of each stack trimmed to the largest kept
-        rank, so that no update views a buffer the next round reuses, then
-        one masked write of zeros to every client's ranks beyond its own."""
+        ranks[j] each: views of the stacks trimmed to the largest kept rank.
+        It writes to the stacks it is given: one masked write of zeros to
+        every client's ranks beyond its own."""
         width = max(ranks)
-        b, a = b[:, :, :width].copy(), a[:, :width].copy()
+        b, a = b[:, :, :width], a[:, :width]
         zero_beyond_ranks(b, a, ranks)
         return cls(list(ids), b, a, list(ranks))
 

@@ -355,9 +355,8 @@ class TestRoundLoop:
 
     def test_updates_own_their_memory(self, monkeypatch):
         # the tracer keeps every round's updates until the run ends: a
-        # second round, on another cohort of the same width, so on the same
-        # buffers, leaves the first round's pairs as they were; a pair at
-        # the full cohort width would otherwise view a buffer
+        # second round, on another cohort of the same width, leaves the
+        # first round's pairs as they were, and shares no memory with them
         cfg = tiny_cfg(r_min=3, r_max=3, reg_weight=0.0, decay=1.0)
         task = generate_task(SPEC)
         kept = []
@@ -372,10 +371,11 @@ class TestRoundLoop:
         strategy.round([0, 2, 5, 7], 1)
         strategy.round([1, 3, 4, 9], 2)
         assert [k for k, *_ in kept[0]] == [0, 2, 5, 7]
+        second = [x for _, p, *_ in kept[1] for x in (p.b.array, p.a.array)]
         for _, p, b, a in kept[0]:
             assert np.array_equal(p.b.array, b) and np.array_equal(p.a.array, a)
-            assert not any(np.shares_memory(x, buf) for x in (p.b.array, p.a.array)
-                           for buf in strategy.clients._buffers.values())
+            assert not any(np.shares_memory(x, y) for x in (p.b.array, p.a.array)
+                           for y in second)
 
     def test_hetlora_never_refactors(self, monkeypatch):
         monkeypatch.setattr(lora, "svd", None)  # any call would raise

@@ -479,8 +479,8 @@ class TestCohort:
 
 
 class TestBuffers:
-    """A round's arrays live in its Clients' buffers; no call sees what an
-    earlier one left there."""
+    """Each round allocates its own arrays; no call sees what an earlier one
+    left in its Clients."""
 
     CFG = local_config(SPEC, local_iters=3, batch_size=8, learning_rate=0.2,
                        reg_weight=0.3, decay=0.7)
@@ -510,8 +510,13 @@ class TestBuffers:
             want = call(Clients(TASK, CLIENTS.seeds))
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert set(clients._buffers) == {"b", "a", "xs", "r0", "xa", "rb", "resid",
-                                         "gb", "ga", "gdense"}
+
+    def test_successive_hand_outs_share_no_memory(self):
+        clients = Clients(TASK, CLIENTS.seeds)
+        pair = random_pair(4, rank=3)
+        first = clients.hand_out(pair, [3, 1])
+        second = clients.hand_out(pair, [2, 3])
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
 
     def test_hand_out_truncates_and_zero_pads(self):
         pair = random_pair(3, rank=4)

@@ -264,16 +264,18 @@ class TestAggregate:
     @pytest.mark.parametrize("aggregation", [SIMPLE, SPARSITY_WEIGHTED])
     def test_a_pruned_client_s_dropped_ranks_do_not_reach_the_global(self, aggregation):
         # clients trained at width 4 and kept ranks 3, 1 and 3: the round's
-        # updates are trimmed to rank 3, and client 1's trained ranks 1..3,
-        # which are not zero, are zeroed, so the global pair is
-        # aggregate_pairs of the truncated pairs
+        # updates view the stacks trimmed to rank 3, and client 1's trained
+        # ranks 1..3, which are not zero, are zeroed there, so the global
+        # pair is aggregate_pairs of the truncated pairs
         state = make_state(rank=4, aggregation=aggregation, num_clients=4)
         trained = [random_pair(20 + j, 4) for j in range(3)]
         ids, ranks = [0, 1, 3], [3, 1, 3]
         b, a = stack(trained)
+        b_trained, a_trained = b.copy(), a.copy()
         got = Updates.trained(ids, b, a, ranks)
         assert got.b.shape == (3, D, 3) and got.a.shape == (3, 3, L)
-        assert not (np.shares_memory(got.b, b) or np.shares_memory(got.a, a))
+        assert np.shares_memory(got.b, b) and np.shares_memory(got.a, a)
+        assert not (b[1, :, 1:3].any() or a[1, 1:3].any())
         kept = [truncate(p, r) for p, r in zip(trained, ranks)]
         assert [k for k, _ in got] == ids
         for (_, p), q in zip(got, kept):
@@ -288,7 +290,7 @@ class TestAggregate:
                            (new.global_pair.a.array, want.a.array)):
             np.testing.assert_allclose(got_f, ref, rtol=1e-13, atol=1e-15)
         # trimmed but not masked, client 1's ranks 1..3 would reach it
-        unmasked = Updates(ids, b[:, :, :3].copy(), a[:, :3].copy(), ranks)
+        unmasked = Updates(ids, b_trained[:, :, :3], a_trained[:, :3], ranks)
         assert not np.allclose(aggregate(state, unmasked).global_pair.b.array,
                                want.b.array)
 
