@@ -218,11 +218,12 @@ def cmd_report(args) -> int:
             "target": target,
         })
 
-    # ratios need a single full_ft baseline; with none or several, print
-    # absolute params
+    # ratios need a single full_ft baseline that spent params to meet the
+    # target; with none, several, or one that missed it, print absolute params
     full = [row for row in rows if row["strategy"] == "full_ft"]
     full_comm = full[0]["comm_to_target"] if len(full) == 1 else None
-    table = [("label", "strategy", "final loss", "rounds-to-target", "comm ratio vs full")]
+    table = [("label", "strategy", "final loss", "rounds-to-target",
+              "comm ratio vs full" if full_comm else "comm to target")]
     for row in rows:
         if row["comm_to_target"] is None:
             ratio = "X"

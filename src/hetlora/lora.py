@@ -3,7 +3,7 @@
 An adapter is the factor pair (b: d x r, a: r x l) whose product is the
 additive update to a frozen d x l base weight. All functions here are pure
 but zero_beyond_ranks, which masks stacked factors in place;
-truncation/padding act on the factor rank dimension only.
+truncation and masking act on the factor rank dimension only.
 """
 
 from __future__ import annotations
@@ -48,21 +48,6 @@ def truncate(p: LoraPair, r_new: int) -> LoraPair:
         return p
     return LoraPair(b=Matrix._wrap(p.b.array[:, :r_new]),
                     a=Matrix._wrap(p.a.array[:r_new, :]))
-
-
-def zero_pad(p: LoraPair, r_target: int) -> LoraPair:
-    """Append zero columns to b and zero rows to a up to r_target.
-
-    The reconstructed product is unchanged.
-    """
-    if r_target < p.rank:
-        raise ValueError(f"r_target={r_target} below current rank {p.rank}")
-    if r_target == p.rank:
-        return p
-    extra = r_target - p.rank
-    b = np.hstack([p.b.array, np.zeros((p.d, extra))])
-    a = np.vstack([p.a.array, np.zeros((extra, p.l))])
-    return LoraPair(b=Matrix._wrap(b), a=Matrix._wrap(a))
 
 
 def zero_beyond_ranks(b: np.ndarray, a: np.ndarray, ranks) -> None:

@@ -84,10 +84,6 @@ class ClientDataset:
         if self.inputs.rows != self.targets.rows:
             raise ValueError("inputs and targets must have equal sample counts")
 
-    @property
-    def size(self) -> int:
-        return self.inputs.rows
-
 
 @dataclass(frozen=True)
 class FrozenBaseModel:

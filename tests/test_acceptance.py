@@ -1,17 +1,19 @@
 """Acceptance suite for the simulator.
 
-Each test prints one `[criterion N] PASS/FAIL` line summarizing the check.
-Criteria 1-3 and 8-9 are algebraic/infrastructure checks; criteria 4-7
-assert qualitative training dynamics on the default desk-scale benchmark
-(d=64, l=32, true rank 8, 100 clients, 10 per round, 200 rounds, 3 seeds).
+Each criterion's test prints one `[criterion N] PASS/FAIL` line
+summarizing the check. Criteria 1-3 and 8-9 are algebraic/infrastructure
+checks; criteria 4-7 assert qualitative training dynamics on the default
+desk-scale benchmark (d=64, l=32, true rank 8, 100 clients, 10 per round,
+200 rounds, 3 seeds).
 
 Known-red dynamics checks (see README, "Known limitations"): on this linear
 synthetic family, dense-reconstruction averaging (recon_svd) structurally
-dominates factor averaging, and the pruning ratchet drives a subset of
-clients to rank 1, which suppresses the global adapter's secondary
-directions under zero-padded averaging. Criterion 5's "beats recon_svd /
-full fine-tuning worst" clauses and criterion 6's decay-factor ordering are
-therefore expected to fail; they are kept faithful rather than weakened.
+dominates factor averaging, and every pruning arm of the decay ablation
+ends on one plateau, for a cause not yet known; two of its arms even write
+the same streams, which the test beside criterion 6 checks. Criterion 5's
+"beats recon_svd / full fine-tuning worst" clauses and criterion 6's
+decay-factor ordering are therefore expected to fail; they are kept
+faithful rather than weakened.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ import pytest
 
 from hetlora.baselines import _client_seed, lora_params, run_strategy
 from hetlora.cli import main
+from hetlora.client import kept_rank
 from hetlora.config import LEARNING_RATE_GRID, load_config
 from hetlora.harness import run_experiment, select_learning_rate
 from hetlora.linalg import Matrix, seeded_rng, svd
@@ -31,7 +34,6 @@ from hetlora.lora import (
     aggregate_pairs,
     reconstruct,
     sparsity_score,
-    zero_pad,
 )
 from hetlora.records import (
     RoundRecord,
@@ -48,6 +50,7 @@ from oracles import (
     local_config,
     lowrank_grads,
     regularized_loss,
+    stack,
     stacked_reg_grad,
 )
 
@@ -101,15 +104,14 @@ class TestCriterion1Algebra:
                 r1, r2 = rng.integers(1, 9, size=2)
             p1 = random_pair(rng, d, l, int(r1))
             p2 = random_pair(rng, d, l, int(r2))
-            r = max(p1.rank, p2.rank)
-            q1, q2 = zero_pad(p1, r), zero_pad(p2, r)
+            (b1, b2), (a1, a2) = stack([p1, p2])
 
             # unit weights: reconstructing the factor sum leaves exactly the
             # cross-client factor products beyond the per-client products
             agg = aggregate_pairs([p1, p2], [1.0, 1.0])
             diff = (reconstruct(agg).array - reconstruct(p1).array
                     - reconstruct(p2).array)
-            cross = q1.b.array @ q2.a.array + q2.b.array @ q1.a.array
+            cross = b1 @ a2 + b2 @ a1
             worst_cross = max(worst_cross, float(np.max(np.abs(diff - cross))))
 
             # general weights: the same identity with w1*w2 on the cross term
@@ -226,7 +228,7 @@ class TestCriterion3HomloraReduction:
                     data = task.clients[k]
                     r0 = base_residuals(data, w0.array)
                     for _ in range(cfg.local_iters):
-                        idx = rng.batch_indices(data.size, cfg.batch_size)
+                        idx = rng.batch_indices(data.inputs.rows, cfg.batch_size)
                         x = data.inputs.array[idx]
                         gb, ga = (dense_grads(b, a, w0.array, x, data.targets.array[idx])
                                   if dense else lowrank_grads(b, a, x, r0[idx]))
@@ -337,6 +339,17 @@ class TestCriterion6GammaAblation:
                "per-gamma mean finals "
                + ", ".join(f"{g}={float(np.mean(v)):.4g}"
                            for g, v in by_gamma.items()))
+
+    def test_gammas_0_99_and_0_95_run_one_protocol(self):
+        # at r_max = 16 both decays keep rank r - 1 of every rank a client
+        # can prune from, so two of the ordering's arms write the same bytes
+        cfg = default_cfg()
+        assert cfg.r_max == 16 and cfg.seeds == (0, 1, 2)
+        assert all(kept_rank(r, 0.99) == kept_rank(r, 0.95) == r - 1
+                   for r in range(2, cfg.r_max + 1))
+        for slow, fast in zip(runs("hetlora", decay=0.99), runs("hetlora", decay=0.95),
+                              strict=True):
+            assert to_jsonl_lines(slow) == to_jsonl_lines(fast)
 
 
 class TestCriterion7PruningTracksComplexity:

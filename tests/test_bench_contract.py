@@ -5,8 +5,8 @@ simulator's tasks, server states and eval models through `.array`. A
 refactor that drops or renames a traced name, changes a type the checks
 read, or moves a stream away from the replay, fails here, in the unit
 suite, rather than in a benchmark run; so does an import kept alive for a
-name the tracer no longer wraps. The bench modules are loaded
-read-only, from their files."""
+name the tracer no longer wraps, and a library function that only tests
+call. The bench modules are loaded read-only, from their files."""
 
 import ast
 import dataclasses
@@ -65,6 +65,23 @@ def test_keep_alive_imports_skips_used_and_unmarked_names():
               "from b import (\n    z,  # noqa: F401\n    v,\n)\n"
               "from c import w\nprint(y, w)\n")
     assert keep_alive_imports(source) == ["x", "z"]
+
+
+def test_every_library_function_is_named_in_the_library_or_traced():
+    # a top-level function that no module of the package names is reached
+    # from tests alone, unless the tracer calls it through an attribute it
+    # wraps; once TRACED drops that attribute, the function is named here
+    traced = [getattr(OWNERS[owner], attr)
+              for owner, attr, _ in load_bench("tracing").TRACED]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(client.__file__).parent.glob("*.py"))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    unnamed = [(m, node.name) for m, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name not in named]
+    assert [f"{m}.{f}" for m, f in unnamed
+            if getattr(importlib.import_module(f"hetlora.{m}"), f) not in traced] == []
 
 
 def test_plain_fedavg_replay_matches_homlora_run():

@@ -91,7 +91,7 @@ def hand_rolled_sgd(k, received, cfg, dense=False, round_index=0, keep=None,
     data = task.clients[k]
     r0 = base_residuals(data, task.base.w0.array)
     for _ in range(cfg.local_iters):
-        idx = rng.batch_indices(data.size, cfg.batch_size)
+        idx = rng.batch_indices(data.inputs.rows, cfg.batch_size)
         x = data.inputs.array[idx]
         gb, ga = (dense_grads(b, a, task.base.w0.array, x, data.targets.array[idx])
                   if dense else lowrank_grads(b, a, x, r0[idx]))
@@ -376,7 +376,8 @@ class TestDenseLocalTrain:
         data = TASK.clients[2]
         w0 = TASK.base.w0
         lr = 0.05
-        cfg = local_config(SPEC, local_iters=1, batch_size=data.size, learning_rate=lr)
+        cfg = local_config(SPEC, local_iters=1, batch_size=data.inputs.rows,
+                           learning_rate=lr)
         delta = np.random.default_rng(29).standard_normal((SPEC.d, SPEC.l)) * 0.2
         stepped = dense_one(2, delta, cfg, round_index=3)
         g = (delta - stepped) / lr

@@ -1212,6 +1212,22 @@ class TestCli:
         # target 0.05 is met at round 2: 2 * (down + 90) params
         assert [float(r[5]) for r in rows] == [380.0, 760.0, 380.0]
 
+    @pytest.mark.parametrize("full_losses, header, het_cell", [
+        ((0.08, 0.07), "comm to target", "params"),
+        ((0.08, 0.05), "comm ratio vs full", "0.5"),
+    ], ids=["full_ft_misses", "full_ft_meets"])
+    def test_report_comm_header_says_what_its_cells_hold(self, tmp_path, capsys,
+                                                         full_losses, header, het_cell):
+        # the cells are ratios only when the one full_ft stream met the
+        # target (0.05); else they are absolute params, and so says the header
+        write_jsonl([fake_run(strategy="full_ft", losses=full_losses, down=290)],
+                    tmp_path / "full" / "records.jsonl")
+        write_jsonl([fake_run()], tmp_path / "het" / "records.jsonl")
+        assert main(["report", str(tmp_path)]) == 0
+        head, _, het = capsys.readouterr().out.splitlines()
+        assert head.split("  ")[-1] == header
+        assert het.split()[-1] == het_cell
+
     def test_report_labels_keep_streams_of_one_directory_apart(self, tmp_path,
                                                                capsys):
         # a records.jsonl is labelled by its directory, as a sweep variant's

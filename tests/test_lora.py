@@ -13,7 +13,6 @@ from hetlora.lora import (
     refactor_svd,
     sparsity_score,
     truncate,
-    zero_pad,
 )
 
 
@@ -54,26 +53,6 @@ class TestTruncatePad:
             truncate(p, 0)
         with pytest.raises(ValueError):
             truncate(p, p.rank + 1)
-
-    def test_pad_bounds(self):
-        p = random_pair(np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            zero_pad(p, p.rank - 1)
-
-    @settings(max_examples=50, deadline=None)
-    @given(pair_strategy_seeds, st.integers(min_value=1, max_value=4))
-    def test_pad_then_truncate_roundtrip(self, seed, extra):
-        p = random_pair(np.random.default_rng(seed))
-        back = truncate(zero_pad(p, p.rank + extra), p.rank)
-        assert np.array_equal(back.b.array, p.b.array)
-        assert np.array_equal(back.a.array, p.a.array)
-
-    @settings(max_examples=50, deadline=None)
-    @given(pair_strategy_seeds, st.integers(min_value=0, max_value=4))
-    def test_padding_preserves_reconstruction(self, seed, extra):
-        p = random_pair(np.random.default_rng(seed))
-        padded = zero_pad(p, p.rank + extra)
-        assert np.array_equal(reconstruct(padded).array, reconstruct(p).array)
 
     def test_truncation_is_partial_outer_product_sum(self):
         rng = np.random.default_rng(4)

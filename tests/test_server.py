@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hetlora import server
 from hetlora.linalg import Matrix, seeded_rng
-from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, truncate, zero_pad
+from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, truncate
 from hetlora.server import (
     SIMPLE,
     SPARSITY_WEIGHTED,
@@ -220,9 +220,10 @@ class TestAggregate:
         scores = [sparsity_score(p) for p in pairs]
         w = ([1 / len(pairs)] * len(pairs) if aggregation == SIMPLE
              else [x / sum(scores) for x in scores])
-        want = zero_pad(aggregate_pairs(pairs, w), max(new.client_ranks.values()))
-        for got, ref in ((new.global_pair.b.array, want.b.array),
-                         (new.global_pair.a.array, want.a.array)):
+        (b_want,), (a_want,) = stack([aggregate_pairs(pairs, w)],
+                                     max(new.client_ranks.values()))
+        for got, ref in ((new.global_pair.b.array, b_want),
+                         (new.global_pair.a.array, a_want)):
             if aggregation == SIMPLE:
                 assert np.array_equal(got, ref)
             else:
@@ -285,14 +286,14 @@ class TestAggregate:
         assert new.client_ranks == {0: 3, 1: 1, 2: 4, 3: 3}
         scores = [sparsity_score(p) for p in kept]
         w = [1 / 3] * 3 if aggregation == SIMPLE else [x / sum(scores) for x in scores]
-        want = zero_pad(aggregate_pairs(kept, w), 4)
-        for got_f, ref in ((new.global_pair.b.array, want.b.array),
-                           (new.global_pair.a.array, want.a.array)):
+        (b_want,), (a_want,) = stack([aggregate_pairs(kept, w)], 4)
+        for got_f, ref in ((new.global_pair.b.array, b_want),
+                           (new.global_pair.a.array, a_want)):
             np.testing.assert_allclose(got_f, ref, rtol=1e-13, atol=1e-15)
         # trimmed but not masked, client 1's ranks 1..3 would reach it
         unmasked = Updates(ids, b_trained[:, :, :3], a_trained[:, :3], ranks)
         assert not np.allclose(aggregate(state, unmasked).global_pair.b.array,
-                               want.b.array)
+                               b_want)
 
     def test_a_pair_list_folds_as_its_stacks(self):
         # a caller holding (client id, LoraPair) pairs gets the state the

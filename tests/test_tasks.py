@@ -57,7 +57,7 @@ class TestSpecValidation:
 
     def test_sample_counts_forms(self):
         # every client holds samples_per_client samples, which must be >= 1
-        assert [c.size for c in generate_task(SPEC).clients] == [12] * 6
+        assert [c.inputs.rows for c in generate_task(SPEC).clients] == [12] * 6
         for counts in (0, -3):
             with pytest.raises(ValueError, match="samples_per_client"):
                 dataclasses.replace(SPEC, samples_per_client=counts)
@@ -89,14 +89,14 @@ class TestGeneration:
         # client order, so the task holds one copy of the client data
         t = generate_task(SPEC)
         pool = t.pool
-        assert pool.size == 72
+        assert pool.inputs.rows == 72
         row = 0
         for c in t.clients:
             for part, pooled in ((c.inputs.array, pool.inputs.array),
                                  (c.targets.array, pool.targets.array)):
                 assert part.base is pooled and not part.flags.writeable
-                assert np.array_equal(part, pooled[row:row + c.size])
-            row += c.size
+                assert np.array_equal(part, pooled[row:row + c.inputs.rows])
+            row += c.inputs.rows
 
     def test_seed_changes_everything(self):
         t1 = generate_task(SPEC)
@@ -121,7 +121,7 @@ class TestGeneration:
         t = generate_task(SPEC)
         for c, rho in zip(t.clients, t.complexities):
             got = np.linalg.matrix_rank(c.inputs.array, tol=1e-10)
-            assert got == min(rho, c.size)
+            assert got == min(rho, c.inputs.rows)
 
     def test_eval_targets_are_noiseless(self):
         t = generate_task(SPEC)
@@ -176,10 +176,10 @@ class TestLossGrad:
         c = self.task.eval_set
         w = self.task.base.w0.array + self.pair.b.array @ self.pair.a.array
         total = 0.0
-        for i in range(c.size):
+        for i in range(c.inputs.rows):
             r = w @ c.inputs.array[i] - c.targets.array[i]
             total += 0.5 * float(r @ r)
-        assert abs(loss(self.pair, self.task) - total / c.size) < 1e-10
+        assert abs(loss(self.pair, self.task) - total / c.inputs.rows) < 1e-10
 
     def test_factor_grad_finite_difference(self):
         c = self.task.clients[1]
