@@ -15,10 +15,11 @@ order that diverged.
 
 What a run derives from its task spec and seed alone is built once per
 process: run_strategy takes a generated task from a cache of the last 4
-(spec, seed) pairs, and the selection and batch blocks come from the
-server's and the clients' caches, so a sweep's strategies on one seed
-share them. Each cached value is read-only and has the bits a cold run
-computes.
+(spec, seed) pairs, a strategy takes the run's batch schedule, every
+round's mini-batch rows of every cohort client, from a cache of the last
+4 drawn, and the selections come from the server's cache, so a sweep's
+strategies on one seed share them. Each cached value is read-only and
+has the bits a cold run computes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import server
-from .client import Clients, dense_local_train, local_train
+from .client import Clients, dense_local_train, draw_batches, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
 from .lora import LoraPair, reconstruct, refactor_svd  # noqa: F401 - traced by bench
@@ -61,6 +62,22 @@ def _client_seed(run_seed: int, client_id: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _batch_schedule(run_seed: int, num_clients: int, m: int, rounds: int, n: int,
+                    size: int, iters: int) -> np.ndarray:
+    """A run's batch rows, read-only: round t's cohort's are schedule[t - 1],
+    as draw_batches gives them, drawn 32 rounds at a time. Cohorts come from
+    server.select_clients: a tracer keys rounds by the round loop's lookup here."""
+    seeds = np.array([_client_seed(run_seed, k) for k in range(num_clients)])
+    schedule = np.empty((rounds, m, iters, min(size, n)), np.min_scalar_type(n - 1))
+    for first in range(0, rounds, 32):
+        ts = np.arange(first + 1, min(first + 32, rounds) + 1)
+        cohorts = [server.select_clients(num_clients, m, t, run_seed) for t in ts]
+        schedule[first:first + len(ts)] = draw_batches(seeds[cohorts], ts, n, size, iters)
+    schedule.setflags(write=False)
+    return schedule
+
+
 def _initial_pair(task: SyntheticTask, rank: int, init_std: float,
                   run_seed: int) -> LoraPair:
     """Standard adapter init: left factor zero, right factor gaussian, so the
@@ -73,21 +90,20 @@ def _initial_pair(task: SyntheticTask, rank: int, init_std: float,
 
 
 class _Strategy:
-    """What a strategy supplies to the round loop: round(selected, t) hands
-    the round's cohort its models, trains them with one local step call and
-    folds the results into the server's model, and returns the parameters
-    sent down and up; evaluate gives the eval loss of that model, and ranks
-    gives every client's rank in client-id order. It is built from the run's
+    """What a strategy supplies to the round loop: round(selected, rows)
+    hands the round's cohort its models, trains them on their batch rows
+    (batches[t - 1] in round t) with one local step call and folds the
+    results into the server's model, and returns the parameters sent down
+    and up; evaluate gives the eval loss of that model, and ranks gives
+    every client's rank in client-id order. It is built from the run's
     config, as run_strategy fixes it, and derives its ranks from it."""
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
-        self.cfg, self.task = cfg, task
-        n, m = task.spec.num_clients, cfg.clients_per_round
-        # the batch blocks read the schedule from server; only the round loop
-        # looks select_clients up here, once per round
-        self.clients = Clients(task, [_client_seed(run_seed, k) for k in range(n)],
-                               lambda t: server.select_clients(n, m, t, run_seed),
-                               cfg.rounds)
+        self.cfg, self.task, spec = cfg, task, task.spec
+        self.clients = Clients(task)
+        self.batches = _batch_schedule(run_seed, spec.num_clients, cfg.clients_per_round,
+                                       cfg.rounds, spec.samples_per_client,
+                                       cfg.batch_size, cfg.local_iters)
 
     def traffic(self, ranks) -> int:
         """Parameters the adapters of these ranks carry one way."""
@@ -113,10 +129,10 @@ class _FactorServer(_Strategy):
         # the registry keeps the client-id order it was built in
         return tuple(self.server.client_ranks.values())
 
-    def round(self, selected: list[int], t: int) -> tuple[int, int]:
+    def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         ranks = [self.server.client_ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.server.global_pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, t)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, rows)
         self.server = aggregate(self.server, Updates.trained(selected, b, a, new_ranks))
         return self.traffic(ranks), self.traffic(new_ranks)
 
@@ -144,11 +160,12 @@ class _FullFT(_DenseServer):
     Clients receive and return the whole update, d*l parameters each way.
     """
 
-    def round(self, selected: list[int], t: int) -> tuple[int, int]:
+    def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         local = np.repeat(self.dense[None], len(selected), axis=0)
-        dense_local_train(self.clients, selected, local, self.cfg, t)
+        dense_local_train(self.clients, selected, local, self.cfg, rows)
         # the stack is summed update by update, in cohort order
-        self.dense = np.add.reduce(local / len(local), axis=0)
+        local /= len(local)
+        self.dense = np.add.reduce(local, axis=0)
         return local.size, local.size
 
 
@@ -171,12 +188,12 @@ class _ReconSvd(_DenseServer):
                                   cfg.rank_alpha, run_seed)
         self.pair = _initial_pair(task, max(self.ranks), cfg.init_std, run_seed)
 
-    def round(self, selected: list[int], t: int) -> tuple[int, int]:
+    def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         if self.pair is None:
             self.pair = refactor_svd(self.dense, max(self.ranks))
         ranks = [self.ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, t)
+        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, rows)
         # the zero padding adds nothing to a client's product b a
         self.dense = np.add.reduce(np.matmul(b, a) / len(b), axis=0)
         self.pair = None
@@ -211,7 +228,7 @@ def _run_rounds(strategy: _Strategy, run_seed: int) -> RunResult:
         selected = select_clients(task.spec.num_clients, cfg.clients_per_round, t,
                                   run_seed)
         try:
-            down, up = strategy.round(selected, t)
+            down, up = strategy.round(selected, strategy.batches[t - 1])
             eval_loss = strategy.evaluate()
             if not math.isfinite(eval_loss):
                 raise NumericError(f"eval loss is {eval_loss}")

@@ -9,30 +9,29 @@ from the server. A client keeps no rank: local training returns its new
 rank, which the server's registry keeps, so pruned ranks never grow back.
 
 A run's clients are one Clients object: their samples as clients x n
-arrays, views of the task's pool, their seeds, and a residual table, the
-base residuals x w0' - y of every sample, computed once per run. A client
-is its index.
+arrays, views of the task's pool, and a residual table, the base
+residuals x w0' - y of every sample, computed once per run. A client is
+its index.
 
 The clients selected in a round are trained together, as one cohort in
-stacked arrays: stacks in, ranks out. A strategy hands the cohort its
-adapters as one b stack (m x d x width) and one a stack (m x width x l),
-each zero-padded to the cohort's largest rank (Clients.hand_out copies
-the server's pair once and masks each client's padding); local_train trains the
-stacks in place and returns the new ranks, and dense_local_train trains a
-stack of dense updates in place. Every step is one batched matmul per
-operation for the whole cohort, and the padding stays exactly zero under
-SGD. Each round allocates its own stacks, batches and products, so the
-trained stacks can go to the server as they are. Each client still
-draws its own batches from its own (client seed, round) stream, bit for
-bit one Generator.choice(n, batch_size, replace=False) per step
-(linalg.choices), so its result does not depend on its place in the
-cohort. The scheduled cohorts of a 32-round block draw theirs at once,
-and the process keeps the last 32 blocks drawn, read-only, for every run
-that draws the same block (Clients.batches): a run of another strategy
-on the same seed draws no batch. The tails are indexed once, as
-(client, rank) pairs through which the tail norms, the regulariser's
-gradient and the prune test all read the factors. A cohort in which no
-client can have a tail (decay 1, or every rank 1) keeps no tail index.
+stacked arrays: stacks and batch rows in, ranks out, and nothing drawn. A
+strategy hands the cohort its adapters as one b stack (m x d x width) and
+one a stack (m x width x l), each zero-padded to the cohort's largest
+rank (Clients.hand_out copies the server's pair once and masks each
+client's padding), and the rows of each client's mini-batches in its
+samples; local_train trains the stacks in place and returns the new
+ranks, and dense_local_train trains a stack of dense updates in place.
+Every step is one batched matmul per operation for the whole cohort, and
+the padding stays exactly zero under SGD. Each round allocates its own
+stacks, batches and products, so the trained stacks can go to the server
+as they are. A client's batches come from its own (client seed, round)
+stream, bit for bit one Generator.choice(n, batch_size, replace=False)
+per step, so its result does not depend on its place in the cohort;
+draw_batches draws those of many rounds' cohorts at once. The tails are
+indexed once, as (client, rank) pairs through which the tail norms, the
+regulariser's gradient and the prune test all read the factors. A cohort
+in which no client can have a tail (decay 1, or every rank 1) keeps no
+tail index.
 
 A step works on the factors alone: a round gathers its batch rows and
 their base residuals with two np.take calls, and each step's gradients go
@@ -42,7 +41,6 @@ matrix. Finiteness is checked once, after the last step.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -56,48 +54,15 @@ from .tasks import SyntheticTask
 
 class Clients:
     """A run's clients as arrays: client k holds inputs[k] (n x l), a
-    read-only view of its rows of the task's pool, base_resid[k] (n x d),
-    the residuals x w0' - y of those rows, and seeds[k], the seed of its
-    batch streams. schedule(t), if given, is the cohort of round t of a
-    run of rounds 1..rounds."""
+    read-only view of its rows of the task's pool, and base_resid[k]
+    (n x d), the residuals x w0' - y of those rows."""
 
-    def __init__(self, task: SyntheticTask, seeds, schedule=None, rounds: int = 0):
+    def __init__(self, task: SyntheticTask):
         n = task.spec.samples_per_client
         self.inputs = task.pool.inputs.array.reshape(-1, n, task.spec.l)
         resid = task.pool.inputs.array @ task.base.w0.array.T
         resid -= task.pool.targets.array
         self.base_resid = resid.reshape(-1, n, task.spec.d)
-        self.seeds = [int(s) for s in seeds]
-        self.schedule, self.rounds = schedule, rounds
-        # the block of batches drawn last: its key, first round, cohorts and batches
-        self._drawn = self._first = self._cohorts = self._batches = None
-
-    def batches(self, selected: list[int], t: int, cfg: ExperimentConfig) -> np.ndarray:
-        """The rows of each selected client's mini-batches of round t in its
-        own samples, m x local_iters x min(batch_size, n): those of
-        local_iters successive Rng.batch_indices calls on its (seed,
-        "round", t) stream, bit for bit (linalg.choices), which are all of
-        them, in order, without a draw, if it has no more than batch_size.
-        A cohort on the schedule takes its rows from the block of the
-        scheduled cohorts of the run's rounds in t's 32-round block
-        (_batch_block), which every run in the process that draws the same
-        block shares."""
-        n, size, iters = self.inputs.shape[1], cfg.batch_size, cfg.local_iters
-        if 1 <= t <= self.rounds:
-            key = (t // 32, size, iters)
-            if key != self._drawn:
-                self._first = max(1, 32 * key[0])
-                last = min(self.rounds, 32 * key[0] + 31)
-                self._cohorts = np.array([self.schedule(r)
-                                          for r in range(self._first, last + 1)])
-                slots = np.take(self.seeds, self._cohorts)
-                self._batches = _batch_block(slots.tobytes(), slots.shape[1], self._first,
-                                             last, n, size, iters)
-                self._drawn = key
-            if np.array_equal(self._cohorts[t - self._first], selected):
-                return self._batches[t - self._first]
-        words = stream_words(np.take(self.seeds, selected), [t], "round")[:, 0]
-        return choices(words, n, size, iters)
 
     def hand_out(self, pair: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
         """Client j's truncation of pair to ranks[j], zero-padded to the
@@ -111,23 +76,18 @@ class Clients:
         return b, a
 
 
-@functools.lru_cache(maxsize=32)
-def _batch_block(seeds: bytes, m: int, first: int, last: int, n: int, size: int,
-                 iters: int) -> np.ndarray:
-    """The batches of rounds first..last for cohorts of m clients whose
-    seeds, round by round, `seeds` holds (int64 bytes): rounds x m x iters x
-    min(size, n), as Clients.batches gives them. Each distinct seed's
-    streams are hashed once. The block is read-only and in the smallest
-    unsigned type that holds n - 1 (uint8 up to 256 samples a client)."""
-    slots = np.frombuffer(seeds, np.int64).reshape(-1, m)
-    rounds = np.arange(first, last + 1)
+def draw_batches(seeds, rounds, n: int, size: int, iters: int) -> np.ndarray:
+    """The batch rows of cohorts whose seeds in round rounds[i] are seeds[i]:
+    rounds x m x iters x min(size, n), in the smallest unsigned type that
+    holds n - 1. A client's rows in round t are those of iters successive
+    Rng.batch_indices(n, size) calls on its (seed, "round", t) stream, bit
+    for bit (linalg.choices). Each distinct seed's streams are hashed once."""
+    slots = np.asarray(seeds, np.int64)
     members, where = np.unique(slots, return_inverse=True)
     words = stream_words(members, rounds, "round")
     words = words[where.reshape(slots.shape), np.arange(len(rounds))[:, None]]
-    block = choices(words.reshape(-1, 4), n, size, iters).astype(np.min_scalar_type(n - 1))
-    block = block.reshape(*slots.shape, iters, -1)
-    block.setflags(write=False)
-    return block
+    rows = choices(words.reshape(-1, 4), n, size, iters).astype(np.min_scalar_type(n - 1))
+    return rows.reshape(*slots.shape, iters, -1)
 
 
 def kept_rank(rank: int, decay: float) -> int:
@@ -199,13 +159,13 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails, norms: tuple,
     ga[j, k, :] += rows[1] * ca[j, None]
 
 
-def _cohort_batches(clients: Clients, selected: list[int], cfg: ExperimentConfig,
-                    round_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The selected clients' mini-batches of one round (Clients.batches):
-    inputs (iters x m x n x l) and their base residuals (iters x m x n x d),
-    gathered through one flat index."""
-    idx = clients.batches(selected, round_index, cfg).transpose(1, 0, 2)
-    flat = idx + np.multiply(selected, clients.inputs.shape[1])[:, None]
+def _cohort_batches(clients: Clients, selected: list[int],
+                    batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The selected clients' mini-batches of one round, whose rows in each
+    client's samples are batches (m x iters x size): inputs (iters x m x
+    size x l) and their base residuals (iters x m x size x d), gathered
+    through one flat index."""
+    flat = batches.transpose(1, 0, 2) + np.multiply(selected, clients.inputs.shape[1])[:, None]
     return tuple(np.take(rows.reshape(-1, rows.shape[2]), flat, axis=0)
                  for rows in (clients.inputs, clients.base_resid))
 
@@ -226,15 +186,16 @@ def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
 
 
 def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndarray,
-                ranks: list[int], cfg: ExperimentConfig, round_index: int) -> list[int]:
+                ranks: list[int], cfg: ExperimentConfig, batches: np.ndarray) -> list[int]:
     """Run local SGD for a cohort, in place, and decide on pruning.
 
     Client selected[j] trains b[j] (d x width) and a[j] (width x l), its
-    adapter at rank ranks[j] zero-padded to the stacks' width. Returns the
-    clients' new ranks in cohort order: client j's trained adapter is the
-    leading new-rank block of b[j] and a[j]. With reg_weight 0 and decay 1
-    this is a plain FedAvg local step: the tail is empty and the
-    strict-decrease pruning test can never fire.
+    adapter at rank ranks[j] zero-padded to the stacks' width, one step on
+    each of its mini-batches, whose rows in its samples are batches[j]
+    (local_iters x size). Returns the clients' new ranks in cohort order:
+    client j's trained adapter is the leading new-rank block of b[j] and
+    a[j]. With reg_weight 0 and decay 1 this is a plain FedAvg local step:
+    the tail is empty and the strict-decrease pruning test can never fire.
 
     A step takes the data-loss gradient in low-rank form. With a batch x
     (n x l), its base residuals r0 = x w0' - y, xa = x a' (n x r) and
@@ -252,7 +213,7 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
+    xs, r0 = _cohort_batches(clients, selected, batches)
     for step in range(cfg.local_iters):
         x = xs[step]
         xa = x @ a.transpose(0, 2, 1)
@@ -279,16 +240,15 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
 
 
 def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
-                      cfg: ExperimentConfig, round_index: int) -> None:
+                      cfg: ExperimentConfig, batches: np.ndarray) -> None:
     """Local SGD of a cohort on dense d x l additive updates (full
-    fine-tuning), in place: client selected[j] trains deltas[j].
-
-    Same batches as local_train; the loss is the plain MSE of w0 + delta,
-    with no regulariser and no rank.
+    fine-tuning), in place: client selected[j] trains deltas[j] on the
+    rows batches[j], as local_train does. The loss is the plain MSE of
+    w0 + delta, with no regulariser and no rank.
     """
     if len(selected) != len(deltas):
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
-    xs, r0 = _cohort_batches(clients, selected, cfg, round_index)
+    xs, r0 = _cohort_batches(clients, selected, batches)
     for step in range(cfg.local_iters):
         # deltas -= lr * (r0 + x deltas')' x / n
         x = xs[step]

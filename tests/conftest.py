@@ -2,18 +2,19 @@
 
 import pytest
 
-from hetlora import baselines, client, server
+from hetlora import baselines, server
 
 
 def _clear_caches():
-    for cache in (baselines._shared_task, client._batch_block, server._selection_block):
+    for cache in (baselines._shared_task, baselines._batch_schedule,
+                  server._selection_block):
         cache.cache_clear()
 
 
 @pytest.fixture
 def cold_caches():
-    """Empty the process-wide caches of generated tasks, batch blocks and
-    selection blocks, so that a test which counts draws, hashes or task
+    """Empty the process-wide caches of generated tasks, batch schedules
+    and selection blocks, so that a test which counts draws, hashes or task
     builds sees every one its runs make, whatever ran before it. Returns
     the function that empties them, for a test that needs them cold again."""
     _clear_caches()

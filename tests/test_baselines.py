@@ -12,6 +12,7 @@ import pytest
 from hetlora import baselines, client, lora, server
 from hetlora.baselines import lora_params, run_strategy
 from hetlora.config import STRATEGY_TAGS, ExperimentConfig, load_config
+from hetlora.linalg import seeded_rng
 from hetlora.records import read_jsonl, to_jsonl_lines, write_jsonl
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 
@@ -88,8 +89,9 @@ class TestEngineBehavior:
         for c in curves:
             assert all(a >= b for a, b in zip(c, c[1:]))
 
-    def test_initial_loss_identical_across_strategies(self):
-        # every strategy starts from a zero effective update
+    def test_initial_loss_identical_across_strategies(self, tmp_path):
+        # every strategy starts from a zero effective update; a run of no
+        # rounds writes its header alone, which reads back
         cfg = tiny_cfg(rounds=0)
         task = generate_task(SPEC)
         het = run_strategy(cfg, 0, task)
@@ -99,6 +101,11 @@ class TestEngineBehavior:
         assert het.initial_eval_loss == ful.initial_eval_loss
         assert het.initial_eval_loss == rec.initial_eval_loss
         assert het.initial_eval_loss == hom.initial_eval_loss
+        runs = [het, hom, ful, rec]
+        assert all(r.completed and len(to_jsonl_lines(r)) == 1 for r in runs)
+        write_jsonl(runs, tmp_path / "r.jsonl")
+        assert ([to_jsonl_lines(r) for r in read_jsonl(tmp_path / "r.jsonl")]
+                == [to_jsonl_lines(r) for r in runs])
 
     def test_homlora_strategy_tag(self):
         cfg = tiny_cfg(rounds=1)
@@ -196,10 +203,16 @@ class TestRecovery:
         assert r2.final_eval_loss < r1.final_eval_loss
 
 
+def schedule(cfg, seed):
+    """The batch schedule a strategy of cfg takes on the seed's task."""
+    task = baselines._shared_task(dataclasses.replace(cfg.task, seed=seed))
+    return baselines._FactorServer(cfg, task, seed).batches
+
+
 class TestSharedCaches:
-    """A process shares each (task spec, seed)'s task, and each block of
-    selections and batches, across its runs; a cached value has the bits a
-    cold run computes."""
+    """A process shares each (task spec, seed)'s task, batch schedule and
+    selection blocks across its runs; a cached value has the bits a cold
+    run computes."""
 
     CFG = dataclasses.replace(load_config("default"), rounds=40)
     VARIANTS = (CFG, homlora(CFG, 2), dataclasses.replace(CFG, strategy="full_ft"))
@@ -239,24 +252,41 @@ class TestSharedCaches:
         assert calls == []
 
     def test_cached_values_are_read_only(self, cold_caches):
-        strategy = baselines._FactorServer(
-            self.CFG, baselines._shared_task(dataclasses.replace(self.CFG.task, seed=0)), 0)
-        task = strategy.task
+        task = baselines._shared_task(dataclasses.replace(self.CFG.task, seed=0))
         for m in (task.base.w0, task.target_delta, task.pool.inputs, task.pool.targets,
                   task.clients[0].inputs, task.eval_set.targets, task.eval_gram):
             with pytest.raises(ValueError, match="read-only"):
                 m.array[0, 0] = 0.0
-        cohort = server.select_clients(task.spec.num_clients, self.CFG.clients_per_round,
-                                       1, 0)
-        rows = strategy.clients.batches(cohort, 1, self.CFG)
-        assert rows.dtype == np.uint8 and rows.shape == (10, 5, 8)
+        rows = schedule(self.CFG, 0)
+        assert rows.dtype == np.uint8 and rows.shape == (40, 10, 5, 8)
         with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0, 0] = 0
-        assert client._batch_block.cache_info().currsize == 1
+            rows[0, 0, 0, 0] = 0
+        assert baselines._batch_schedule.cache_info().currsize == 1
+
+    def test_a_seed_s_strategies_draw_one_schedule(self, cold_caches):
+        for strategy in STRATEGY_TAGS:
+            run_strategy(dataclasses.replace(self.CFG, strategy=strategy), 0)
+        info = baselines._batch_schedule.cache_info()
+        assert (info.misses, info.hits) == (1, len(STRATEGY_TAGS) - 1)
+
+    def test_schedule_rows_are_successive_batch_indices(self, cold_caches):
+        # round t's rows are local_iters successive Rng.batch_indices calls
+        # on each cohort client's (client seed, "round", t) stream, on both
+        # sides of the 32-round slices the schedule is drawn in
+        cfg = dataclasses.replace(self.CFG, rounds=70)
+        rows, n = schedule(cfg, 3), cfg.task.samples_per_client
+        for t in (1, 31, 32, 33, 64, 70):
+            cohort = server.select_clients(cfg.task.num_clients, cfg.clients_per_round,
+                                           t, 3)
+            for j, k in enumerate(cohort):
+                rng = seeded_rng(baselines._client_seed(3, k)).child("round", t)
+                for step in range(cfg.local_iters):
+                    assert np.array_equal(rows[t - 1, j, step],
+                                          rng.batch_indices(n, cfg.batch_size))
 
     def test_a_short_run_does_not_serve_a_long_one(self, cold_caches):
-        # a 20-round run draws a first block of rounds 1..20 only, which a
-        # 200-round run, whose first block is 1..31, must not take
+        # a 20-round run's schedule holds rounds 1..20 only, which a
+        # 200-round run must not take
         cfg = load_config("default")
         cold = to_jsonl_lines(run_strategy(cfg, 0))
         cold_caches()
@@ -264,11 +294,11 @@ class TestSharedCaches:
         assert to_jsonl_lines(run_strategy(cfg, 0)) == cold
 
     def test_each_cache_stays_within_its_size(self, cold_caches):
-        # one-round runs on 40 seeds: 40 tasks, 40 selection blocks and 40
-        # batch blocks
+        # one-round runs on 40 seeds: 40 tasks, 40 batch schedules and 40
+        # selection blocks
         for seed in range(40):
             run_strategy(tiny_cfg(rounds=1), seed)
-        for cache in (baselines._shared_task, client._batch_block,
+        for cache in (baselines._shared_task, baselines._batch_schedule,
                       server._selection_block):
             info = cache.cache_info()
             assert info.misses > info.maxsize >= info.currsize
@@ -294,23 +324,28 @@ class TestRoundLoop:
     @pytest.mark.usefixtures("cold_caches")
     def test_no_round_builds_a_seed_sequence(self, monkeypatch):
         # selection and batch streams both come from seed words computed 32
-        # rounds at a time, so no round builds a SeedSequence, also across
-        # the block edge at round 32
+        # rounds at a time, so neither the draws of the run's cohorts and
+        # batches nor any round builds a SeedSequence, also across the slice
+        # edges at rounds 32 and 33
         cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=40)
         task = generate_task(dataclasses.replace(cfg.task, seed=0))
         builds = []
         real_seed_sequence = np.random.SeedSequence
-        real_run_rounds = baselines._run_rounds
 
         def counting(entropy=None, **kwargs):
             builds.append(entropy)
             return real_seed_sequence(entropy, **kwargs)
 
-        def run_rounds(*args):
-            monkeypatch.setattr(np.random, "SeedSequence", counting)
-            return real_run_rounds(*args)
+        def counted(fn):
+            def call(*args):
+                with monkeypatch.context() as m:
+                    m.setattr(np.random, "SeedSequence", counting)
+                    return fn(*args)
+            return call
 
-        monkeypatch.setattr(baselines, "_run_rounds", run_rounds)
+        for module, name in ((baselines, "_run_rounds"), (baselines, "draw_batches"),
+                             (server, "select_clients")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         run = run_strategy(cfg, 0, task)
         assert run.completed and len(run.records) == 40
         assert builds == []
@@ -318,8 +353,8 @@ class TestRoundLoop:
     @pytest.mark.usefixtures("cold_caches")
     def test_a_short_run_draws_its_rounds_only(self, monkeypatch):
         # a 5-round run hashes the batch streams of rounds 1..5, and writes
-        # the first 5 records of a 40-round run, whose first block draws
-        # rounds 1..31
+        # the first 5 records of a 70-round run, whose schedule is drawn in
+        # slices of rounds 1..32, 33..64 and 65..70; a 0-round run draws none
         cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=5)
         task = generate_task(dataclasses.replace(cfg.task, seed=0))
         counters = []
@@ -332,10 +367,13 @@ class TestRoundLoop:
         monkeypatch.setattr(client, "stream_words", counting)
         short = run_strategy(cfg, 0, task)
         assert counters == [[1, 2, 3, 4, 5]]
-        long = run_strategy(dataclasses.replace(cfg, rounds=40), 0, task)
-        assert counters[1:] == [list(range(1, 32)), list(range(32, 41))]
+        long = run_strategy(dataclasses.replace(cfg, rounds=70), 0, task)
+        assert counters[1:] == [list(range(1, 33)), list(range(33, 65)),
+                                list(range(65, 71))]
         long.records = long.records[:5]
         assert to_jsonl_lines(short) == to_jsonl_lines(long)
+        run_strategy(dataclasses.replace(cfg, rounds=0), 0, task)
+        assert len(counters) == 4
 
     def test_default_hetlora_run_integer_record(self):
         # every round of the default hetlora run on seed 0, across six edges
@@ -368,8 +406,8 @@ class TestRoundLoop:
 
         monkeypatch.setattr(baselines, "aggregate", keeping)
         strategy = baselines._FactorServer(cfg, task, 0)
-        strategy.round([0, 2, 5, 7], 1)
-        strategy.round([1, 3, 4, 9], 2)
+        strategy.round([0, 2, 5, 7], strategy.batches[0])
+        strategy.round([1, 3, 4, 9], strategy.batches[1])
         assert [k for k, *_ in kept[0]] == [0, 2, 5, 7]
         second = [x for _, p, *_ in kept[1] for x in (p.b.array, p.a.array)]
         for _, p, b, a in kept[0]:
@@ -395,7 +433,7 @@ class TestRoundLoop:
                                                                  tmp_path):
         # every client returns finite factors of 1e308, and unit weights
         # make their sum overflow in round 1
-        def huge(clients, selected, b, a, ranks, cfg, round_index):
+        def huge(clients, selected, b, a, ranks, cfg, batches):
             b[...] = a[...] = 1e308
             return ranks
 

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetlora import baselines
 from hetlora import client as client_module
 from hetlora.client import (
     Clients,
     _cohort_batches,
     _Tails,
     dense_local_train,
+    draw_batches,
     kept_rank,
     local_train,
     tail_block_norm,
@@ -39,7 +41,8 @@ SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=4,
                          samples_per_client=24, noise_std=0.05,
                          client_complexity=(1, 2, 3, 4), seed=7)
 TASK = generate_task(SPEC)
-CLIENTS = Clients(TASK, [100 + k for k in range(SPEC.num_clients)])
+CLIENTS = Clients(TASK)
+SEEDS = [100 + k for k in range(SPEC.num_clients)]
 
 
 def random_pair(seed, rank=4, scale=0.2):
@@ -50,19 +53,27 @@ def random_pair(seed, rank=4, scale=0.2):
     )
 
 
-def train(clients, selected, pairs, cfg, round_index):
-    """local_train of a cohort on the stack of these pairs: the trained
-    pairs at their new ranks, in cohort order."""
+def batches(clients, selected, cfg, round_index, seeds=SEEDS):
+    """The selected clients' batch rows of one round, client k drawing on
+    its (seeds[k], "round", round_index) stream."""
+    return draw_batches([[seeds[k] for k in selected]], [round_index],
+                        clients.inputs.shape[1], cfg.batch_size, cfg.local_iters)[0]
+
+
+def train(clients, selected, pairs, cfg, round_index, seeds=SEEDS):
+    """local_train of a cohort on the stack of these pairs, on its batches
+    of the round: the trained pairs at their new ranks, in cohort order."""
     b, a = stack(pairs)
     ranks = local_train(clients, selected, b, a, [p.rank for p in pairs], cfg,
-                        round_index)
+                        batches(clients, selected, cfg, round_index, seeds))
     return [LoraPair(Matrix(b[j, :, :r]), Matrix(a[j, :r])) for j, r in enumerate(ranks)]
 
 
 def dense_train(clients, selected, deltas, cfg, round_index):
     """dense_local_train of a cohort on the stack of these updates."""
     local = np.array(deltas, dtype=np.float64)
-    dense_local_train(clients, selected, local, cfg, round_index)
+    dense_local_train(clients, selected, local, cfg,
+                      batches(clients, selected, cfg, round_index))
     return list(local)
 
 
@@ -79,13 +90,13 @@ def dense_one(k, delta, cfg, round_index=0):
 
 
 def hand_rolled_sgd(k, received, cfg, dense=False, round_index=0, keep=None,
-                    task=TASK, clients=CLIENTS):
+                    task=TASK, seeds=SEEDS):
     """Client k's SGD from `received`, written out apart from local_train,
-    on the task's dataset of client k and the seed clients gives it, with
+    on the task's dataset of client k and its seed seeds[k], with
     the data-loss gradients of oracles.lowrank_grads, or with `dense` of
     oracles.dense_grads; with `keep`, the tail regulariser acts on the
     ranks from `keep` on. Returns the trained factors at full rank."""
-    rng = seeded_rng(clients.seeds[k]).child("round", round_index)
+    rng = seeded_rng(seeds[k]).child("round", round_index)
     b = received.b.array.copy()
     a = received.a.array.copy()
     data = task.clients[k]
@@ -226,7 +237,8 @@ class TestLocalTrain:
     def test_one_model_per_client(self):
         b, a = stack([random_pair(1)])
         with pytest.raises(ValueError, match="2 clients but 1 models"):
-            local_train(CLIENTS, [0, 1], b, a, [4], local_config(SPEC), 0)
+            local_train(CLIENTS, [0, 1], b, a, [4], local_config(SPEC),
+                        batches(CLIENTS, [0, 1], local_config(SPEC), 0))
 
     def test_deterministic(self):
         cfg = local_config(SPEC, learning_rate=0.1, reg_weight=0.01, decay=0.5)
@@ -367,7 +379,7 @@ class TestDenseLocalTrain:
     def test_one_model_per_client(self):
         with pytest.raises(ValueError, match="1 clients but 2 models"):
             dense_local_train(CLIENTS, [0], np.zeros((2, SPEC.d, SPEC.l)),
-                              local_config(SPEC), 0)
+                              local_config(SPEC), batches(CLIENTS, [0], local_config(SPEC), 0))
 
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
@@ -494,7 +506,8 @@ class TestBuffers:
 
             def call(c):
                 b, a = c.hand_out(pair, ranks)
-                new = local_train(c, cohort, b, a, ranks, self.CFG, t)
+                new = local_train(c, cohort, b, a, ranks, self.CFG,
+                                  batches(c, cohort, self.CFG, t))
                 return [b.copy(), a.copy(), np.array(new)]
             return call
 
@@ -505,15 +518,15 @@ class TestBuffers:
                 lora([2, 0], [1, 2], 40)]
 
     def test_each_call_equals_the_call_on_fresh_clients(self):
-        clients = Clients(TASK, CLIENTS.seeds)
+        clients = Clients(TASK)
         for call in self.calls():
             got = call(clients)
-            want = call(Clients(TASK, CLIENTS.seeds))
+            want = call(Clients(TASK))
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_successive_hand_outs_share_no_memory(self):
-        clients = Clients(TASK, CLIENTS.seeds)
+        clients = Clients(TASK)
         pair = random_pair(4, rank=3)
         first = clients.hand_out(pair, [3, 1])
         second = clients.hand_out(pair, [2, 3])
@@ -526,84 +539,64 @@ class TestBuffers:
         want_b, want_a = stack([truncate(pair, r) for r in ranks])
         assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
-    def test_a_cohort_off_the_schedule_gets_the_block_path_s_batches(self):
-        def schedule(t):
-            return select_clients(SPEC.num_clients, 2, t, seed=3)
-
-        cfg = local_config(SPEC, local_iters=4, batch_size=5)
-        for t in (31, 32, 1, 64):
-            scheduled = Clients(TASK, CLIENTS.seeds, schedule, rounds=70)
-            cohort = schedule(t)
-            block = scheduled.batches(cohort, t, cfg)
-            assert scheduled._drawn == (t // 32, 5, 4)
-            alone = Clients(TASK, CLIENTS.seeds).batches(cohort, t, cfg)
-            assert np.array_equal(block, alone)
-            # the same clients in another order are not round t's cohort
-            assert np.array_equal(scheduled.batches(cohort[::-1], t, cfg), block[::-1])
-            rng = seeded_rng(CLIENTS.seeds[cohort[0]]).child("round", t)
-            for step in range(cfg.local_iters):
-                assert np.array_equal(block[0, step],
-                                      rng.batch_indices(SPEC.samples_per_client, 5))
-
     @pytest.mark.usefixtures("cold_caches")
     def test_a_block_draws_only_the_run_s_rounds(self, monkeypatch):
-        # rounds run from 1 to the run's last: a 5-round run draws rounds
-        # 1..5, and a 70-round run's last block rounds 64..70; a round
-        # outside the run, such as 0, is drawn alone
+        # rounds run from 1 to the run's last: a 5-round run's schedule
+        # draws rounds 1..5 in one block, a 70-round run's its last block of
+        # rounds 65..70, and a 0-round run's none; each round's rows are
+        # those its cohort draws alone
         drawn = []
         real = client_module.stream_words
 
         def counting(seeds, counters, key):
-            drawn.append((len(seeds), list(counters)))
+            drawn.append(list(counters))
             return real(seeds, counters, key)
-
-        def schedule(t):
-            return select_clients(SPEC.num_clients, 2, t, seed=3)
 
         monkeypatch.setattr(client_module, "stream_words", counting)
         cfg = local_config(SPEC, local_iters=2, batch_size=5)
-        for rounds, t, want in ((5, 3, [1, 2, 3, 4, 5]), (70, 65, list(range(64, 71))),
-                                (70, 0, [0])):
+        n, m = SPEC.num_clients, 2
+        seeds = [baselines._client_seed(3, k) for k in range(n)]
+        for rounds, want in ((5, [[1, 2, 3, 4, 5]]),
+                             (70, [list(range(1, 33)), list(range(33, 65)),
+                                   list(range(65, 71))]),
+                             (0, [])):
             drawn.clear()
-            got = Clients(TASK, CLIENTS.seeds, schedule, rounds).batches(
-                schedule(t), t, cfg)
-            assert [counters for _, counters in drawn] == [want]
-            alone = Clients(TASK, CLIENTS.seeds).batches(schedule(t), t, cfg)
-            assert np.array_equal(got, alone)
-
-    @pytest.mark.usefixtures("cold_caches")
-    def test_a_block_hashes_its_cohorts_clients_only(self, monkeypatch):
-        # 1,000 clients, 3 a round: a block hashes the seeds of at most
-        # 32 * 3 clients, and its batches are those each cohort draws alone
-        spec = SyntheticTaskSpec(d=3, l=2, true_rank=1, num_clients=1000,
-                                 samples_per_client=12, noise_std=0.0,
-                                 client_complexity=1, seed=1, eval_samples=2)
-        task = generate_task(spec)
-        seeds = range(5000, 6000)
-        hashed = []
-        real = client_module.stream_words
-
-        def counting(seeds, counters, key):
-            hashed.append(len(seeds))
-            return real(seeds, counters, key)
-
-        def schedule(t):
-            return select_clients(spec.num_clients, 3, t, seed=9)
-
-        monkeypatch.setattr(client_module, "stream_words", counting)
-        cfg = local_config(spec, local_iters=2, batch_size=5)
-        clients = Clients(task, seeds, schedule, rounds=64)
-        for t in (1, 31, 32, 64):
-            hashed.clear()
-            got = clients.batches(schedule(t), t, cfg)
-            assert np.array_equal(got, Clients(task, seeds).batches(schedule(t), t, cfg))
-            assert 0 < hashed[0] <= 32 * 3
+            got = baselines._batch_schedule(3, n, m, rounds, SPEC.samples_per_client,
+                                            cfg.batch_size, cfg.local_iters)
+            assert drawn == want and len(got) == rounds
+            for t in {1, 5, 32, 33, 65, rounds} & set(range(1, rounds + 1)):
+                cohort = select_clients(n, m, t, 3)
+                assert np.array_equal(got[t - 1], batches(CLIENTS, cohort, cfg, t, seeds))
 
 
 # tasks whose clients hold fewer samples than a batch of 8, as many, and more
 TASKS_BY_SIZE = {n: generate_task(dataclasses.replace(
     SPEC, num_clients=6, samples_per_client=n, client_complexity=(1, 2, 3, 4, 2, 1)))
     for n in (3, 8, 24)}
+
+
+class TestDrawBatches:
+    def test_each_distinct_seed_is_hashed_once(self, monkeypatch):
+        # 1,000 clients, 3 a round, for 32 rounds: one hash of the distinct
+        # seeds of the cohorts, of which some meet twice, and each round's
+        # rows are those its cohort draws alone
+        seeds = np.arange(5000, 6000)
+        rounds = np.arange(1, 33)
+        slots = seeds[[select_clients(1000, 3, t, seed=9) for t in rounds]]
+        hashed = []
+        real = client_module.stream_words
+
+        def counting(seeds, counters, key):
+            hashed.append(list(seeds))
+            return real(seeds, counters, key)
+
+        monkeypatch.setattr(client_module, "stream_words", counting)
+        got = draw_batches(slots, rounds, 12, 5, 2)
+        [members] = hashed
+        assert sorted(members) == sorted(set(slots.ravel())) and len(members) < slots.size
+        assert got.shape == (32, 3, 2, 5) and got.dtype == np.uint8
+        for i, t in enumerate(rounds):
+            assert np.array_equal(got[i], draw_batches(slots[i:i + 1], [t], 12, 5, 2)[0])
 
 
 class TestCohortBatches:
@@ -621,11 +614,11 @@ class TestCohortBatches:
                                  samples_per_client=size, noise_std=0.0,
                                  client_complexity=1, seed=1, eval_samples=2)
         task = generate_task(spec)
-        population = Clients(task, range(seed, seed + clients))
+        population = Clients(task)
         selected = list(range(clients))[::-1]
         cfg = local_config(spec, local_iters=local_iters, batch_size=batch_size)
-        idx = population.batches(selected, round_index, cfg)
-        xs, r0 = _cohort_batches(population, selected, cfg, round_index)
+        idx = batches(population, selected, cfg, round_index, range(seed, seed + clients))
+        xs, r0 = _cohort_batches(population, selected, idx)
         for j, k in enumerate(selected):
             rng = seeded_rng(seed + k).child("round", round_index)
             data = task.clients[k]
@@ -666,13 +659,13 @@ class TestLowRankStep:
                     for k in cohort]
 
         task = TASKS_BY_SIZE[samples]
-        population = Clients(task, range(1000, 1006))
-        out = train(population, cohort, received, cfg, round_index)
+        population, seeds = Clients(task), range(1000, 1006)
+        out = train(population, cohort, received, cfg, round_index, seeds)
         for k, p, got in zip(cohort, received, out):
             keep = kept_rank(p.rank, decay)
             b, a = hand_rolled_sgd(k, p, cfg, True, round_index,
                                    keep=keep if keep < p.rank else None,
-                                   task=task, clients=population)
+                                   task=task, seeds=seeds)
             want = LoraPair(Matrix(b), Matrix(a))
             if tail_block_norm(want, decay) < tail_block_norm(p, decay):
                 want = truncate(want, keep)
