@@ -14,12 +14,11 @@ partial stream flagged incomplete, naming the first client in selection
 order that diverged.
 
 What a run derives from its task spec and seed alone is built once per
-process: run_strategy takes a generated task from a cache of the last 4
-(spec, seed) pairs, a strategy takes the run's batch schedule, every
-round's mini-batch rows of every cohort client, from a cache of the last
-4 drawn, and the selections come from the server's cache, so a sweep's
-strategies on one seed share them. Each cached value is read-only and
-has the bits a cold run computes.
+process: tasks.generate_task keeps the last 4 tasks built, a strategy
+takes the run's batch schedule, every round's mini-batch rows of every
+cohort client, from a cache of the last 4 drawn, and the selections come
+from the server's cache, so a sweep's strategies on one seed share them.
+Each cached value is read-only and has the bits a cold run computes.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from .server import (
     distribute,  # noqa: F401 - traced by bench
     select_clients,
 )
-from .tasks import (OVERFLOW_HINT, SyntheticTask, SyntheticTaskSpec, dense_loss,
-                    generate_task, loss)
+from .tasks import OVERFLOW_HINT, SyntheticTask, dense_loss, generate_task, loss
 
 
 def lora_params(rank: int, d: int, l: int) -> int:
@@ -163,9 +161,7 @@ class _FullFT(_DenseServer):
     def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         local = np.repeat(self.dense[None], len(selected), axis=0)
         dense_local_train(self.clients, selected, local, self.cfg, rows)
-        # the stack is summed update by update, in cohort order
-        local /= len(local)
-        self.dense = np.add.reduce(local, axis=0)
+        self.dense = local.mean(axis=0)
         return local.size, local.size
 
 
@@ -194,8 +190,12 @@ class _ReconSvd(_DenseServer):
         ranks = [self.ranks[k] for k in selected]
         b, a = self.clients.hand_out(self.pair, ranks)
         new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, rows)
-        # the zero padding adds nothing to a client's product b a
-        self.dense = np.add.reduce(np.matmul(b, a) / len(b), axis=0)
+        # the sum of the clients' products b a is one product of their
+        # factors side by side, d x m*width times m*width x l, to which the
+        # zero padding adds nothing
+        d, l = self.dense.shape
+        self.dense = b.transpose(1, 0, 2).reshape(d, -1) @ a.reshape(-1, l)
+        self.dense /= len(b)
         self.pair = None
         return self.traffic(ranks), self.traffic(new_ranks)
 
@@ -243,13 +243,6 @@ def _run_rounds(strategy: _Strategy, run_seed: int) -> RunResult:
     return run
 
 
-@functools.lru_cache(maxsize=4)
-def _shared_task(spec: SyntheticTaskSpec) -> SyntheticTask:
-    # a task is a pure function of its spec, and its arrays are read-only;
-    # generate_task is looked up here at each miss, where a tracer wraps it
-    return generate_task(spec)
-
-
 def run_strategy(cfg: ExperimentConfig, run_seed: int,
                  task: SyntheticTask | None = None) -> RunResult:
     """Run cfg.strategy on one seed, on the task supplied or else on the
@@ -257,7 +250,7 @@ def run_strategy(cfg: ExperimentConfig, run_seed: int,
     the process's runs on the same task spec and seed share."""
     if task is None:
         try:
-            task = _shared_task(replace(cfg.task, seed=run_seed))
+            task = generate_task(replace(cfg.task, seed=run_seed))
         except ValueError as exc:
             raise ConfigError(f"seed {run_seed}: {exc}") from None
     # homlora is hetlora with every client at one rank (rank_alpha 1, which

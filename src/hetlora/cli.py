@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import (STRATEGY_TAGS, ConfigError, ExperimentConfig, _parse_int_list,
                      load_config)
-from .harness import output_files, run_experiment, select_learning_rate, write_outputs
+from .harness import OUTPUT_FILES, run_experiment, select_learning_rate, write_outputs
 from .records import RunResult, read_jsonl, rounds_to_target, summarize, write_csv
 
 GAMMA_ABLATION = (1.0, 0.99, 0.95, 0.85)
@@ -88,7 +88,7 @@ def _print_summary(label: str, runs: list[RunResult], lr: float) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _apply_common_overrides(load_config(args.config), args)
-    out = _out_dir(cfg.out_dir, *output_files())
+    out = _out_dir(cfg.out_dir, *OUTPUT_FILES)
     runs = run_experiment(cfg)
     jsonl, csv_path = write_outputs(runs, out, label=cfg.tag)
     _print_summary(cfg.tag, runs, cfg.learning_rate)
@@ -139,7 +139,7 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return 2
     for label in variants:
-        _out_dir(out / label, *output_files())
+        _out_dir(out / label, *OUTPUT_FILES)
 
     rows = []
     for label, vcfg in variants.items():

@@ -34,9 +34,11 @@ in which no client can have a tail (decay 1, or every rank 1) keeps no
 tail index.
 
 A step works on the factors alone: a round gathers its batch rows and
-their base residuals with two np.take calls, and each step's gradients go
+their base residuals with two np.take calls, and each step's updates go
 through n x r and n x d products, never through w0 + b a or another d x l
-matrix. Finiteness is checked once, after the last step.
+matrix. The step size lr / n is folded into an n-row operand of each
+product, so a step's updates are subtracted as they come out of the
+matmul. Finiteness is checked once, after the last step.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class _Tails:
 
 
 def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails, norms: tuple,
-                  rows: tuple, reg_weight: float) -> None:
-    """In-place gradient of reg_weight * ||b_tail|| * ||a_tail|| for every
+                  rows: tuple, weight: float) -> None:
+    """In-place gradient of weight * ||b_tail|| * ||a_tail|| for every
     client of a stacked cohort, given the tail norms and the tail rows
     that tails.norms(b, a) returns for its factors b and a.
 
@@ -150,8 +152,8 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails, norms: tuple,
     """
     nb, na = norms
     # dividing by inf instead of a zero norm gives that subgradient 0
-    cb = reg_weight * (na / np.where(nb > 0, nb, np.inf))
-    ca = reg_weight * (nb / np.where(na > 0, na, np.inf))
+    cb = weight * (na / np.where(nb > 0, nb, np.inf))
+    ca = weight * (nb / np.where(na > 0, na, np.inf))
     # only the tail entries change; the stacks are indexed in three
     # dimensions because a flat view of a non-contiguous stack is a copy
     j, k = tails.client, tails.rank
@@ -199,9 +201,10 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
 
     A step takes the data-loss gradient in low-rank form. With a batch x
     (n x l), its base residuals r0 = x w0' - y, xa = x a' (n x r) and
-    resid = (r0 + xa b') / n, the gradients are g_b = resid' xa and
-    g_a = (resid b)' x: the gradients of the dense form, without forming
-    w0 + b a or any other d x l matrix.
+    resid = r0 + xa b', it subtracts lr g_b = resid' (xa lr / n) from b and
+    lr g_a = (resid b lr / n)' x from a, with lr reg_weight times the
+    regulariser's gradient added: the gradients of the dense form, without
+    forming w0 + b a or any other d x l matrix.
     """
     if len(selected) != len(b):
         raise ValueError(f"{len(selected)} clients but {len(b)} models")
@@ -214,22 +217,20 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
     regularize = cfg.reg_weight > 0 and has_tail
 
     xs, r0 = _cohort_batches(clients, selected, batches)
+    scale = cfg.learning_rate / xs.shape[2]
     for step in range(cfg.local_iters):
         x = xs[step]
         xa = x @ a.transpose(0, 2, 1)
         resid = xa @ b.transpose(0, 2, 1)
         resid += r0[step]
-        resid /= xs.shape[2]
-        gb = resid.transpose(0, 2, 1) @ xa
-        ga = (resid @ b).transpose(0, 2, 1) @ x
+        gb = resid.transpose(0, 2, 1) @ (xa * scale)
+        ga = ((resid @ b) * scale).transpose(0, 2, 1) @ x
         if regularize:
             # step 0 regularizes the received factors, whose norms are known
             if step:
                 norms, rows = tails.norms(b, a)
-            _add_reg_grad(gb, ga, tails, norms, rows, cfg.reg_weight)
-        gb *= cfg.learning_rate
+            _add_reg_grad(gb, ga, tails, norms, rows, cfg.learning_rate * cfg.reg_weight)
         b -= gb
-        ga *= cfg.learning_rate
         a -= ga
     _raise_first_divergence(selected, b, a)
     if not has_tail:
@@ -249,13 +250,11 @@ def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
     if len(selected) != len(deltas):
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
     xs, r0 = _cohort_batches(clients, selected, batches)
+    scale = cfg.learning_rate / xs.shape[2]
     for step in range(cfg.local_iters):
-        # deltas -= lr * (r0 + x deltas')' x / n
+        # deltas -= (r0 + x deltas')' (x lr / n)
         x = xs[step]
         resid = x @ deltas.transpose(0, 2, 1)
         resid += r0[step]
-        g_dense = resid.transpose(0, 2, 1) @ x
-        g_dense /= xs.shape[2]
-        g_dense *= cfg.learning_rate
-        deltas -= g_dense
+        deltas -= resid.transpose(0, 2, 1) @ (x * scale)
     _raise_first_divergence(selected, deltas)

@@ -19,8 +19,11 @@ from .baselines import run_strategy
 from .config import LEARNING_RATE_GRID, ExperimentConfig
 from .records import RunResult, summarize, write_jsonl, write_summary_csv
 
+# the names of the files write_outputs writes
+OUTPUT_FILES = ("records.jsonl", "records_summary.csv")
+
 __all__ = [
-    "output_files",
+    "OUTPUT_FILES",
     "run_experiment",
     "select_learning_rate",
     "write_outputs",
@@ -46,15 +49,10 @@ def select_learning_rate(cfg: ExperimentConfig, grid=LEARNING_RATE_GRID
                 for lr in grid), key=score)
 
 
-def output_files() -> tuple[str, str]:
-    """The names of the files write_outputs writes."""
-    return "records.jsonl", "records_summary.csv"
-
-
 def write_outputs(runs: list[RunResult], out_dir: Path,
                   label: str = "") -> tuple[Path, Path]:
     """Write the JSONL record stream and the sidecar CSV summary."""
-    jsonl, csv_path = (Path(out_dir) / f for f in output_files())
+    jsonl, csv_path = (Path(out_dir) / f for f in OUTPUT_FILES)
     write_jsonl(runs, jsonl)
     write_summary_csv(runs, csv_path, label=label)
     return jsonl, csv_path

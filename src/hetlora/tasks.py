@@ -12,6 +12,7 @@ structure (low-rank targets, noise overfitting, heterogeneous complexity).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,7 +116,10 @@ def _resolve_complexities(spec: SyntheticTaskSpec, rng: Rng) -> tuple[int, ...]:
     return tuple(spec.client_complexity)
 
 
+# a task is a pure function of its spec and its arrays are read-only, so a
+# process keeps the last 4 built and hands an equal spec the same task;
 # overflow is reported by the finiteness check, not by numpy warnings
+@functools.lru_cache(maxsize=4)
 @np.errstate(over="ignore", invalid="ignore")
 def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
     """Build a reproducible task from the spec's seed.

@@ -2,11 +2,11 @@
 
 import pytest
 
-from hetlora import baselines, server
+from hetlora import baselines, server, tasks
 
 
 def _clear_caches():
-    for cache in (baselines._shared_task, baselines._batch_schedule,
+    for cache in (tasks.generate_task, baselines._batch_schedule,
                   server._selection_block):
         cache.cache_clear()
 

@@ -52,15 +52,17 @@ def dense_grads(b, a, w0, x, y):
     return g_dense @ a.T, b.T @ g_dense
 
 
-def lowrank_grads(b, a, x, r0):
-    """The same gradients in low-rank form, as local training takes them:
-    with the base residuals r0 = x w0' - y of the batch rows (rows of
-    base_residuals), xa = x a' and resid = (r0 + xa b') / n,
-    g_b = resid' xa and g_a = (resid b)' x.
+def lowrank_grads(b, a, x, r0, lr):
+    """The same gradients in low-rank form, times the learning rate lr, as
+    a local step subtracts them: with the base residuals r0 = x w0' - y of
+    the batch rows (rows of base_residuals), xa = x a' and
+    resid = r0 + xa b', lr g_b = resid' (xa lr / n) and
+    lr g_a = (resid b lr / n)' x.
     """
     xa = x @ a.T
-    resid = (r0 + xa @ b.T) / len(x)
-    return resid.T @ xa, (resid @ b).T @ x
+    resid = r0 + xa @ b.T
+    scale = lr / len(x)
+    return resid.T @ (xa * scale), ((resid @ b) * scale).T @ x
 
 
 def grad(p, w0, batch):

@@ -230,10 +230,14 @@ class TestCriterion3HomloraReduction:
                     for _ in range(cfg.local_iters):
                         idx = rng.batch_indices(data.inputs.rows, cfg.batch_size)
                         x = data.inputs.array[idx]
-                        gb, ga = (dense_grads(b, a, w0.array, x, data.targets.array[idx])
-                                  if dense else lowrank_grads(b, a, x, r0[idx]))
-                        b -= cfg.learning_rate * gb
-                        a -= cfg.learning_rate * ga
+                        lr = cfg.learning_rate
+                        if dense:
+                            gb, ga = dense_grads(b, a, w0.array, x, data.targets.array[idx])
+                            gb, ga = lr * gb, lr * ga
+                        else:
+                            gb, ga = lowrank_grads(b, a, x, r0[idx], lr)
+                        b -= gb
+                        a -= ga
                     b_acc[:, :r] += (1.0 / m) * b
                     a_acc[:r, :] += (1.0 / m) * a
                 b_glob, a_glob = b_acc, a_acc

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hetlora import baselines, client, lora, server
+from hetlora import baselines, client, lora, server, tasks
 from hetlora.baselines import lora_params, run_strategy
 from hetlora.config import STRATEGY_TAGS, ExperimentConfig, load_config
 from hetlora.linalg import seeded_rng
@@ -205,7 +205,7 @@ class TestRecovery:
 
 def schedule(cfg, seed):
     """The batch schedule a strategy of cfg takes on the seed's task."""
-    task = baselines._shared_task(dataclasses.replace(cfg.task, seed=seed))
+    task = generate_task(dataclasses.replace(cfg.task, seed=seed))
     return baselines._FactorServer(cfg, task, seed).batches
 
 
@@ -240,19 +240,20 @@ class TestSharedCaches:
                 return real(*args)
             monkeypatch.setattr(module, name, call)
 
-        for module, name in ((client, "choices"), (server, "choices"),
-                             (baselines, "generate_task")):
+        for module, name in ((client, "choices"), (server, "choices")):
             counting(module, name)
         run_strategy(self.CFG, 0)
-        assert set(calls) == {"hetlora.client.choices", "hetlora.server.choices",
-                              "hetlora.baselines.generate_task"}
+        assert set(calls) == {"hetlora.client.choices", "hetlora.server.choices"}
+        assert tasks.generate_task.cache_info().misses == 1
         calls.clear()
         for cfg in self.VARIANTS:
             run_strategy(cfg, 0)
         assert calls == []
+        # a call that hits the cache builds nothing
+        assert tasks.generate_task.cache_info().misses == 1
 
     def test_cached_values_are_read_only(self, cold_caches):
-        task = baselines._shared_task(dataclasses.replace(self.CFG.task, seed=0))
+        task = generate_task(dataclasses.replace(self.CFG.task, seed=0))
         for m in (task.base.w0, task.target_delta, task.pool.inputs, task.pool.targets,
                   task.clients[0].inputs, task.eval_set.targets, task.eval_gram):
             with pytest.raises(ValueError, match="read-only"):
@@ -298,10 +299,59 @@ class TestSharedCaches:
         # selection blocks
         for seed in range(40):
             run_strategy(tiny_cfg(rounds=1), seed)
-        for cache in (baselines._shared_task, baselines._batch_schedule,
+        for cache in (tasks.generate_task, baselines._batch_schedule,
                       server._selection_block):
             info = cache.cache_info()
             assert info.misses > info.maxsize >= info.currsize
+
+
+class TestDenseAverages:
+    """The dense servers replace their update by the mean of the cohort's
+    trained models: recon_svd by that of the clients' products, full_ft by
+    that of their dense updates."""
+
+    CFG = tiny_cfg(reg_weight=0.0, decay=1.0)
+    COHORT = [0, 3, 5, 8]
+
+    @staticmethod
+    def keep_trained(monkeypatch, name, stacks, kept):
+        # copies of the first `stacks` model arguments of the local step
+        # `name`, as it leaves them trained
+        real = getattr(baselines, name)
+
+        def keeping(clients, selected, *args):
+            out = real(clients, selected, *args)
+            kept.append([x.copy() for x in args[:stacks]])
+            return out
+        monkeypatch.setattr(baselines, name, keeping)
+
+    def test_recon_svd_averages_the_products_of_mixed_ranks(self, monkeypatch):
+        cfg = dataclasses.replace(self.CFG, strategy="recon_svd")
+        strategy = baselines._ReconSvd(cfg, generate_task(SPEC), 0)
+        ranks = [strategy.ranks[k] for k in self.COHORT]
+        assert len(set(ranks)) > 1
+        kept = []
+        self.keep_trained(monkeypatch, "local_train", 2, kept)
+        for t in (1, 2):
+            strategy.round(self.COHORT, strategy.batches[t - 1])
+            [(b, a)] = kept
+            kept.clear()
+            assert b.shape[2] == max(ranks) and a.shape[1] == max(ranks)
+            want = sum(b[j, :, :r] @ a[j, :r] for j, r in enumerate(ranks)) / len(ranks)
+            np.testing.assert_allclose(strategy.dense, want, rtol=1e-13, atol=0)
+
+    def test_full_ft_averages_the_trained_updates(self, monkeypatch):
+        cfg = dataclasses.replace(self.CFG, strategy="full_ft")
+        strategy = baselines._FullFT(cfg, generate_task(SPEC), 0)
+        kept = []
+        self.keep_trained(monkeypatch, "dense_local_train", 1, kept)
+        for t in (1, 2):
+            strategy.round(self.COHORT, strategy.batches[t - 1])
+            [(local,)] = kept
+            kept.clear()
+            assert local.shape == (len(self.COHORT), SPEC.d, SPEC.l)
+            want = sum(local) / len(local)
+            np.testing.assert_allclose(strategy.dense, want, rtol=1e-13, atol=0)
 
 
 class TestRoundLoop:

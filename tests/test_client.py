@@ -93,26 +93,38 @@ def hand_rolled_sgd(k, received, cfg, dense=False, round_index=0, keep=None,
                     task=TASK, seeds=SEEDS):
     """Client k's SGD from `received`, written out apart from local_train,
     on the task's dataset of client k and its seed seeds[k], with
-    the data-loss gradients of oracles.lowrank_grads, or with `dense` of
-    oracles.dense_grads; with `keep`, the tail regulariser acts on the
-    ranks from `keep` on. Returns the trained factors at full rank."""
+    the data-loss steps of oracles.lowrank_grads, or with `dense` of
+    oracles.dense_grads times the learning rate; with `keep`, the tail
+    regulariser acts on the ranks from `keep` on. Returns the trained
+    factors at full rank."""
     rng = seeded_rng(seeds[k]).child("round", round_index)
     b = received.b.array.copy()
     a = received.a.array.copy()
     data = task.clients[k]
     r0 = base_residuals(data, task.base.w0.array)
+    lr = cfg.learning_rate
     for _ in range(cfg.local_iters):
         idx = rng.batch_indices(data.inputs.rows, cfg.batch_size)
         x = data.inputs.array[idx]
-        gb, ga = (dense_grads(b, a, task.base.w0.array, x, data.targets.array[idx])
-                  if dense else lowrank_grads(b, a, x, r0[idx]))
+        if dense:
+            gb, ga = dense_grads(b, a, task.base.w0.array, x, data.targets.array[idx])
+            gb, ga = lr * gb, lr * ga
+        else:
+            gb, ga = lowrank_grads(b, a, x, r0[idx], lr)
         if keep is not None:
-            nb, na = np.linalg.norm(b[:, keep:]), np.linalg.norm(a[keep:, :])
-            gb[:, keep:] += cfg.reg_weight * (na / nb) * b[:, keep:]
-            ga[keep:, :] += cfg.reg_weight * (nb / na) * a[keep:, :]
-        b = b - cfg.learning_rate * gb
-        a = a - cfg.learning_rate * ga
+            nb, na = tail_norm(b.T[keep:]), tail_norm(a[keep:])
+            gb[:, keep:] += lr * cfg.reg_weight * (na / nb) * b[:, keep:]
+            ga[keep:, :] += lr * cfg.reg_weight * (nb / na) * a[keep:, :]
+        b = b - gb
+        a = a - ga
     return b, a
+
+
+def tail_norm(rows):
+    """The Frobenius norm of a tail given as one row per rank, reduced as
+    _Tails.norms documents: each rank's dot product over a contiguous copy,
+    summed over the ranks before the square root."""
+    return np.sqrt(sum(np.dot(v, v) for v in np.ascontiguousarray(rows)))
 
 
 def first_diverging_iters(train, cfg, limit):
