@@ -31,10 +31,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import server
-from .client import Clients, dense_local_train, draw_batches, local_train
+from .client import dense_local_train, draw_batches, local_train
 from .config import ConfigError, ExperimentConfig
 from .linalg import Matrix, NumericError, seeded_rng
-from .lora import LoraPair, reconstruct, refactor_svd  # noqa: F401 - traced by bench
+from .lora import LoraPair, hand_out, reconstruct, refactor_svd  # noqa: F401 - traced by bench
 from .records import RunResult
 from .server import (
     SIMPLE,
@@ -98,7 +98,6 @@ class _Strategy:
 
     def __init__(self, cfg: ExperimentConfig, task: SyntheticTask, run_seed: int):
         self.cfg, self.task, spec = cfg, task, task.spec
-        self.clients = Clients(task)
         self.batches = _batch_schedule(run_seed, spec.num_clients, cfg.clients_per_round,
                                        cfg.rounds, spec.samples_per_client,
                                        cfg.batch_size, cfg.local_iters)
@@ -129,8 +128,8 @@ class _FactorServer(_Strategy):
 
     def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         ranks = [self.server.client_ranks[k] for k in selected]
-        b, a = self.clients.hand_out(self.server.global_pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, rows)
+        b, a = hand_out(self.server.global_pair, ranks)
+        new_ranks = local_train(self.task, selected, b, a, ranks, self.cfg, rows)
         self.server = aggregate(self.server, Updates.trained(selected, b, a, new_ranks))
         return self.traffic(ranks), self.traffic(new_ranks)
 
@@ -155,12 +154,12 @@ class _DenseServer(_Strategy):
 class _FullFT(_DenseServer):
     """FedAvg on a dense additive update with the base weight frozen.
 
-    Clients receive and return the whole update, d*l parameters each way.
+    Each client receives and returns the whole update, d*l parameters each way.
     """
 
     def round(self, selected: list[int], rows: np.ndarray) -> tuple[int, int]:
         local = np.repeat(self.dense[None], len(selected), axis=0)
-        dense_local_train(self.clients, selected, local, self.cfg, rows)
+        dense_local_train(self.task, selected, local, self.cfg, rows)
         self.dense = local.mean(axis=0)
         return local.size, local.size
 
@@ -188,8 +187,8 @@ class _ReconSvd(_DenseServer):
         if self.pair is None:
             self.pair = refactor_svd(self.dense, max(self.ranks))
         ranks = [self.ranks[k] for k in selected]
-        b, a = self.clients.hand_out(self.pair, ranks)
-        new_ranks = local_train(self.clients, selected, b, a, ranks, self.cfg, rows)
+        b, a = hand_out(self.pair, ranks)
+        new_ranks = local_train(self.task, selected, b, a, ranks, self.cfg, rows)
         # the sum of the clients' products b a is one product of their
         # factors side by side, d x m*width times m*width x l, to which the
         # zero padding adds nothing

@@ -8,16 +8,15 @@ drove their norm strictly below the value it had in the module received
 from the server. A client keeps no rank: local training returns its new
 rank, which the server's registry keeps, so pruned ranks never grow back.
 
-A run's clients are one Clients object: their samples as clients x n
-arrays, views of the task's pool, and a residual table, the base
-residuals x w0' - y of every sample, computed once per run. A client is
-its index.
+Client k is an index into the task: its samples are rows [k n, (k + 1) n)
+of the task's pool, and their base residuals x w0' - y the same rows of
+the task's residual table, computed once per task.
 
 The clients selected in a round are trained together, as one cohort in
 stacked arrays: stacks and batch rows in, ranks out, and nothing drawn. A
 strategy hands the cohort its adapters as one b stack (m x d x width) and
 one a stack (m x width x l), each zero-padded to the cohort's largest
-rank (Clients.hand_out copies the server's pair once and masks each
+rank (lora.hand_out copies the server's pair once and masks each
 client's padding), and the rows of each client's mini-batches in its
 samples; local_train trains the stacks in place and returns the new
 ranks, and dense_local_train trains a stack of dense updates in place.
@@ -50,32 +49,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .linalg import NumericError, choices, stream_words
 from .linalg import seeded_rng  # noqa: F401 - bench/tracing.py wraps client.seeded_rng
-from .lora import LoraPair, zero_beyond_ranks
+from .lora import LoraPair
 from .tasks import SyntheticTask
-
-
-class Clients:
-    """A run's clients as arrays: client k holds inputs[k] (n x l), a
-    read-only view of its rows of the task's pool, and base_resid[k]
-    (n x d), the residuals x w0' - y of those rows."""
-
-    def __init__(self, task: SyntheticTask):
-        n = task.spec.samples_per_client
-        self.inputs = task.pool.inputs.array.reshape(-1, n, task.spec.l)
-        resid = task.pool.inputs.array @ task.base.w0.array.T
-        resid -= task.pool.targets.array
-        self.base_resid = resid.reshape(-1, n, task.spec.d)
-
-    def hand_out(self, pair: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
-        """Client j's truncation of pair to ranks[j], zero-padded to the
-        largest rank and stacked, in new arrays: b (m x d x width) and a
-        (m x width x l), one np.repeat of each truncated factor, then one
-        masked write of zeros to every client's ranks beyond its own."""
-        width = max(ranks)
-        b = np.repeat(pair.b.array[None, :, :width], len(ranks), axis=0)
-        a = np.repeat(pair.a.array[None, :width], len(ranks), axis=0)
-        zero_beyond_ranks(b, a, ranks)
-        return b, a
 
 
 def draw_batches(seeds, rounds, n: int, size: int, iters: int) -> np.ndarray:
@@ -107,9 +82,11 @@ def tail_block_norm(p: LoraPair, decay: float) -> float:
     keep = kept_rank(p.rank, decay)
     if keep >= p.rank:
         return 0.0
-    nb = float(np.linalg.norm(p.b.array[:, keep:]))
-    na = float(np.linalg.norm(p.a.array[keep:, :]))
-    return nb * na
+    # each rank's dot product over a contiguous copy of its row, summed in
+    # rank order before the square root, as _Tails.norms reduces a tail
+    nb, na = (np.sqrt(sum(np.dot(v, v) for v in np.ascontiguousarray(rows)))
+              for rows in (p.b.array[:, keep:].T, p.a.array[keep:]))
+    return float(nb * na)
 
 
 class _Tails:
@@ -126,9 +103,10 @@ class _Tails:
         of a, 0 for a client without a tail, and the tail rows gathered:
         ((b norms, a norms), (b rows, a rows)).
 
-        Each tail rank is reduced by the dot product np.linalg.norm uses,
-        and a client's ranks are summed before the square root: a one-rank
-        tail has tail_block_norm's bits, a wider one agrees to rounding.
+        Each tail rank is reduced by the dot product of its row with
+        itself, and a client's ranks are summed in rank order before the
+        square root, as tail_block_norm reduces a tail: a tail of any width
+        has tail_block_norm's bits.
         """
         j, k = self.client, self.rank
         rows = b[j, :, k], a[j, k]
@@ -161,15 +139,17 @@ def _add_reg_grad(gb: np.ndarray, ga: np.ndarray, tails: _Tails, norms: tuple,
     ga[j, k, :] += rows[1] * ca[j, None]
 
 
-def _cohort_batches(clients: Clients, selected: list[int],
+def _cohort_batches(task: SyntheticTask, selected: list[int],
                     batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The selected clients' mini-batches of one round, whose rows in each
     client's samples are batches (m x iters x size): inputs (iters x m x
-    size x l) and their base residuals (iters x m x size x d), gathered
-    through one flat index."""
-    flat = batches.transpose(1, 0, 2) + np.multiply(selected, clients.inputs.shape[1])[:, None]
-    return tuple(np.take(rows.reshape(-1, rows.shape[2]), flat, axis=0)
-                 for rows in (clients.inputs, clients.base_resid))
+    size x l) and their base residuals (iters x m x size x d), gathered from
+    the task's pool and residual table through one flat index, client k's
+    samples being rows [k n, (k + 1) n) of both."""
+    n = task.spec.samples_per_client
+    flat = batches.transpose(1, 0, 2) + np.multiply(selected, n)[:, None]
+    return tuple(np.take(rows.array, flat, axis=0)
+                 for rows in (task.pool.inputs, task.base_resid))
 
 
 def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
@@ -187,7 +167,7 @@ def _raise_first_divergence(selected: list[int], *stacks: np.ndarray) -> None:
     raise NumericError(f"client {selected[np.flatnonzero(~ok)[0]]} diverged")
 
 
-def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndarray,
+def local_train(task: SyntheticTask, selected: list[int], b: np.ndarray, a: np.ndarray,
                 ranks: list[int], cfg: ExperimentConfig, batches: np.ndarray) -> list[int]:
     """Run local SGD for a cohort, in place, and decide on pruning.
 
@@ -216,7 +196,7 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
         received_tail = np.multiply(*norms)
     regularize = cfg.reg_weight > 0 and has_tail
 
-    xs, r0 = _cohort_batches(clients, selected, batches)
+    xs, r0 = _cohort_batches(task, selected, batches)
     scale = cfg.learning_rate / xs.shape[2]
     for step in range(cfg.local_iters):
         x = xs[step]
@@ -240,7 +220,7 @@ def local_train(clients: Clients, selected: list[int], b: np.ndarray, a: np.ndar
     return np.where(shrunk, tails.keep, ranks).tolist()
 
 
-def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
+def dense_local_train(task: SyntheticTask, selected: list[int], deltas: np.ndarray,
                       cfg: ExperimentConfig, batches: np.ndarray) -> None:
     """Local SGD of a cohort on dense d x l additive updates (full
     fine-tuning), in place: client selected[j] trains deltas[j] on the
@@ -249,7 +229,7 @@ def dense_local_train(clients: Clients, selected: list[int], deltas: np.ndarray,
     """
     if len(selected) != len(deltas):
         raise ValueError(f"{len(selected)} clients but {len(deltas)} models")
-    xs, r0 = _cohort_batches(clients, selected, batches)
+    xs, r0 = _cohort_batches(task, selected, batches)
     scale = cfg.learning_rate / xs.shape[2]
     for step in range(cfg.local_iters):
         # deltas -= (r0 + x deltas')' (x lr / n)

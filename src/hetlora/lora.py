@@ -2,8 +2,9 @@
 
 An adapter is the factor pair (b: d x r, a: r x l) whose product is the
 additive update to a frozen d x l base weight. All functions here are pure
-but zero_beyond_ranks, which masks stacked factors in place;
-truncation and masking act on the factor rank dimension only.
+but zero_beyond_ranks, which masks stacked factors in place; hand_out
+builds a cohort's stacked truncations of one pair in new arrays.
+Truncation and masking act on the factor rank dimension only.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ def zero_beyond_ranks(b: np.ndarray, a: np.ndarray, ranks) -> None:
         return
     j, k = np.nonzero(np.arange(b.shape[2]) >= np.asarray(ranks)[:, None])
     b[j, :, k] = a[j, k] = 0
+
+
+def hand_out(p: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
+    """The truncations of p to each of ranks, zero-padded to the largest
+    and stacked, in new arrays: b (m x d x width) and a (m x width x l),
+    one np.repeat of each truncated factor, then one masked write of zeros
+    to every adapter's ranks beyond its own."""
+    width = max(ranks)
+    b = np.repeat(p.b.array[None, :, :width], len(ranks), axis=0)
+    a = np.repeat(p.a.array[None, :width], len(ranks), axis=0)
+    zero_beyond_ranks(b, a, ranks)
+    return b, a
 
 
 def reconstruct(p: LoraPair) -> Matrix:

@@ -74,8 +74,9 @@ class SyntheticTaskSpec:
 class ClientDataset:
     """Samples as rows: inputs is n x l, targets is n x d.
 
-    A task's client datasets are views of rows of its pool; client.Clients
-    views the pool as one clients x n array of each.
+    A task's client datasets are views of rows of its pool: client k's are
+    rows [k n, (k + 1) n), which local training gathers from the pool and
+    from the task's base-residual table by flat row index.
     """
 
     inputs: Matrix
@@ -99,6 +100,7 @@ class SyntheticTask:
     base: FrozenBaseModel
     target_delta: Matrix  # the hidden rank-rho* update, Frobenius norm 1
     pool: ClientDataset  # all samples; clients[k] views rows [k n, (k + 1) n)
+    base_resid: Matrix  # x w0' - y of every pool row, N n x d
     clients: tuple[ClientDataset, ...]
     complexities: tuple[int, ...]
     eval_set: ClientDataset  # full input distribution, noiseless targets
@@ -158,10 +160,14 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
             y = y + crng.gaussian(n, spec.d, std=spec.noise_std).array
         xs[k], ys[k] = x, y
 
+    # np.subtract frees the product before round 1, which raises glibc's
+    # mmap and trim thresholds above a round's arrays: they then stay on the
+    # heap, not page-faulted in anew each round (resid -= pool_y frees none)
+    resid = np.subtract(pool_x @ w0.array.T, pool_y)
     er = root.child("eval")
     ex = er.gaussian(spec.eval_samples, spec.l).array
     ey = ex @ w_full.T
-    if not all(np.isfinite(v).all() for v in (w0.array, delta, pool_x, pool_y, ex, ey)):
+    if not all(np.isfinite(v).all() for v in (w0.array, delta, pool_x, pool_y, resid, ex, ey)):
         raise ValueError(f"task values are not finite; {OVERFLOW_HINT}")
 
     return SyntheticTask(
@@ -169,6 +175,7 @@ def generate_task(spec: SyntheticTaskSpec) -> SyntheticTask:
         base=FrozenBaseModel(w0=w0),
         target_delta=Matrix._wrap(delta),
         pool=ClientDataset(inputs=Matrix._wrap(pool_x), targets=Matrix._wrap(pool_y)),
+        base_resid=Matrix._wrap(resid),
         clients=tuple(ClientDataset(inputs=Matrix._wrap(x), targets=Matrix._wrap(y))
                       for x, y in zip(xs, ys)),
         complexities=complexities,

@@ -255,7 +255,8 @@ class TestSharedCaches:
     def test_cached_values_are_read_only(self, cold_caches):
         task = generate_task(dataclasses.replace(self.CFG.task, seed=0))
         for m in (task.base.w0, task.target_delta, task.pool.inputs, task.pool.targets,
-                  task.clients[0].inputs, task.eval_set.targets, task.eval_gram):
+                  task.base_resid, task.clients[0].inputs, task.eval_set.targets,
+                  task.eval_gram):
             with pytest.raises(ValueError, match="read-only"):
                 m.array[0, 0] = 0.0
         rows = schedule(self.CFG, 0)
@@ -265,10 +266,12 @@ class TestSharedCaches:
         assert baselines._batch_schedule.cache_info().currsize == 1
 
     def test_a_seed_s_strategies_draw_one_schedule(self, cold_caches):
+        # and share one task, so one residual table
         for strategy in STRATEGY_TAGS:
             run_strategy(dataclasses.replace(self.CFG, strategy=strategy), 0)
         info = baselines._batch_schedule.cache_info()
         assert (info.misses, info.hits) == (1, len(STRATEGY_TAGS) - 1)
+        assert tasks.generate_task.cache_info().misses == 1
 
     def test_schedule_rows_are_successive_batch_indices(self, cold_caches):
         # round t's rows are local_iters successive Rng.batch_indices calls
@@ -319,8 +322,8 @@ class TestDenseAverages:
         # `name`, as it leaves them trained
         real = getattr(baselines, name)
 
-        def keeping(clients, selected, *args):
-            out = real(clients, selected, *args)
+        def keeping(task, selected, *args):
+            out = real(task, selected, *args)
             kept.append([x.copy() for x in args[:stacks]])
             return out
         monkeypatch.setattr(baselines, name, keeping)

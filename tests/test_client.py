@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hetlora import baselines
 from hetlora import client as client_module
 from hetlora.client import (
-    Clients,
     _cohort_batches,
     _Tails,
     dense_local_train,
@@ -21,7 +20,7 @@ from hetlora.client import (
     tail_block_norm,
 )
 from hetlora.linalg import Matrix, NumericError, seeded_rng
-from hetlora.lora import LoraPair, truncate
+from hetlora.lora import LoraPair, hand_out, truncate
 from hetlora.server import select_clients
 from hetlora.tasks import SyntheticTaskSpec, generate_task
 from oracles import (
@@ -41,7 +40,6 @@ SPEC = SyntheticTaskSpec(d=10, l=8, true_rank=4, num_clients=4,
                          samples_per_client=24, noise_std=0.05,
                          client_complexity=(1, 2, 3, 4), seed=7)
 TASK = generate_task(SPEC)
-CLIENTS = Clients(TASK)
 SEEDS = [100 + k for k in range(SPEC.num_clients)]
 
 
@@ -53,39 +51,39 @@ def random_pair(seed, rank=4, scale=0.2):
     )
 
 
-def batches(clients, selected, cfg, round_index, seeds=SEEDS):
+def batches(task, selected, cfg, round_index, seeds=SEEDS):
     """The selected clients' batch rows of one round, client k drawing on
     its (seeds[k], "round", round_index) stream."""
     return draw_batches([[seeds[k] for k in selected]], [round_index],
-                        clients.inputs.shape[1], cfg.batch_size, cfg.local_iters)[0]
+                        task.spec.samples_per_client, cfg.batch_size, cfg.local_iters)[0]
 
 
-def train(clients, selected, pairs, cfg, round_index, seeds=SEEDS):
+def train(task, selected, pairs, cfg, round_index, seeds=SEEDS):
     """local_train of a cohort on the stack of these pairs, on its batches
     of the round: the trained pairs at their new ranks, in cohort order."""
     b, a = stack(pairs)
-    ranks = local_train(clients, selected, b, a, [p.rank for p in pairs], cfg,
-                        batches(clients, selected, cfg, round_index, seeds))
+    ranks = local_train(task, selected, b, a, [p.rank for p in pairs], cfg,
+                        batches(task, selected, cfg, round_index, seeds))
     return [LoraPair(Matrix(b[j, :, :r]), Matrix(a[j, :r])) for j, r in enumerate(ranks)]
 
 
-def dense_train(clients, selected, deltas, cfg, round_index):
+def dense_train(task, selected, deltas, cfg, round_index):
     """dense_local_train of a cohort on the stack of these updates."""
     local = np.array(deltas, dtype=np.float64)
-    dense_local_train(clients, selected, local, cfg,
-                      batches(clients, selected, cfg, round_index))
+    dense_local_train(task, selected, local, cfg,
+                      batches(task, selected, cfg, round_index))
     return list(local)
 
 
 def train_one(k, received, cfg, round_index=0):
-    """local_train of client k of CLIENTS on a cohort of one: the trained
+    """local_train of client k of TASK on a cohort of one: the trained
     pair, at its new rank."""
-    [out] = train(CLIENTS, [k], [received], cfg, round_index)
+    [out] = train(TASK, [k], [received], cfg, round_index)
     return out
 
 
 def dense_one(k, delta, cfg, round_index=0):
-    [out] = dense_train(CLIENTS, [k], [delta], cfg, round_index)
+    [out] = dense_train(TASK, [k], [delta], cfg, round_index)
     return out
 
 
@@ -140,15 +138,19 @@ def first_diverging_iters(train, cfg, limit):
 
 class TestClients:
     def test_arrays_view_the_task_pool(self):
-        # client k's inputs are the task's dataset of client k, read-only
-        # views of the pool, not copies; its residual rows are x w0' - y of
-        # those samples, as one client's product gives them
+        # client k's dataset is rows [k n, (k + 1) n) of the task's pool,
+        # read-only views, not copies; the same rows of the task's residual
+        # table are x w0' - y of those samples, as one client's product
+        # gives them
+        n = SPEC.samples_per_client
+        resid = TASK.base_resid.array
+        assert resid.shape == (SPEC.num_clients * n, SPEC.d) and not resid.flags.writeable
         for k, data in enumerate(TASK.clients):
-            got = CLIENTS.inputs[k]
-            assert np.array_equal(got, data.inputs.array) and not got.flags.writeable
-            assert np.array_equal(CLIENTS.base_resid[k],
-                                  base_residuals(data, TASK.base.w0.array))
-        assert np.shares_memory(CLIENTS.inputs, TASK.pool.inputs.array)
+            rows = slice(k * n, (k + 1) * n)
+            got = data.inputs.array
+            assert np.array_equal(got, TASK.pool.inputs.array[rows])
+            assert np.shares_memory(got, TASK.pool.inputs.array) and not got.flags.writeable
+            assert np.array_equal(resid[rows], base_residuals(data, TASK.base.w0.array))
 
 
 class TestKeptRankAndTailNorm:
@@ -230,27 +232,22 @@ class TestRegularizedObjective:
         assert np.all(ga[1, 0] == 0) and np.all(ga[1, 1] > 0)
 
     def test_stacked_tail_norms_match_tail_block_norm(self):
-        # one-rank tails (every tail at decay 0.99) give tail_block_norm's
-        # bits, whatever the other tails' widths; wider tails (decay 0.5 on
-        # ranks 1..6) agree to rounding
+        # one-rank tails (every tail at decay 0.99) and wider ones (decay 0.5
+        # on ranks 1..6) give tail_block_norm's bits, whatever the other
+        # tails' widths
         for decay, ranks in ((0.99, (1, 2, 5, 3, 1, 4)), (0.5, (1, 2, 5, 3, 6, 4))):
             pairs = [random_pair(60 + k, rank=r) for k, r in enumerate(ranks)]
             b, a = stack(pairs)
             (nb, na), _ = _Tails(ranks, decay).norms(b, a)
-            want = [tail_block_norm(p, decay) for p in pairs]
-            if decay == 0.99:
-                assert (nb * na).tolist() == want
-            else:
-                assert nb * na == pytest.approx(want, rel=1e-14, abs=0)
-                assert nb[1] * na[1] == want[1]  # rank 2 keeps 1: a one-rank tail
+            assert (nb * na).tolist() == [tail_block_norm(p, decay) for p in pairs]
 
 
 class TestLocalTrain:
     def test_one_model_per_client(self):
         b, a = stack([random_pair(1)])
         with pytest.raises(ValueError, match="2 clients but 1 models"):
-            local_train(CLIENTS, [0, 1], b, a, [4], local_config(SPEC),
-                        batches(CLIENTS, [0, 1], local_config(SPEC), 0))
+            local_train(TASK, [0, 1], b, a, [4], local_config(SPEC),
+                        batches(TASK, [0, 1], local_config(SPEC), 0))
 
     def test_deterministic(self):
         cfg = local_config(SPEC, learning_rate=0.1, reg_weight=0.01, decay=0.5)
@@ -299,8 +296,8 @@ class TestLocalTrain:
         selected = [0, 1]
         received = [random_pair(7, scale=0.1), random_pair(12, scale=0.1)]
         before = [(p.b.array.copy(), p.a.array.copy()) for p in received]
-        first = train(CLIENTS, selected, received, cfg, 0)
-        second = train(CLIENTS, selected, received, cfg, 0)
+        first = train(TASK, selected, received, cfg, 0)
+        second = train(TASK, selected, received, cfg, 0)
         assert first[0].rank == 2
         for p, q in zip(first, second):
             assert p.rank == q.rank
@@ -390,8 +387,8 @@ class TestLocalTrain:
 class TestDenseLocalTrain:
     def test_one_model_per_client(self):
         with pytest.raises(ValueError, match="1 clients but 2 models"):
-            dense_local_train(CLIENTS, [0], np.zeros((2, SPEC.d, SPEC.l)),
-                              local_config(SPEC), batches(CLIENTS, [0], local_config(SPEC), 0))
+            dense_local_train(TASK, [0], np.zeros((2, SPEC.d, SPEC.l)),
+                              local_config(SPEC), batches(TASK, [0], local_config(SPEC), 0))
 
     def test_full_batch_step_is_dense_gradient_step(self):
         # one step on the whole dataset is delta - lr * grad, with grad the
@@ -444,7 +441,7 @@ class TestCohort:
     def train(self, order):
         """The pairs clients order train in round 2, in cohort order."""
         pairs = [random_pair(70 + k, rank=self.RANKS[k], scale=0.1) for k in order]
-        return train(CLIENTS, list(order), pairs, self.CFG, 2)
+        return train(TASK, list(order), pairs, self.CFG, 2)
 
     def test_permuting_a_cohort_is_bit_identical(self):
         by_order = []
@@ -460,8 +457,8 @@ class TestCohort:
     def test_permuting_a_dense_cohort_is_bit_identical(self):
         cfg = local_config(SPEC, local_iters=4, batch_size=6, learning_rate=0.1)
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(4)]
-        out = dense_train(CLIENTS, [0, 1, 2, 3], deltas, cfg, 1)
-        back = dense_train(CLIENTS, [3, 2, 1, 0], deltas[::-1], cfg, 1)
+        out = dense_train(TASK, [0, 1, 2, 3], deltas, cfg, 1)
+        back = dense_train(TASK, [3, 2, 1, 0], deltas[::-1], cfg, 1)
         for k in range(4):
             assert np.array_equal(out[k], back[3 - k])
 
@@ -486,7 +483,7 @@ class TestCohort:
         assert iters[3] < iters[1] <= cfg.local_iters
 
         with pytest.raises(NumericError) as exc_info:
-            train(CLIENTS, [0, 1, 2, 3], pairs, cfg, 0)
+            train(TASK, [0, 1, 2, 3], pairs, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
@@ -499,55 +496,56 @@ class TestCohort:
         assert iters[0] is None and iters[2] is None
         assert iters[3] < iters[1] <= cfg.local_iters
         with pytest.raises(NumericError) as exc_info:
-            dense_train(CLIENTS, [0, 1, 2, 3], deltas, cfg, 0)
+            dense_train(TASK, [0, 1, 2, 3], deltas, cfg, 0)
         assert str(exc_info.value) == "client 1 diverged"
 
 
 class TestBuffers:
-    """Each round allocates its own arrays; no call sees what an earlier one
-    left in its Clients."""
+    """Each round allocates its own arrays, and the task is read only: no
+    call sees what an earlier one left behind."""
 
     CFG = local_config(SPEC, local_iters=3, batch_size=8, learning_rate=0.2,
                        reg_weight=0.3, decay=0.7)
 
     def calls(self):
         """Hand-out and local_train, dense_local_train, then both again on
-        wider and on narrower cohorts, each as f(clients) -> arrays."""
+        wider and on narrower cohorts, each as f() -> arrays."""
         def lora(cohort, ranks, t):
             pair = random_pair(90 + t, rank=max(ranks))
 
-            def call(c):
-                b, a = c.hand_out(pair, ranks)
-                new = local_train(c, cohort, b, a, ranks, self.CFG,
-                                  batches(c, cohort, self.CFG, t))
+            def call():
+                b, a = hand_out(pair, ranks)
+                new = local_train(TASK, cohort, b, a, ranks, self.CFG,
+                                  batches(TASK, cohort, self.CFG, t))
                 return [b.copy(), a.copy(), np.array(new)]
             return call
 
         deltas = [np.full((SPEC.d, SPEC.l), 0.01 * k) for k in range(3)]
         return [lora([1, 3], [2, 1], 5),
-                lambda c: dense_train(c, [2, 0, 3], deltas, self.CFG, 6),
+                lambda: dense_train(TASK, [2, 0, 3], deltas, self.CFG, 6),
                 lora([0, 1, 2, 3], [4, 3, 2, 4], 7),
                 lora([2, 0], [1, 2], 40)]
 
-    def test_each_call_equals_the_call_on_fresh_clients(self):
-        clients = Clients(TASK)
-        for call in self.calls():
-            got = call(clients)
-            want = call(Clients(TASK))
+    def test_repeating_a_call_gives_the_same_arrays(self):
+        # each call in turn, then all of them again: the second pass sees
+        # the task every call of the first left behind
+        first = [call() for call in self.calls()]
+        for call, want in zip(self.calls(), first):
+            got = call()
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_successive_hand_outs_share_no_memory(self):
-        clients = Clients(TASK)
         pair = random_pair(4, rank=3)
-        first = clients.hand_out(pair, [3, 1])
-        second = clients.hand_out(pair, [2, 3])
+        first = hand_out(pair, [3, 1])
+        second = hand_out(pair, [2, 3])
         assert not any(np.shares_memory(x, y) for x in first for y in second)
+        assert not any(np.shares_memory(x, y.array) for x in first for y in (pair.b, pair.a))
 
     def test_hand_out_truncates_and_zero_pads(self):
         pair = random_pair(3, rank=4)
         ranks = [2, 4, 1]
-        b, a = CLIENTS.hand_out(pair, ranks)
+        b, a = hand_out(pair, ranks)
         want_b, want_a = stack([truncate(pair, r) for r in ranks])
         assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
@@ -578,7 +576,7 @@ class TestBuffers:
             assert drawn == want and len(got) == rounds
             for t in {1, 5, 32, 33, 65, rounds} & set(range(1, rounds + 1)):
                 cohort = select_clients(n, m, t, 3)
-                assert np.array_equal(got[t - 1], batches(CLIENTS, cohort, cfg, t, seeds))
+                assert np.array_equal(got[t - 1], batches(TASK, cohort, cfg, t, seeds))
 
 
 # tasks whose clients hold fewer samples than a batch of 8, as many, and more
@@ -626,11 +624,10 @@ class TestCohortBatches:
                                  samples_per_client=size, noise_std=0.0,
                                  client_complexity=1, seed=1, eval_samples=2)
         task = generate_task(spec)
-        population = Clients(task)
         selected = list(range(clients))[::-1]
         cfg = local_config(spec, local_iters=local_iters, batch_size=batch_size)
-        idx = batches(population, selected, cfg, round_index, range(seed, seed + clients))
-        xs, r0 = _cohort_batches(population, selected, idx)
+        idx = batches(task, selected, cfg, round_index, range(seed, seed + clients))
+        xs, r0 = _cohort_batches(task, selected, idx)
         for j, k in enumerate(selected):
             rng = seeded_rng(seed + k).child("round", round_index)
             data = task.clients[k]
@@ -671,8 +668,8 @@ class TestLowRankStep:
                     for k in cohort]
 
         task = TASKS_BY_SIZE[samples]
-        population, seeds = Clients(task), range(1000, 1006)
-        out = train(population, cohort, received, cfg, round_index, seeds)
+        seeds = range(1000, 1006)
+        out = train(task, cohort, received, cfg, round_index, seeds)
         for k, p, got in zip(cohort, received, out):
             keep = kept_rank(p.rank, decay)
             b, a = hand_rolled_sgd(k, p, cfg, True, round_index,

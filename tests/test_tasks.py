@@ -1,6 +1,11 @@
 """Tests for synthetic task generation and the loss/gradient oracles."""
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +244,36 @@ class TestEvalLoss:
             factored = loss(LoraPair(Matrix._wrap(b), Matrix(np.ones((1, SPEC.l)))),
                             self.TASK)
         assert not np.isfinite(got) and not np.isfinite(factored)
+
+
+# 100 hetlora rounds of the default config on seed 0, in a fresh process:
+# the minor page faults per round, task and schedule builds included
+FAULTS_PER_ROUND = """
+import dataclasses, resource
+from hetlora.baselines import run_strategy
+from hetlora.config import load_config
+from hetlora.tasks import generate_task
+cfg = dataclasses.replace(load_config("default"), strategy="hetlora", rounds=100)
+task = generate_task(dataclasses.replace(cfg.task, seed=0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_strategy(cfg, 0, task)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.rounds)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_first_run_s_rounds_stay_off_the_page_fault_path():
+    # building the residual table frees a block larger than a round's
+    # arrays, which raises glibc's mmap and trim thresholds above them, so
+    # even a process's first run keeps its round temporaries on the heap
+    # instead of mapping and faulting in about 100 pages a round anew;
+    # BLAS is pinned to one thread as bench/run.py pins it, and the
+    # allocator runs with its default settings
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_ROUND], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 20
