@@ -130,7 +130,9 @@ class _FactorServer(_Strategy):
         ranks = [self.server.client_ranks[k] for k in selected]
         b, a = hand_out(self.server.global_pair, ranks)
         new_ranks = local_train(self.task, selected, b, a, ranks, self.cfg, rows)
-        self.server = aggregate(self.server, Updates.trained(selected, b, a, new_ranks))
+        w = max(new_ranks)  # local_train left the stacks zero beyond each new rank
+        self.server = aggregate(self.server,
+                                Updates(selected, b[:, :, :w], a[:, :w], new_ranks))
         return self.traffic(ranks), self.traffic(new_ranks)
 
     def evaluate(self) -> float:

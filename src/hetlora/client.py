@@ -16,12 +16,14 @@ The clients selected in a round are trained together, as one cohort in
 stacked arrays: stacks and batch rows in, ranks out, and nothing drawn. A
 strategy hands the cohort its adapters as one b stack (m x d x width) and
 one a stack (m x width x l), each zero-padded to the cohort's largest
-rank (lora.hand_out copies the server's pair once and masks each
-client's padding), and the rows of each client's mini-batches in its
-samples; local_train trains the stacks in place and returns the new
+rank (lora.hand_out copies the server's pair once and writes each
+client's padding zeros), and the rows of each client's mini-batches in
+its samples; local_train trains the stacks in place and returns the new
 ranks, and dense_local_train trains a stack of dense updates in place.
 Every step is one batched matmul per operation for the whole cohort, and
-the padding stays exactly zero under SGD. Each round allocates its own
+the padding stays exactly zero under SGD; the prune test writes zeros
+into the ranks a client drops, so each client's trained stacks are zero
+beyond its new rank. Each round allocates its own
 stacks, batches and products, so the trained stacks can go to the server
 as they are. A client's batches come from its own (client seed, round)
 stream, bit for bit one Generator.choice(n, batch_size, replace=False)
@@ -176,7 +178,9 @@ def local_train(task: SyntheticTask, selected: list[int], b: np.ndarray, a: np.n
     each of its mini-batches, whose rows in its samples are batches[j]
     (local_iters x size). Returns the clients' new ranks in cohort order:
     client j's trained adapter is the leading new-rank block of b[j] and
-    a[j]. With reg_weight 0 and decay 1 this is a plain FedAvg local step:
+    a[j], and both are exactly zero beyond it, since SGD keeps the padding
+    zero and a client that prunes has its dropped ranks zeroed here. With
+    reg_weight 0 and decay 1 this is a plain FedAvg local step:
     the tail is empty and the strict-decrease pruning test can never fire.
 
     A step takes the data-loss gradient in low-rank form. With a batch x
@@ -217,6 +221,9 @@ def local_train(task: SyntheticTask, selected: list[int], b: np.ndarray, a: np.n
         return list(ranks)
     # a client without a tail has norm 0 before and after, and 0 < 0
     shrunk = np.multiply(*tails.norms(b, a)[0]) < received_tail
+    dropped = shrunk[tails.client]
+    j, k = tails.client[dropped], tails.rank[dropped]
+    b[j, :, k] = a[j, k] = 0
     return np.where(shrunk, tails.keep, ranks).tolist()
 
 

@@ -1,10 +1,12 @@
 """Low-rank adapter pairs and the structural transforms the protocol needs.
 
 An adapter is the factor pair (b: d x r, a: r x l) whose product is the
-additive update to a frozen d x l base weight. All functions here are pure
-but zero_beyond_ranks, which masks stacked factors in place; hand_out
-builds a cohort's stacked truncations of one pair in new arrays.
-Truncation and masking act on the factor rank dimension only.
+additive update to a frozen d x l base weight. All functions here are
+pure; hand_out builds a cohort's stacked truncations of one pair in new
+arrays and writes the zeros of each adapter's padding, the only zeros a
+cohort's stacks receive before local training (client.local_train zeroes
+the ranks a client prunes). Truncation and padding act on the factor
+rank dimension only.
 """
 
 from __future__ import annotations
@@ -51,25 +53,18 @@ def truncate(p: LoraPair, r_new: int) -> LoraPair:
                     a=Matrix._wrap(p.a.array[:r_new, :]))
 
 
-def zero_beyond_ranks(b: np.ndarray, a: np.ndarray, ranks) -> None:
-    """Zero, in place, each adapter's ranks beyond its own in stacked
-    factors: b[j, :, ranks[j]:] and a[j, ranks[j]:], in one masked write
-    (none when every adapter fills the stacks' width)."""
-    if min(ranks) >= b.shape[2]:
-        return
-    j, k = np.nonzero(np.arange(b.shape[2]) >= np.asarray(ranks)[:, None])
-    b[j, :, k] = a[j, k] = 0
-
-
 def hand_out(p: LoraPair, ranks) -> tuple[np.ndarray, np.ndarray]:
     """The truncations of p to each of ranks, zero-padded to the largest
     and stacked, in new arrays: b (m x d x width) and a (m x width x l),
     one np.repeat of each truncated factor, then one masked write of zeros
-    to every adapter's ranks beyond its own."""
+    to every adapter's ranks beyond its own (none when every adapter
+    fills the width)."""
     width = max(ranks)
     b = np.repeat(p.b.array[None, :, :width], len(ranks), axis=0)
     a = np.repeat(p.a.array[None, :width], len(ranks), axis=0)
-    zero_beyond_ranks(b, a, ranks)
+    if min(ranks) < width:
+        j, k = np.nonzero(np.arange(width) >= np.asarray(ranks)[:, None])
+        b[j, :, k] = a[j, k] = 0
     return b, a
 
 

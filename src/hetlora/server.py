@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import Matrix, NumericError, choices, seeded_rng, stream_words
-from .lora import LoraPair, truncate, zero_beyond_ranks
+from .lora import LoraPair, truncate
 from .lora import aggregate_pairs, sparsity_score  # noqa: F401 - traced by bench
 
 SIMPLE = "simple"
@@ -93,24 +93,16 @@ def distribute(state: ServerState, client_rank: int) -> LoraPair:
 class Updates:
     """A round's trained adapters as the cohort's stacks: client ids[j]
     returns b[j] (d x width) and a[j] (width x l) at rank ranks[j], zero
-    beyond it, and width is the largest of the ranks. Iterates as (client
-    id, LoraPair) pairs, each pair truncated to its client's rank."""
+    beyond it, and width is the largest of the ranks. A round's strategy
+    passes client.local_train's stacks trimmed to that width, as views:
+    lora.hand_out wrote each client's padding zeros, and local_train's
+    prune test the zeros of the ranks a client dropped. Iterates as
+    (client id, LoraPair) pairs, each pair truncated to its client's rank."""
 
     ids: list[int]
     b: np.ndarray
     a: np.ndarray
     ranks: list[int]
-
-    @classmethod
-    def trained(cls, ids, b: np.ndarray, a: np.ndarray, ranks) -> Updates:
-        """The updates of a cohort that trained the stacks b and a and kept
-        ranks[j] each: views of the stacks trimmed to the largest kept rank.
-        It writes to the stacks it is given: one masked write of zeros to
-        every client's ranks beyond its own."""
-        width = max(ranks)
-        b, a = b[:, :, :width], a[:, :width]
-        zero_beyond_ranks(b, a, ranks)
-        return cls(list(ids), b, a, list(ranks))
 
     @classmethod
     def of_pairs(cls, updates) -> Updates:

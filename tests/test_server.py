@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetlora import server
+from hetlora.client import draw_batches, kept_rank, local_train
 from hetlora.linalg import Matrix, seeded_rng
-from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score, truncate
+from hetlora.lora import LoraPair, aggregate_pairs, sparsity_score
 from hetlora.server import (
     SIMPLE,
     SPARSITY_WEIGHTED,
@@ -20,7 +21,8 @@ from hetlora.server import (
     distribute,
     select_clients,
 )
-from oracles import stack, updates
+from hetlora.tasks import SyntheticTaskSpec, generate_task
+from oracles import local_config, stack, updates
 
 D, L = 8, 6
 
@@ -264,36 +266,39 @@ class TestAggregate:
 
     @pytest.mark.parametrize("aggregation", [SIMPLE, SPARSITY_WEIGHTED])
     def test_a_pruned_client_s_dropped_ranks_do_not_reach_the_global(self, aggregation):
-        # clients trained at width 4 and kept ranks 3, 1 and 3: the round's
-        # updates view the stacks trimmed to rank 3, and client 1's trained
-        # ranks 1..3, which are not zero, are zeroed there, so the global
-        # pair is aggregate_pairs of the truncated pairs
+        # clients 0, 1 and 3 train ranks 4, 1 and 3 at width 4 under a strong
+        # regulariser, so the rank-4 and rank-3 clients prune, to 2 and 1;
+        # local_train leaves every client's stacks zero beyond its new rank
+        # (and not beyond it), so the round's updates,
+        # the stacks trimmed to the largest new rank, fold into the global
+        # pair as aggregate_pairs of the truncated pairs
+        spec = SyntheticTaskSpec(d=D, l=L, true_rank=3, num_clients=4,
+                                 samples_per_client=24, noise_std=0.05, seed=5)
+        task = generate_task(spec)
+        cfg = local_config(spec, local_iters=10, batch_size=8, learning_rate=0.05,
+                           reg_weight=1.0, decay=0.5)
         state = make_state(rank=4, aggregation=aggregation, num_clients=4)
-        trained = [random_pair(20 + j, 4) for j in range(3)]
-        ids, ranks = [0, 1, 3], [3, 1, 3]
-        b, a = stack(trained)
-        b_trained, a_trained = b.copy(), a.copy()
-        got = Updates.trained(ids, b, a, ranks)
-        assert got.b.shape == (3, D, 3) and got.a.shape == (3, 3, L)
-        assert np.shares_memory(got.b, b) and np.shares_memory(got.a, a)
-        assert not (b[1, :, 1:3].any() or a[1, 1:3].any())
-        kept = [truncate(p, r) for p, r in zip(trained, ranks)]
-        assert [k for k, _ in got] == ids
-        for (_, p), q in zip(got, kept):
-            assert np.array_equal(p.b.array, q.b.array)
-            assert np.array_equal(p.a.array, q.a.array)
+        ids, ranks = [0, 1, 3], [4, 1, 3]
+        b, a = stack([random_pair(20 + j, r, scale=0.1) for j, r in enumerate(ranks)], 4)
+        rows = draw_batches([[100 + k for k in ids]], [1], spec.samples_per_client,
+                            cfg.batch_size, cfg.local_iters)[0]
+        new_ranks = local_train(task, ids, b, a, ranks, cfg, rows)
+        assert new_ranks == [kept_rank(4, 0.5), 1, kept_rank(3, 0.5)] == [2, 1, 1]
+        for j, r in enumerate(new_ranks):
+            assert not (b[j, :, r:].any() or a[j, r:].any())
+            assert b[j, :, :r].any() and a[j, :r].any()
+        width = max(new_ranks)
+        got = Updates(ids, b[:, :, :width], a[:, :width], new_ranks)
+        kept = [LoraPair(Matrix(b[j, :, :r]), Matrix(a[j, :r]))
+                for j, r in enumerate(new_ranks)]
         new = aggregate(state, got)
-        assert new.client_ranks == {0: 3, 1: 1, 2: 4, 3: 3}
+        assert new.client_ranks == {0: 2, 1: 1, 2: 4, 3: 1}
         scores = [sparsity_score(p) for p in kept]
         w = [1 / 3] * 3 if aggregation == SIMPLE else [x / sum(scores) for x in scores]
         (b_want,), (a_want,) = stack([aggregate_pairs(kept, w)], 4)
         for got_f, ref in ((new.global_pair.b.array, b_want),
                            (new.global_pair.a.array, a_want)):
             np.testing.assert_allclose(got_f, ref, rtol=1e-13, atol=1e-15)
-        # trimmed but not masked, client 1's ranks 1..3 would reach it
-        unmasked = Updates(ids, b_trained[:, :, :3], a_trained[:, :3], ranks)
-        assert not np.allclose(aggregate(state, unmasked).global_pair.b.array,
-                               b_want)
 
     def test_a_pair_list_folds_as_its_stacks(self):
         # a caller holding (client id, LoraPair) pairs gets the state the
